@@ -23,7 +23,15 @@ import numpy as np
 from .errors import EmptyEvalError, EmptyFineTuneError, SpecMismatchError
 from .metrics import MetricKind, score
 from .pool import Example
-from .rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed
+from .rng import (
+    MASK64,
+    PURPOSE_INIT,
+    PURPOSE_SHUFFLE,
+    SplitMix64,
+    derive_seed,
+    derive_seeds,
+    shuffled_ranges,
+)
 
 BATCH_SIZE = 8
 
@@ -142,31 +150,42 @@ def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
 
 
 def _unpack(spec: LearnerSpec, params: np.ndarray):
+    """Weight views of a ``(P,)`` vector, or of a ``(K, P)`` stack with a leading K axis."""
     d, c, h = spec.input_dim, spec.class_count, spec.hidden_dim
+    lead = params.shape[:-1]
     if spec.family is LearnerFamily.LINEAR_SOFTMAX:
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d :]
+        w = params[..., : c * d].reshape(*lead, c, d)
+        b = params[..., c * d :]
         return w, b
-    w1 = params[: h * d].reshape(h, d)
-    b1 = params[h * d : h * d + h]
-    w2 = params[h * d + h : h * d + h + c * h].reshape(c, h)
-    b2 = params[h * d + h + c * h :]
+    w1 = params[..., : h * d].reshape(*lead, h, d)
+    b1 = params[..., h * d : h * d + h]
+    w2 = params[..., h * d + h : h * d + h + c * h].reshape(*lead, c, h)
+    b2 = params[..., h * d + h + c * h :]
     return w1, b1, w2, b2
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ w.swapaxes(-1, -2) + b[..., None, :]
+
+
 def _logits(spec: LearnerSpec, params: np.ndarray, x: np.ndarray):
-    """Logits for a (tokens, dim) matrix; also the hidden activations for mlp."""
+    """Logits for (tokens, dim) rows; also the hidden activations for mlp.
+
+    A ``(K, P)`` parameter stack gives ``(K, tokens, classes)`` logits, for
+    shared ``(tokens, dim)`` rows or per-model ``(K, tokens, dim)`` rows.
+    Each slice of a stacked product is bit-equal to the single-model one.
+    """
     if spec.family is LearnerFamily.LINEAR_SOFTMAX:
         w, b = _unpack(spec, params)
-        return x @ w.T + b, None
+        return _affine(x, w, b), None
     w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2.T + b2, hidden
+    hidden = np.tanh(_affine(x, w1, b1))
+    return _affine(hidden, w2, b2), hidden
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _pool_tokens(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,43 +195,62 @@ def _pool_tokens(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, n
     return x, y, bounds
 
 
+def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
+    return y[..., None] == np.arange(spec.class_count)
+
+
 def _flat_gradient(
-    spec: LearnerSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+    spec: LearnerSpec, params: np.ndarray, x: np.ndarray, one_hot: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the mean token cross-entropy at ``params``."""
-    n = x.shape[0]
+    """Gradient of the mean token cross-entropy at ``params``.
+
+    ``one_hot`` holds the ``_one_hot`` gold labels of the rows of ``x``.
+    Stacked ``(K, P)`` parameters with ``(K, rows, dim)`` inputs give the
+    ``(K, P)`` gradients of K models at once.
+    """
     z, hidden = _logits(spec, params, x)
-    probs = np.exp(_log_softmax(z))
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    # Subtracting False (0.0) leaves every non-gold entry unchanged.
+    delta = np.exp(_log_softmax(z)) - one_hot
+    delta /= x.shape[-2]
+    delta_t = delta.swapaxes(-1, -2)
+    lead = params.shape[:-1]
     if spec.family is LearnerFamily.LINEAR_SOFTMAX:
-        return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
+        return np.concatenate(
+            [(delta_t @ x).reshape(*lead, -1), delta.sum(axis=-2)], axis=-1
+        )
     _, _, w2, _ = _unpack(spec, params)
-    g_w2 = delta.T @ hidden
-    g_b2 = delta.sum(axis=0)
+    g_w2 = delta_t @ hidden
+    g_b2 = delta.sum(axis=-2)
     d_act = (delta @ w2) * (1.0 - hidden * hidden)
-    g_w1 = d_act.T @ x
-    g_b1 = d_act.sum(axis=0)
-    return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    g_w1 = d_act.swapaxes(-1, -2) @ x
+    g_b1 = d_act.sum(axis=-2)
+    return np.concatenate(
+        [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
+    )
 
 
-def _flat_score(
+def _score_predictions(
     spec: LearnerSpec,
-    params: np.ndarray,
-    x: np.ndarray,
+    preds: np.ndarray,
     y: np.ndarray,
     bounds: np.ndarray,
     metric: MetricKind,
 ) -> float:
-    z, _ = _logits(spec, params, x)
-    preds = z.argmax(axis=1)
     if metric is MetricKind.ACCURACY:
         return float(np.mean(preds == y))
-    cuts = bounds[:-1]
-    return score(
-        np.split(preds, cuts), np.split(y, cuts), metric, class_count=spec.class_count
-    )
+    if metric is MetricKind.EXACT_MATCH:
+        cuts = bounds[:-1]
+        return score(
+            np.split(preds, cuts), np.split(y, cuts), metric, class_count=spec.class_count
+        )
+    # The other metrics read only the flat label arrays, so one sequence
+    # holding every token scores the same as one sequence per example.
+    return score([preds], [y], metric, class_count=spec.class_count)
+
+
+def _mean_loss(spec: LearnerSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    logp = _log_softmax(_logits(spec, params, x)[0])
+    return float(-logp[np.arange(x.shape[0]), y].mean())
 
 
 def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
@@ -223,44 +261,144 @@ def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
     )
 
 
-def _sgd(
-    spec: LearnerSpec,
-    params: np.ndarray,
-    examples: list[Example],
-    eval_examples: list[Example],
-    seed: int,
-    lineage: list[int],
-    metric: MetricKind,
-) -> np.ndarray:
-    if not eval_examples:
-        raise EmptyEvalError("early stopping needs a non-empty eval set")
+def can_stack(shared: Sequence[Example], extras: Sequence[Sequence[Example]]) -> bool:
+    """Whether ``fit_stacked`` takes these lists: all ``shared + extras[k]``
+    have one non-zero length, and all their examples one token count."""
+    if not extras or len({len(examples) for examples in extras}) != 1:
+        return False
+    if len(shared) + len(extras[0]) == 0:
+        return False
+    counts = {ex.token_count for ex in shared}
+    for examples in extras:
+        counts.update(ex.token_count for ex in examples)
+    return len(counts) == 1
+
+
+def _stacked_batches(
+    spec: LearnerSpec, shared: Sequence[Example], extras: Sequence[Sequence[Example]]
+):
+    """Batch source for ``_sgd`` over the ``can_stack`` lists ``shared + extras[k]``.
+
+    The examples sit in one ``(K, n, tokens, dim)`` array; each epoch
+    gathers the active models' shuffled rows from it once.
+    """
+    first = (shared or extras[0])[0]
+    x_all = np.empty((len(extras), len(shared) + len(extras[0])) + first.features.shape)
+    y_all = np.empty(x_all.shape[:3], dtype=np.int64)
+
+    def fill(rows, examples: Sequence[Example]) -> None:
+        if examples:
+            x_all[rows] = np.stack([ex.features for ex in examples])
+            y_all[rows] = np.stack([ex.labels for ex in examples])
+
+    fill((slice(None), slice(0, len(shared))), shared)
+    for k, examples in enumerate(extras):
+        fill((k, slice(len(shared), None)), examples)
+    gold_all = _one_hot(spec, y_all)
+    step = BATCH_SIZE * first.token_count
+
+    def batches(active: list[int], orders: list[list[int]]):
+        picked = (np.array(active)[:, None], np.array(orders))
+        x = x_all[picked].reshape(len(active), -1, spec.input_dim)
+        gold = gold_all[picked].reshape(len(active), -1, spec.class_count)
+        for start in range(0, x.shape[1], step):
+            yield x[:, start : start + step], gold[:, start : start + step]
+
+    return batches
+
+
+def _ragged_batches(spec: LearnerSpec, examples: Sequence[Example]):
+    """Batch source for ``_sgd`` over one model's examples of any token counts."""
     feats = [ex.features for ex in examples]
-    labels = [ex.labels for ex in examples]
-    eval_x, eval_y, eval_bounds = _pool_tokens(eval_examples)
-    best = _flat_score(spec, params, eval_x, eval_y, eval_bounds, metric)
-    plateau = 0
-    for epoch in range(spec.max_epochs):
-        shuffle_seed = derive_seed(seed, iteration=epoch, purpose=PURPOSE_SHUFFLE)
-        lineage.append(shuffle_seed)
-        order = list(range(len(examples)))
-        SplitMix64(shuffle_seed).shuffle(order)
+    golds = [_one_hot(spec, ex.labels) for ex in examples]
+
+    def batches(active: list[int], orders: list[list[int]]):
+        (order,) = orders
         for start in range(0, len(order), BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
             x = np.concatenate([feats[i] for i in batch], axis=0)
-            y = np.concatenate([labels[i] for i in batch])
-            params = params - spec.learning_rate * _flat_gradient(spec, params, x, y)
-        current = _flat_score(spec, params, eval_x, eval_y, eval_bounds, metric)
-        # Significant improvement means beating the best score so far by
-        # at least stop_epsilon; patience counts consecutive misses.
-        if current - best >= spec.stop_epsilon:
-            plateau = 0
-        else:
-            plateau += 1
-        if current > best:
-            best = current
-        if plateau >= spec.patience:
-            break
-    return params
+            gold = np.concatenate([golds[i] for i in batch], axis=0)
+            yield x[None], gold[None]
+
+    return batches
+
+
+# Epochs whose shuffle orders are drawn together; a model that stops
+# within a block wastes the rest of its orders there.
+SHUFFLE_BLOCK = 8
+
+
+def _sgd(
+    spec: LearnerSpec,
+    params: np.ndarray,
+    shared: Sequence[Example],
+    extras: Sequence[Sequence[Example]],
+    eval_examples: Sequence[Example],
+    seeds: Sequence[int],
+    metric: MetricKind,
+) -> tuple[list[list[int]], list[float]]:
+    """Mini-batch SGD with early stopping of the ``(K, P)`` stack ``params``, in place.
+
+    Model k trains on ``shared + extras[k]`` under ``seeds[k]``: its own
+    shuffle order each epoch and its own early stop, after which it leaves
+    the stack. Lists that ``can_stack`` rejects take one model at a time.
+    Returns each model's epoch shuffle seeds and last eval score.
+    """
+    if not eval_examples:
+        raise EmptyEvalError("early stopping needs a non-empty eval set")
+    if can_stack(shared, extras):
+        batches = _stacked_batches(spec, shared, extras)
+    else:
+        (examples,) = extras
+        batches = _ragged_batches(spec, list(shared) + list(examples))
+    n = len(shared) + len(extras[0])
+    shuffle_seeds = derive_seeds(
+        np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)[:, None],
+        iteration=np.arange(spec.max_epochs),
+        purpose=PURPOSE_SHUFFLE,
+    )
+    eval_x, eval_y, eval_bounds = _pool_tokens(eval_examples)
+
+    def scores(stack: np.ndarray) -> list[float]:
+        preds = _logits(spec, stack, eval_x)[0].argmax(axis=-1)
+        if metric is MetricKind.ACCURACY:
+            # Exact hit counts over one length: the same floats as np.mean.
+            return (np.count_nonzero(preds == eval_y, axis=-1) / eval_y.size).tolist()
+        return [_score_predictions(spec, p, eval_y, eval_bounds, metric) for p in preds]
+
+    stack = params.copy()
+    best = scores(stack)
+    last = list(best)
+    plateau = [0] * len(seeds)
+    epochs = [0] * len(seeds)
+    active = list(range(len(seeds)))
+    for epoch in range(spec.max_epochs):
+        offset = epoch % SHUFFLE_BLOCK
+        if offset == 0:
+            block = shuffle_seeds[active, epoch : epoch + SHUFFLE_BLOCK]
+            drawn = iter(shuffled_ranges(block.ravel().tolist(), n))
+            pending = {k: [next(drawn) for _ in range(block.shape[1])] for k in active}
+        for x, gold in batches(active, [pending[k][offset] for k in active]):
+            stack = stack - spec.learning_rate * _flat_gradient(spec, stack, x, gold)
+        kept = []
+        for row, (k, current) in enumerate(zip(active, scores(stack))):
+            epochs[k] = epoch + 1
+            last[k] = current
+            # Significant improvement means beating the best score so far
+            # by at least stop_epsilon; patience counts consecutive misses.
+            plateau[k] = 0 if current - best[k] >= spec.stop_epsilon else plateau[k] + 1
+            best[k] = max(best[k], current)
+            if plateau[k] < spec.patience:
+                kept.append(row)
+        if len(kept) < len(active):
+            params[active] = stack
+            active = [active[row] for row in kept]
+            stack = stack[kept]
+            if not active:
+                break
+    params[active] = stack
+    lineages = [row[:count] for row, count in zip(shuffle_seeds.tolist(), epochs)]
+    return lineages, last
 
 
 def initialize(spec: LearnerSpec, seed: int) -> ModelState:
@@ -269,6 +407,44 @@ def initialize(spec: LearnerSpec, seed: int) -> ModelState:
     return ModelState(
         spec=spec, parameters=_init_params(spec, init_seed), seed_lineage=(init_seed,)
     )
+
+
+@dataclass(frozen=True, eq=False)
+class StackedFit:
+    """K models fit side by side: row k of ``parameters`` and ``lineages[k]``
+    make model k, and ``scores[k]`` is its score."""
+
+    spec: LearnerSpec
+    parameters: np.ndarray
+    lineages: list[list[int]]
+    scores: list[float]
+
+    def model(self, k: int) -> ModelState:
+        return ModelState(
+            spec=self.spec, parameters=self.parameters[k], seed_lineage=self.lineages[k]
+        )
+
+
+def _fit(
+    spec: LearnerSpec,
+    base: ModelState | None,
+    shared: Sequence[Example],
+    extras: Sequence[Sequence[Example]],
+    eval_examples: Sequence[Example],
+    seeds: Sequence[int],
+    metric: MetricKind,
+) -> StackedFit:
+    """One model per ``extras[k]``, from ``base`` or from the init ``seeds[k]`` derives;
+    its score is its last epoch's eval score."""
+    if base is None:
+        init_seeds = [derive_seed(seed, purpose=PURPOSE_INIT) for seed in seeds]
+        params = np.array([_init_params(spec, s) for s in init_seeds])
+        starts = [[s] for s in init_seeds]
+    else:
+        params = np.tile(base.parameters, (len(seeds), 1))
+        starts = [list(base.seed_lineage)] * len(seeds)
+    runs, last = _sgd(spec, params, shared, extras, eval_examples, seeds, metric)
+    return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], last)
 
 
 def train(
@@ -285,12 +461,9 @@ def train(
     """
     _check_examples(spec, labeled)
     _check_examples(spec, eval_examples)
-    init_seed = derive_seed(seed, purpose=PURPOSE_INIT)
-    params = _init_params(spec, init_seed)
-    lineage = [init_seed]
-    if len(labeled) > 0:
-        params = _sgd(spec, params, list(labeled), list(eval_examples), seed, lineage, metric)
-    return ModelState(spec=spec, parameters=params, seed_lineage=tuple(lineage))
+    if len(labeled) == 0:
+        return initialize(spec, seed)
+    return _fit(spec, None, [], [labeled], eval_examples, [seed], metric).model(0)
 
 
 def fine_tune(
@@ -306,17 +479,40 @@ def fine_tune(
         raise EmptyFineTuneError("fine_tune needs at least one example")
     _check_examples(base.spec, examples)
     _check_examples(base.spec, eval_examples)
-    lineage = list(base.seed_lineage)
-    params = _sgd(
-        base.spec,
-        base.parameters.copy(),
-        list(examples),
-        list(eval_examples),
-        seed,
-        lineage,
-        metric,
-    )
-    return ModelState(spec=base.spec, parameters=params, seed_lineage=tuple(lineage))
+    return _fit(base.spec, base, [], [examples], eval_examples, [seed], metric).model(0)
+
+
+def fit_stacked(
+    spec: LearnerSpec,
+    shared: Sequence[Example],
+    extras: Sequence[Sequence[Example]],
+    eval_examples: Sequence[Example],
+    seeds: Sequence[int],
+    *,
+    base: ModelState | None = None,
+    metric: MetricKind = MetricKind.ACCURACY,
+    loss_based: bool = False,
+) -> StackedFit:
+    """Fit one model per ``extras[k]`` on ``shared + extras[k]``, as one SGD run.
+
+    Model k equals ``fine_tune(base, shared + extras[k], eval_examples,
+    seeds[k])``, or without a base ``train(spec, ...)``, bit for bit. Its
+    score is its last epoch's eval score, which ``evaluate`` would give,
+    or with ``loss_based`` its negated eval loss. Each list is validated
+    once. Needs ``can_stack(shared, extras)``.
+    """
+    if not can_stack(shared, extras):
+        raise SpecMismatchError("fit_stacked needs equal-length lists of one token count")
+    if base is not None and base.spec != spec:
+        raise SpecMismatchError("the base model has another spec")
+    for examples in (shared, eval_examples, *extras):
+        _check_examples(spec, examples)
+    fit = _fit(spec, base, shared, extras, eval_examples, seeds, metric)
+    if not loss_based:
+        return fit
+    eval_x, eval_y, _ = _pool_tokens(eval_examples)
+    losses = [_mean_loss(spec, p, eval_x, eval_y) for p in fit.parameters]
+    return StackedFit(spec, fit.parameters, fit.lineages, [-value for value in losses])
 
 
 def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
@@ -334,7 +530,8 @@ def evaluate(
         raise EmptyEvalError("evaluate needs at least one example")
     _check_examples(model.spec, examples)
     x, y, bounds = _pool_tokens(examples)
-    return _flat_score(model.spec, model.parameters, x, y, bounds, metric)
+    preds = _logits(model.spec, model.parameters, x)[0].argmax(axis=-1)
+    return _score_predictions(model.spec, preds, y, bounds, metric)
 
 
 def loss(model: ModelState, examples: Sequence[Example]) -> float:
@@ -343,8 +540,7 @@ def loss(model: ModelState, examples: Sequence[Example]) -> float:
         raise EmptyEvalError("loss needs at least one example")
     _check_examples(model.spec, examples)
     x, y, _ = _pool_tokens(examples)
-    logp = _log_softmax(_logits(model.spec, model.parameters, x)[0])
-    return float(-logp[np.arange(x.shape[0]), y].mean())
+    return _mean_loss(model.spec, model.parameters, x, y)
 
 
 def gradient(model: ModelState, examples: Sequence[Example]) -> np.ndarray:
@@ -353,4 +549,4 @@ def gradient(model: ModelState, examples: Sequence[Example]) -> np.ndarray:
         raise EmptyEvalError("gradient needs at least one example")
     _check_examples(model.spec, examples)
     x, y, _ = _pool_tokens(examples)
-    return _flat_gradient(model.spec, model.parameters, x, y)
+    return _flat_gradient(model.spec, model.parameters, x, _one_hot(model.spec, y))

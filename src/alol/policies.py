@@ -13,14 +13,23 @@ three see byte-identical candidate models for the same seeds.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SpecMismatchError, StaleCandidateError
-from .learners import LearnerSpec, ModelState, evaluate, fine_tune, loss, predict_distribution, train
+from .learners import (
+    LearnerSpec,
+    ModelState,
+    can_stack,
+    evaluate,
+    fine_tune,
+    fit_stacked,
+    loss,
+    predict_distribution,
+    train,
+)
 from .metrics import MetricKind, mean_entropy
 from .pool import CandidateSet, Dataset, Example, PoolState
 from .rng import PURPOSE_POLICY, SplitMix64, derive_seed
@@ -132,10 +141,15 @@ def oracle_candidate_scores(
     """Score every candidate set by simulating its commitment.
 
     Candidate j gets its own derived seed, so scores are independent of
-    evaluation order and of ``jobs``. ``scorer`` short-circuits the model
-    building for stubbed tests. ``loss_based`` scores by negated
-    cross-entropy instead of the metric.
+    evaluation order. When every training list has one length and every
+    example one token count, the K models are fit as one stacked SGD run;
+    otherwise one at a time. Both give the same bytes. ``jobs`` must be
+    >= 1 and changes nothing: scoring runs in the calling thread.
+    ``scorer`` short-circuits the model building for stubbed tests.
+    ``loss_based`` scores by negated cross-entropy instead of the metric.
     """
+    if jobs < 1:
+        raise SpecMismatchError(f"jobs={jobs} must be >= 1")
     _check_fresh(pool, candidates)
     if scorer is not None:
         return tuple(float(scorer(c)) for c in candidates)
@@ -145,30 +159,35 @@ def oracle_candidate_scores(
         spec = base.spec
     if mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH and base is None:
         raise SpecMismatchError(f"{mode.value} needs a base model")
-    labeled_list = list(labeled_examples)
+    shared = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else list(labeled_examples)
+    extras = [dataset.subset(c.ids) for c in candidates]
     eval_list = list(eval_examples)
+    seeds = [derive_seed(seed, candidate=c.candidate_index + 1) for c in candidates]
+    if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH:
+        base = None
+    if can_stack(shared, extras):
+        fit = fit_stacked(
+            spec if base is None else base.spec,
+            shared,
+            extras,
+            eval_list,
+            seeds,
+            base=base,
+            metric=metric,
+            loss_based=loss_based,
+        )
+        return tuple(fit.scores)
 
-    def build_and_score(c: CandidateSet) -> float:
-        candidate_examples = dataset.subset(c.ids)
-        cand_seed = derive_seed(seed, candidate=c.candidate_index + 1)
-        if mode is TrainingMode.FINE_TUNE_UNION:
-            model = fine_tune(
-                base, labeled_list + candidate_examples, eval_list, cand_seed, metric=metric
-            )
-        elif mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY:
-            model = fine_tune(base, candidate_examples, eval_list, cand_seed, metric=metric)
+    def build_and_score(examples: list[Example], cand_seed: int) -> float:
+        if base is None:
+            model = train(spec, shared + examples, eval_list, cand_seed, metric=metric)
         else:
-            model = train(
-                spec, labeled_list + candidate_examples, eval_list, cand_seed, metric=metric
-            )
+            model = fine_tune(base, shared + examples, eval_list, cand_seed, metric=metric)
         if loss_based:
             return -loss(model, eval_list)
         return evaluate(model, eval_list, metric)
 
-    if jobs > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(candidates))) as pool_exec:
-            return tuple(pool_exec.map(build_and_score, candidates))
-    return tuple(build_and_score(c) for c in candidates)
+    return tuple(build_and_score(e, s) for e, s in zip(extras, seeds))
 
 
 def select_oracle(

@@ -19,6 +19,9 @@ Seed coordinate conventions used across the package:
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,6 +40,56 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """``_mix`` over uint64 arrays, whose arithmetic wraps modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def stream_draws(seeds: Sequence[int], count: int) -> np.ndarray:
+    """Draws 1..``count`` of the stream of each seed, shape ``(len(seeds), count)``.
+
+    SplitMix64 is counter-based: draw k of the stream seeded with s is
+    ``mix(s + k·GOLDEN)``, so a whole table is array arithmetic.
+    """
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix_array(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)
+
+
+def draws_below(seeds: Sequence[int], bounds: Sequence[int]) -> list[list[int]]:
+    """``[SplitMix64(s).next_below(b) for b in bounds]`` for every seed s.
+
+    Draw k answers ``bounds[k-1]`` unless ``next_below`` would reject it.
+    A rejection shifts every later draw of its stream, so a seed with any
+    rejected draw is drawn again by the scalar stream.
+    """
+    bound = np.asarray(bounds, dtype=np.uint64)
+    if np.any(bound == 0):
+        raise ValueError("bounds must be positive")
+    draws = stream_draws(seeds, bound.size)
+    # next_below accepts draws below 2**64 - 2**64 % bound, that is up to
+    # ~(2**64 % bound) in uint64, where (0 - bound) % bound is 2**64 % bound.
+    accepted = (draws <= ~((np.uint64(0) - bound) % bound)).all(axis=1)
+    rows = (draws % bound).tolist()
+    for index in np.flatnonzero(~accepted).tolist():
+        stream = SplitMix64(seeds[index])
+        rows[index] = [stream.next_below(int(b)) for b in bound.tolist()]
+    return rows
+
+
+def shuffled_ranges(seeds: Sequence[int], n: int) -> list[list[int]]:
+    """``range(n)`` after ``SplitMix64(s).shuffle`` for every seed s."""
+    positions = range(n - 1, 0, -1)
+    orders = []
+    for swaps in draws_below(seeds, np.arange(n, 1, -1)):
+        order = list(range(n))
+        for i, j in zip(positions, swaps):
+            order[i], order[j] = order[j], order[i]
+        orders.append(order)
+    return orders
 
 
 def splitmix64(value: int) -> int:
@@ -62,6 +115,21 @@ def derive_seed(
     seed = splitmix64(seed ^ (iteration & MASK64))
     seed = splitmix64(seed ^ (candidate & MASK64))
     seed = splitmix64(seed ^ (run & MASK64))
+    return seed
+
+
+def derive_seeds(
+    master: np.ndarray | int,
+    *,
+    iteration: np.ndarray | int = 0,
+    candidate: np.ndarray | int = 0,
+    run: np.ndarray | int = 0,
+    purpose: int = 0,
+) -> np.ndarray:
+    """``derive_seed`` over non-negative integer arrays that broadcast together."""
+    seed = np.asarray(master, dtype=np.uint64)
+    for coordinate in (purpose, iteration, candidate, run):
+        seed = _mix_array((seed ^ np.asarray(coordinate, dtype=np.uint64)) + np.uint64(_GOLDEN))
     return seed
 
 

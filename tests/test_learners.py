@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from alol.learners import (
     LearnerFamily,
     LearnerSpec,
     ModelState,
+    can_stack,
     evaluate,
     fine_tune,
+    fit_stacked,
     gradient,
     initialize,
     loss,
@@ -23,7 +26,7 @@ from alol.learners import (
 )
 from alol.metrics import MetricKind
 from alol.pool import Example
-from alol.rng import PURPOSE_INIT, SplitMix64, derive_seed
+from alol.rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed
 
 LINEAR = LearnerSpec(
     family=LearnerFamily.LINEAR_SOFTMAX, input_dim=2, class_count=2, learning_rate=0.5
@@ -136,7 +139,6 @@ def test_sgd_step_matches_manual_computation():
     )
     model = train(spec, data, data, seed=21)
     init = initialize(spec, 21)
-    from alol.rng import PURPOSE_SHUFFLE
 
     order = list(range(3))
     SplitMix64(derive_seed(21, iteration=0, purpose=PURPOSE_SHUFFLE)).shuffle(order)
@@ -355,3 +357,112 @@ def test_fingerprint_and_save_round_trip(tmp_path):
     model.save_parameters(path)
     loaded = np.fromfile(path, dtype="<f8")
     assert np.array_equal(loaded, model.parameters)
+
+
+def tokens(example_id, rng, length, dim=2, classes=2):
+    return Example(
+        id=example_id,
+        features=rng.normal(size=(length, dim)) * 2.0,
+        labels=rng.integers(0, classes, size=length),
+        sequence=True,
+    )
+
+
+def fit_alone(spec, base, examples, eval_set, seed, metric, loss_based):
+    if base is None:
+        model = train(spec, examples, eval_set, seed, metric=metric)
+    else:
+        model = fine_tune(base, examples, eval_set, seed, metric=metric)
+    value = -loss(model, eval_set) if loss_based else evaluate(model, eval_set, metric)
+    return model, value
+
+
+@pytest.mark.parametrize("family", ["linear", "mlp"])
+@pytest.mark.parametrize("mode", ["union", "candidate_only", "from_scratch"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
+    rng = np.random.default_rng(11)
+    spec = LearnerSpec(
+        family=LearnerFamily.LINEAR_SOFTMAX if family == "linear" else LearnerFamily.MLP,
+        input_dim=2,
+        class_count=2,
+        hidden_dim=0 if family == "linear" else 4,
+        learning_rate=0.5,
+        max_epochs=30,
+        patience=3,
+    )
+    labeled = [tokens(i, rng, length) for i in range(11)]
+    extras = [[tokens(100 + 2 * k + j, rng, length) for j in range(2)] for k in range(6)]
+    eval_set = [tokens(200 + i, rng, 1 + i % 4) for i in range(25)]
+    seeds = [derive_seed(9, candidate=k + 1) for k in range(6)]
+    base = None if mode == "from_scratch" else train(spec, labeled, eval_set, seed=4)
+    shared = [] if mode == "candidate_only" else labeled
+    for metric in (MetricKind.ACCURACY, MetricKind.MACRO_F1):
+        for loss_based in (False, True):
+            fit = fit_stacked(
+                spec, shared, extras, eval_set, seeds,
+                base=base, metric=metric, loss_based=loss_based,
+            )
+            for k, value in enumerate(fit.scores):
+                model = fit.model(k)
+                alone, alone_value = fit_alone(
+                    spec, base, shared + extras[k], eval_set, seeds[k], metric, loss_based
+                )
+                assert model.parameters.tobytes() == alone.parameters.tobytes()
+                assert model.seed_lineage == alone.seed_lineage
+                assert value == alone_value
+    # The stack loses models at different epochs along the way.
+    assert len({len(lineage) for lineage in fit.lineages}) > 1
+
+
+def test_stacked_fit_needs_one_length_and_one_token_count():
+    rng = np.random.default_rng(2)
+    uniform = [[tokens(i, rng, 2)] for i in range(3)]
+    assert can_stack([], uniform)
+    assert can_stack([tokens(9, rng, 2)], uniform)
+    assert not can_stack([], [])
+    assert not can_stack([], [[], []])
+    assert not can_stack([tokens(9, rng, 3)], uniform)
+    assert not can_stack([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]])
+    ragged = [[tokens(i, rng, 1 + i)] for i in range(3)]
+    with pytest.raises(SpecMismatchError):
+        fit_stacked(LINEAR, [], ragged, blobs(4, 2.0, 0), [1, 2, 3])
+    with pytest.raises(EmptyEvalError):
+        fit_stacked(LINEAR, [], [blobs(2, 2.0, 0)], [], [1])
+    with pytest.raises(SpecMismatchError):
+        fit_stacked(LINEAR, [], [blobs(2, 2.0, 0)], blobs(4, 2.0, 0), [1], base=initialize(MLP, 1))
+
+
+def reference_train(spec, examples, eval_set, seed, metric):
+    """Plain one-model SGD with early stopping, written from the public pieces."""
+    model = initialize(spec, seed)
+    lineage = list(model.seed_lineage)
+    best = evaluate(model, eval_set, metric)
+    plateau = 0
+    for epoch in range(spec.max_epochs):
+        shuffle_seed = derive_seed(seed, iteration=epoch, purpose=PURPOSE_SHUFFLE)
+        lineage.append(shuffle_seed)
+        order = list(range(len(examples)))
+        SplitMix64(shuffle_seed).shuffle(order)
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = [examples[i] for i in order[start : start + BATCH_SIZE]]
+            step = spec.learning_rate * gradient(model, batch)
+            model = ModelState(spec=spec, parameters=model.parameters - step, seed_lineage=())
+        current = evaluate(model, eval_set, metric)
+        plateau = 0 if current - best >= spec.stop_epsilon else plateau + 1
+        best = max(best, current)
+        if plateau >= spec.patience:
+            break
+    return ModelState(spec=spec, parameters=model.parameters, seed_lineage=tuple(lineage))
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+@pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+def test_train_matches_plain_reference_loop(spec, ragged):
+    rng = np.random.default_rng(5)
+    examples = [tokens(i, rng, 1 + (i % 4 if ragged else 1)) for i in range(21)]
+    eval_set = [tokens(100 + i, rng, 1 + i % 3) for i in range(12)]
+    spec = replace(spec, max_epochs=25, patience=4)
+    for metric in (MetricKind.ACCURACY, MetricKind.TOKEN_F1, MetricKind.EXACT_MATCH):
+        model = train(spec, examples, eval_set, seed=17, metric=metric)
+        assert model == reference_train(spec, examples, eval_set, 17, metric)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alol import policies
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import SpecMismatchError, StaleCandidateError
 from alol.learners import LearnerFamily, LearnerSpec, ModelState, initialize, train
@@ -447,3 +448,78 @@ def test_oracle_finds_informative_examples_on_rigged_data():
             pool = commit_selection(pool, candidates[outcome.chosen_index])
     assert decided >= 15
     assert informative_hits / decided >= 0.8
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+@pytest.mark.parametrize("loss_based", [False, True])
+def test_stacked_scoring_matches_one_candidate_at_a_time(monkeypatch, mode, loss_based):
+    dataset, pool, base = oracle_fixture()
+    candidates = sample_candidates(pool, 5, 2, seed=6)
+    args = (
+        base,
+        pool,
+        candidates,
+        dataset,
+        dataset.subset(pool.labeled),
+        dataset.subset(pool.eval),
+        mode,
+        MetricKind.ACCURACY,
+        13,
+    )
+    stacked = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
+    monkeypatch.setattr(policies, "can_stack", lambda shared, extras: False)
+    alone = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
+    assert stacked == alone
+
+
+def test_ragged_candidates_are_scored_one_at_a_time(monkeypatch):
+    spec = GenSpec(
+        kind=GenKind.TOKEN_TAGGING,
+        n=40,
+        input_dim=3,
+        class_count=3,
+        cluster_separation=6.0,
+        noise_fraction=0.0,
+        seed=3,
+        seq_len_range=(2, 5),
+    )
+    dataset, _ = generate(spec)
+    pool = PoolState(
+        labeled=(0, 1, 2), unlabeled=tuple(range(3, 30)), eval=tuple(range(30, 40)), report=()
+    )
+    learner = linear_spec(dim=3, classes=3)
+    base = train(learner, dataset.subset(pool.labeled), dataset.subset(pool.eval), seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ragged lists must not be stacked")
+
+    monkeypatch.setattr(policies, "fit_stacked", refuse)
+    scores = oracle_candidate_scores(
+        base,
+        pool,
+        sample_candidates(pool, 4, 1, seed=2),
+        dataset,
+        dataset.subset(pool.labeled),
+        dataset.subset(pool.eval),
+        TrainingMode.FINE_TUNE_UNION,
+        MetricKind.MACRO_F1,
+        5,
+    )
+    assert len(scores) == 4
+
+
+def test_oracle_scores_reject_non_positive_jobs():
+    dataset, pool, base = oracle_fixture()
+    with pytest.raises(SpecMismatchError):
+        oracle_candidate_scores(
+            base,
+            pool,
+            sample_candidates(pool, 2, 1, seed=2),
+            dataset,
+            dataset.subset(pool.labeled),
+            dataset.subset(pool.eval),
+            TrainingMode.FINE_TUNE_UNION,
+            MetricKind.ACCURACY,
+            11,
+            jobs=0,
+        )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from alol.rng import (
@@ -10,8 +11,12 @@ from alol.rng import (
     PURPOSE_SPLIT,
     SplitMix64,
     derive_seed,
+    derive_seeds,
+    draws_below,
     repeat_seed,
+    shuffled_ranges,
     splitmix64,
+    stream_draws,
 )
 
 # Reference outputs for the standard SplitMix64 algorithm, seed 0 and an
@@ -172,3 +177,49 @@ def test_next_normal_sequence_is_reproducible():
     b = SplitMix64(55)
     assert [a.next_normal() for _ in range(31)] == [b.next_normal() for _ in range(31)]
     assert all(math.isfinite(v) for v in [SplitMix64(i).next_normal() for i in range(50)])
+
+
+SEEDS = [0, 1, 1234567, 2**63, MASK64] + [splitmix64(i) for i in range(20)]
+
+
+def test_stream_draws_match_the_stream_draw_by_draw():
+    table = stream_draws(SEEDS, 40)
+    assert table.shape == (len(SEEDS), 40) and table.dtype == np.uint64
+    for seed, row in zip(SEEDS, table.tolist()):
+        stream = SplitMix64(seed)
+        assert row == [stream.next_uint64() for _ in range(40)]
+    assert stream_draws([0], 4).tolist() == [SEED0_OUTPUTS]
+
+
+def test_draws_below_falls_back_to_the_stream_after_a_rejection():
+    # Near 2**63 about half of all draws fall at or above next_below's
+    # rejection limit, so most seeds take the scalar fallback.
+    bounds = [2**63 + 1, 2**63 + 3, 2**63 + 2**62, MASK64, 2**63, 3]
+    seeds = [splitmix64(i) for i in range(256)]
+    limits = np.array([(1 << 64) - (1 << 64) % b for b in bounds], dtype=object)
+    rejected = (stream_draws(seeds, len(bounds)).astype(object) >= limits).any(axis=1)
+    assert 0 < rejected.sum() < len(seeds)
+    rows = draws_below(seeds, bounds)
+    for seed, row in zip(seeds, rows):
+        stream = SplitMix64(seed)
+        assert row == [stream.next_below(b) for b in bounds]
+    with pytest.raises(ValueError):
+        draws_below(seeds, [3, 0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 300])
+def test_shuffled_ranges_match_the_scalar_shuffle(n):
+    for seed, order in zip(SEEDS, shuffled_ranges(SEEDS, n)):
+        expected = list(range(n))
+        SplitMix64(seed).shuffle(expected)
+        assert order == expected
+
+
+def test_derive_seeds_matches_derive_seed():
+    masters = np.array(SEEDS[:6], dtype=np.uint64)[:, None]
+    table = derive_seeds(masters, iteration=np.arange(7), candidate=3, purpose=PURPOSE_SHUFFLE)
+    for master, row in zip(SEEDS, table.tolist()):
+        assert row == [
+            derive_seed(master, iteration=i, candidate=3, purpose=PURPOSE_SHUFFLE)
+            for i in range(7)
+        ]
