@@ -4,8 +4,8 @@ Four subcommands driven by JSON experiment files (validated strictly,
 unknown keys rejected):
 
 * ``gen-data``   writes a synthetic dataset plus its provenance sidecar
-* ``simulate``   runs the selection loop per repeat, writes run logs and
-                 learning-curve CSVs plus their mean
+* ``simulate``   runs the selection loop for every repeat side by side,
+                 writes run logs and learning-curve CSVs plus their mean
 * ``probe-mrr``  runs the two-seed consistency probe, writes windowed MRR
 * ``report``     turns policy curves plus a baseline curve into a
                  relative-improvement CSV
@@ -157,7 +157,12 @@ def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
         cells = line.split(",")
         if len(cells) != 4:
             raise _CliFailure(2, f"{path}:{lineno}: expected 4 columns")
-        curve.append((int(cells[0]), float(cells[1])))
+        try:
+            curve.append((int(cells[0]), float(cells[1])))
+        except ValueError:
+            raise _CliFailure(
+                2, f"{path}:{lineno}: expected an integer labeled_size and a numeric metric"
+            ) from None
         label = cells[2]
     if not curve:
         raise _CliFailure(2, f"{path}: no data rows")
@@ -178,7 +183,12 @@ def _parse_simulation_config(data: dict, config_path: str) -> tuple[engine.Simul
     _check_keys(data, _SIMULATE_KEYS, config_path)
     _check_keys(data["policy"], _POLICY_KEYS, f"{config_path}: policy")
     _check_keys(data["learner"], _LEARNER_KEYS, f"{config_path}: learner")
-    repeats = int(data.get("repeats", 1))
+    try:
+        repeats = int(data.get("repeats", 1))
+    except (ValueError, TypeError):
+        raise _CliFailure(
+            2, f"{config_path}: repeats={data['repeats']!r} is not an integer"
+        ) from None
     if repeats < 1:
         raise _CliFailure(2, f"{config_path}: repeats={repeats} must be >= 1")
     payload = {k: v for k, v in data.items() if k not in {"command", "dataset", "repeats"}}
@@ -227,12 +237,9 @@ def cmd_simulate(args) -> int:
     dataset = load_dataset(dataset_path)
     curves = []
     truncated_flags = []
-    seeds = []
-    for r in range(repeats):
-        seed_r = repeat_seed(config.master_seed, r)
-        seeds.append(seed_r)
-        config_r = dataclasses.replace(config, master_seed=seed_r)
-        log = engine.run_simulation(config_r, dataset, jobs=args.jobs)
+    seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
+    logs = engine.run_simulations(config, dataset, seeds, jobs=args.jobs)
+    for r, (seed_r, log) in enumerate(zip(seeds, logs)):
         truncated_flags.append(log.truncated)
         curve = engine.learning_curve(log)
         curves.append(curve)

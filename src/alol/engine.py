@@ -6,7 +6,8 @@ checkpoint model on the current labeled set to measure a report metric on
 the held-out report partition. The run is a pure function of
 (config, dataset): every stochastic call draws from a stream derived off
 the master seed with the iteration/candidate/run coordinates, so thread
-count and scheduling cannot change a byte of the output.
+count, scheduling and the number of runs fit side by side cannot change
+a byte of the output.
 
 Seed scoping used by the driver (ops mix in their purpose tags themselves):
 
@@ -22,7 +23,7 @@ Seed scoping used by the driver (ops mix in their purpose tags themselves):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import (
@@ -32,22 +33,41 @@ from .errors import (
     SpecMismatchError,
     UndefinedPointError,
 )
-from .learners import LearnerSpec, ModelState, evaluate, spec_from_json, spec_to_json, train
+from .learners import (
+    FitTask,
+    LearnerSpec,
+    ModelState,
+    can_stack,
+    evaluate,
+    fit_stacked,
+    spec_from_json,
+    spec_to_json,
+    train,
+)
 from .metrics import MetricKind
 from .policies import (
     PolicyName,
     PolicySpec,
     SelectionOutcome,
     TrainingMode,
-    oracle_candidate_scores,
-    select_epsilon_greedy,
+    candidate_fits,
+    epsilon_explore,
+    lowest_argmax,
+    oracle_candidate_scores,  # noqa: F401  (bench/tracing.py wraps this name)
+    score_fits,
     select_longest,
-    select_loss_oracle,
-    select_oracle,
     select_random,
     select_uncertainty,
 )
-from .pool import Dataset, commit_selection, sample_candidates, split_dataset
+from .pool import (
+    CandidateSet,
+    Dataset,
+    Example,
+    PoolState,
+    commit_selection,
+    sample_candidates,
+    split_dataset,
+)
 from .rng import RUN_CHECKPOINT, derive_seed
 
 ORACLE_FAMILY = frozenset(
@@ -117,166 +137,223 @@ class RunLog:
     truncated: bool
 
 
-def run_simulation(config: SimulationConfig, dataset: Dataset, *, jobs: int = 1) -> RunLog:
-    """Run the selection loop for the configured number of iterations."""
+@dataclass(eq=False)
+class _Run:
+    """One run's state while the lockstep loop advances it."""
+
+    master: int
+    pool: PoolState
+    eval_examples: list[Example]
+    report_examples: list[Example]
+    initial_labeled_ids: tuple[int, ...]
+    initial_checkpoint: float = 0.0
+    final_fingerprint: str = ""
+    records: list[IterationRecord] = field(default_factory=list)
+    truncated: bool = False
+
+
+@dataclass(eq=False)
+class _Step:
+    """One run's iteration between sampling and commit."""
+
+    run: _Run
+    scope: int
+    candidates: list[CandidateSet]
+    labeled: list[Example]
+    outcome: SelectionOutcome | None
+    base: ModelState | None = None
+    scores: tuple[float, ...] | None = None
+
+
+def _train_all(spec: LearnerSpec, tasks: list[FitTask], metric: MetricKind) -> list[ModelState]:
+    """``train`` on each base-less task's ``shared`` list, as one stacked fit
+    when ``can_stack`` allows."""
+    if can_stack(tasks):
+        fit = fit_stacked(spec, tasks, metric=metric)
+        return [fit.model(k) for k in range(len(tasks))]
+    return [train(spec, t.shared, t.eval_examples, t.seed, metric=metric) for t in tasks]
+
+
+def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Run, int]]):
+    """Train each due run's checkpoint model on its labeled set and score it
+    on its report partition; yields (value, fingerprint) per entry."""
+    tasks = [
+        FitTask(
+            None,
+            dataset.subset(run.pool.labeled),
+            [],
+            run.eval_examples,
+            derive_seed(run.master, iteration=i, run=RUN_CHECKPOINT),
+        )
+        for run, i in due
+    ]
+    models = _train_all(config.learner, tasks, config.report_metric)
+    for (run, _), model in zip(due, models):
+        yield evaluate(model, run.report_examples, config.report_metric), model.fingerprint()
+
+
+def _preset(
+    config: SimulationConfig, i: int, scope: int, candidates: list[CandidateSet], dataset: Dataset
+) -> SelectionOutcome | None:
+    """The policy's choice at iteration i when it needs no model, else None."""
+    name, k = config.policy.name, config.candidate_count
+    if name is PolicyName.RANDOM:
+        return select_random(k, scope)
+    if name is PolicyName.LONGEST:
+        return select_longest(candidates, dataset)
+    if name is PolicyName.EPSILON_GREEDY:
+        return epsilon_explore(config.policy.epsilon, k, scope)
+    if name is PolicyName.ORACLE_SWITCH and i > config.policy.switch_after:
+        return replace(select_random(k, scope), branch="random")
+    return None
+
+
+# The branch an oracle-scored choice records, per policy.
+_ORACLE_BRANCH = {PolicyName.EPSILON_GREEDY: "exploit", PolicyName.ORACLE_SWITCH: "oracle"}
+
+
+def run_simulations(
+    config: SimulationConfig, dataset: Dataset, seeds: Sequence[int], *, jobs: int = 1
+) -> list[RunLog]:
+    """Run ``config`` once per master seed in ``seeds``, all in lockstep.
+
+    Run r equals ``run_simulation`` of ``config`` at master seed
+    ``seeds[r]``, byte for byte: the runs advance one iteration at a time,
+    and each phase of an iteration fits the base models, the oracle's
+    candidate models and the checkpoint models of every live run side by
+    side, as one stacked SGD run when ``can_stack`` allows. ``jobs`` must
+    be >= 1 and changes nothing.
+    """
+    if jobs < 1:
+        raise SpecMismatchError(f"jobs={jobs} must be >= 1")
     if config.learner.input_dim != dataset.feature_dim:
         raise SpecMismatchError(
             f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
         )
     if config.partition_sizes[2] == 0 or config.partition_sizes[3] == 0:
         raise SpecMismatchError("eval and report partitions must be non-empty")
-    master = config.master_seed
-    pool = split_dataset(dataset, config.partition_sizes, master)
-    initial_labeled_ids = pool.labeled
-    eval_examples = dataset.subset(pool.eval)
-    report_examples = dataset.subset(pool.report)
-
-    def checkpoint_model(iteration: int) -> ModelState:
-        seed = derive_seed(master, iteration=iteration, run=RUN_CHECKPOINT)
-        return train(
-            config.learner,
-            dataset.subset(pool.labeled),
-            eval_examples,
-            seed,
-            metric=config.report_metric,
+    runs = []
+    for master in seeds:
+        pool = split_dataset(dataset, config.partition_sizes, master)
+        runs.append(
+            _Run(master, pool, dataset.subset(pool.eval), dataset.subset(pool.report), pool.labeled)
         )
+    initial = _checkpoints(config, dataset, [(run, 0) for run in runs])
+    for run, (value, fingerprint) in zip(runs, initial):
+        run.initial_checkpoint, run.final_fingerprint = value, fingerprint
 
-    initial_model = checkpoint_model(0)
-    initial_checkpoint = evaluate(initial_model, report_examples, config.report_metric)
-    final_fingerprint = initial_model.fingerprint()
-
-    records: list[IterationRecord] = []
-    truncated = False
+    name, mode = config.policy.name, config.policy.training_mode
+    live = list(runs)
     for i in range(1, config.iterations + 1):
-        scope = derive_seed(master, iteration=i)
-        try:
-            candidates = sample_candidates(
-                pool, config.candidate_count, config.set_size, scope
-            )
-        except PoolExhaustedError:
-            truncated = True
-            break
-        labeled_examples = dataset.subset(pool.labeled)
-        base_model: ModelState | None = None
-
-        def ensure_base() -> ModelState:
-            nonlocal base_model
-            if base_model is None:
-                base_model = train(
-                    config.learner,
-                    labeled_examples,
-                    eval_examples,
-                    scope,
-                    metric=config.selection_metric,
+        steps: list[_Step] = []
+        for run in live:
+            scope = derive_seed(run.master, iteration=i)
+            try:
+                candidates = sample_candidates(
+                    run.pool, config.candidate_count, config.set_size, scope
                 )
-            return base_model
+            except PoolExhaustedError:
+                run.truncated = True
+                continue
+            labeled = dataset.subset(run.pool.labeled)
+            outcome = _preset(config, i, scope, candidates, dataset)
+            steps.append(_Step(run, scope, candidates, labeled, outcome))
 
-        def oracle_outcome(loss_based: bool) -> SelectionOutcome:
-            selector = select_loss_oracle if loss_based else select_oracle
-            mode = config.policy.training_mode
-            base = None if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH else ensure_base()
-            return selector(
-                base,
-                pool,
-                candidates,
-                dataset,
-                labeled_examples,
-                eval_examples,
-                mode,
-                config.selection_metric,
-                scope,
-                jobs=jobs,
-                spec=config.learner,
+        # A run needs oracle scores when its policy chooses by them, or
+        # when it logs them beside a choice that came without scores; it
+        # needs a base model for uncertainty or to fine-tune candidates.
+        scored = [
+            s
+            for s in steps
+            if (s.outcome is None and name is not PolicyName.UNCERTAINTY)
+            or (config.log_oracle_scores and s.outcome is not None and s.outcome.scores is None)
+        ]
+        needs_base = [
+            s
+            for s in steps
+            if (s.outcome is None and name is PolicyName.UNCERTAINTY)
+            or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
+        ]
+        base_tasks = [
+            FitTask(None, s.labeled, [], s.run.eval_examples, s.scope) for s in needs_base
+        ]
+        bases = _train_all(config.learner, base_tasks, config.selection_metric)
+        for s, model in zip(needs_base, bases):
+            s.base = model
+        tasks = [
+            task
+            for s in scored
+            for task in candidate_fits(
+                s.base, s.candidates, dataset, s.labeled, s.run.eval_examples, mode, s.scope
             )
+        ]
+        if tasks:
+            values = score_fits(
+                config.learner, tasks, config.selection_metric, name is PolicyName.LOSS_ORACLE
+            )
+            for n, s in enumerate(scored):
+                k = len(s.candidates)
+                s.scores = tuple(values[n * k : (n + 1) * k])
 
-        name = config.policy.name
-        if name is PolicyName.RANDOM:
-            outcome = select_random(config.candidate_count, scope)
-        elif name is PolicyName.LONGEST:
-            outcome = select_longest(candidates, dataset)
-        elif name is PolicyName.UNCERTAINTY:
-            outcome = select_uncertainty(ensure_base(), candidates, dataset)
-        elif name is PolicyName.ORACLE:
-            outcome = oracle_outcome(loss_based=False)
-        elif name is PolicyName.LOSS_ORACLE:
-            outcome = oracle_outcome(loss_based=True)
-        elif name is PolicyName.EPSILON_GREEDY:
-            outcome = select_epsilon_greedy(
-                config.policy.epsilon,
-                lambda: oracle_outcome(loss_based=False),
-                config.candidate_count,
-                scope,
-            )
-        elif name is PolicyName.ORACLE_SWITCH:
-            if i <= config.policy.switch_after:
-                outcome = replace(oracle_outcome(loss_based=False), branch="oracle")
-            else:
-                outcome = replace(
-                    select_random(config.candidate_count, scope), branch="random"
+        for s in steps:
+            if s.outcome is None and name is PolicyName.UNCERTAINTY:
+                s.outcome = select_uncertainty(s.base, s.candidates, dataset)
+            elif s.outcome is None:
+                s.outcome = SelectionOutcome(
+                    lowest_argmax(s.scores), s.scores, _ORACLE_BRANCH.get(name)
                 )
-        else:
-            raise SpecMismatchError(f"unhandled policy {name!r}")
+            s.run.pool = commit_selection(s.run.pool, s.candidates[s.outcome.chosen_index])
 
-        scores = outcome.scores
-        if config.log_oracle_scores and scores is None:
-            mode = config.policy.training_mode
-            base = None if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH else ensure_base()
-            scores = oracle_candidate_scores(
-                base,
-                pool,
-                candidates,
-                dataset,
-                labeled_examples,
-                eval_examples,
-                mode,
-                config.selection_metric,
-                scope,
-                jobs=jobs,
-                spec=config.learner,
-            )
-
-        chosen = candidates[outcome.chosen_index]
-        size_before = len(pool.labeled)
-        pool = commit_selection(pool, chosen)
-        assert len(pool.labeled) == size_before + config.set_size
-
-        checkpoint_value: float | None = None
+        # A run that ran out of candidates gets a checkpoint at its last
+        # iteration, if that iteration had none.
+        due = [
+            (run, run.records[-1].iteration)
+            for run in live
+            if run.truncated and run.records and run.records[-1].checkpoint is None
+        ]
         if i % config.checkpoint_every == 0 or i == config.iterations:
-            model = checkpoint_model(i)
-            checkpoint_value = evaluate(model, report_examples, config.report_metric)
-            final_fingerprint = model.fingerprint()
-
-        records.append(
-            IterationRecord(
-                iteration=i,
-                candidate_ids=tuple(c.ids for c in candidates),
-                scores=scores,
-                chosen_index=outcome.chosen_index,
-                branch=outcome.branch,
-                labeled_size_after=len(pool.labeled),
-                checkpoint=checkpoint_value,
-                base_model_fingerprint=(
-                    base_model.fingerprint() if base_model is not None else None
-                ),
+            due += [(s.run, i) for s in steps]
+        checkpoints = {}
+        for (run, _), (value, fingerprint) in zip(due, _checkpoints(config, dataset, due)):
+            run.final_fingerprint = fingerprint
+            if run.truncated:
+                run.records[-1] = replace(run.records[-1], checkpoint=value)
+            else:
+                checkpoints[id(run)] = value
+        for s in steps:
+            s.run.records.append(
+                IterationRecord(
+                    iteration=i,
+                    candidate_ids=tuple(c.ids for c in s.candidates),
+                    scores=s.outcome.scores if s.outcome.scores is not None else s.scores,
+                    chosen_index=s.outcome.chosen_index,
+                    branch=s.outcome.branch,
+                    labeled_size_after=len(s.run.pool.labeled),
+                    checkpoint=checkpoints.get(id(s.run)),
+                    base_model_fingerprint=None if s.base is None else s.base.fingerprint(),
+                )
             )
-        )
+        live = [s.run for s in steps]
+        if not live:
+            break
 
-    if truncated and records and records[-1].checkpoint is None:
-        last = records[-1]
-        model = checkpoint_model(last.iteration)
-        records[-1] = replace(
-            last, checkpoint=evaluate(model, report_examples, config.report_metric)
+    return [
+        RunLog(
+            config=replace(config, master_seed=run.master),
+            initial_labeled_ids=run.initial_labeled_ids,
+            initial_checkpoint=run.initial_checkpoint,
+            records=tuple(run.records),
+            final_model_fingerprint=run.final_fingerprint,
+            truncated=run.truncated,
         )
-        final_fingerprint = model.fingerprint()
+        for run in runs
+    ]
 
-    return RunLog(
-        config=config,
-        initial_labeled_ids=initial_labeled_ids,
-        initial_checkpoint=initial_checkpoint,
-        records=tuple(records),
-        final_model_fingerprint=final_fingerprint,
-        truncated=truncated,
-    )
+
+def run_simulation(config: SimulationConfig, dataset: Dataset, *, jobs: int = 1) -> RunLog:
+    """Run the selection loop for the configured number of iterations."""
+    (log,) = run_simulations(config, dataset, [config.master_seed], jobs=jobs)
+    return log
 
 
 def learning_curve(log: RunLog) -> list[tuple[int, float]]:

@@ -54,3 +54,7 @@ class GenerationError(AlolError):
 
 class UndefinedPointError(AlolError):
     """Relative improvement is undefined because the baseline value is zero."""
+
+
+class NanScoreError(AlolError):
+    """A selection score is NaN, so no candidate can be ranked by it."""

@@ -143,10 +143,11 @@ def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
             raise SpecMismatchError(
                 f"example {ex.id}: feature dim {ex.features.shape[1]}, spec wants {spec.input_dim}"
             )
-        if int(ex.labels.max(initial=0)) >= spec.class_count:
-            raise SpecMismatchError(
-                f"example {ex.id}: label {int(ex.labels.max())} >= class_count {spec.class_count}"
-            )
+    if examples and np.concatenate([ex.labels for ex in examples]).max() >= spec.class_count:
+        ex = next(ex for ex in examples if ex.labels.max() >= spec.class_count)
+        raise SpecMismatchError(
+            f"example {ex.id}: label {int(ex.labels.max())} >= class_count {spec.class_count}"
+        )
 
 
 def _unpack(spec: LearnerSpec, params: np.ndarray):
@@ -261,39 +262,71 @@ def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
     )
 
 
-def can_stack(shared: Sequence[Example], extras: Sequence[Sequence[Example]]) -> bool:
-    """Whether ``fit_stacked`` takes these lists: all ``shared + extras[k]``
-    have one non-zero length, and all their examples one token count."""
-    if not extras or len({len(examples) for examples in extras}) != 1:
-        return False
-    if len(shared) + len(extras[0]) == 0:
-        return False
-    counts = {ex.token_count for ex in shared}
-    for examples in extras:
-        counts.update(ex.token_count for ex in examples)
-    return len(counts) == 1
+@dataclass(frozen=True, eq=False)
+class FitTask:
+    """One model to fit: SGD on ``shared + extra`` from ``base``, or without
+    a base from the init ``seed`` derives, early-stopped on ``eval_examples``.
 
-
-def _stacked_batches(
-    spec: LearnerSpec, shared: Sequence[Example], extras: Sequence[Sequence[Example]]
-):
-    """Batch source for ``_sgd`` over the ``can_stack`` lists ``shared + extras[k]``.
-
-    The examples sit in one ``(K, n, tokens, dim)`` array; each epoch
-    gathers the active models' shuffled rows from it once.
+    Tasks fit side by side may share list objects; each distinct list is
+    stacked, pooled and validated once per fit.
     """
-    first = (shared or extras[0])[0]
-    x_all = np.empty((len(extras), len(shared) + len(extras[0])) + first.features.shape)
+
+    base: ModelState | None
+    shared: Sequence[Example]
+    extra: Sequence[Example]
+    eval_examples: Sequence[Example]
+    seed: int
+
+
+def _distinct(lists) -> list:
+    """Each list object once, in first-seen order."""
+    return list({id(examples): examples for examples in lists}.values())
+
+
+def can_stack(tasks: Sequence[FitTask]) -> bool:
+    """Whether ``fit_stacked`` takes these tasks: every ``shared + extra`` has
+    one non-zero length, all their examples one token count, and all eval
+    lists one token total."""
+    if not tasks or len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
+        return False
+    if len(tasks[0].shared) + len(tasks[0].extra) == 0:
+        return False
+    counts = {
+        ex.token_count
+        for examples in _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
+        for ex in examples
+    }
+    if len(counts) != 1:
+        return False
+    totals = {
+        sum(ex.token_count for ex in examples)
+        for examples in _distinct(t.eval_examples for t in tasks)
+    }
+    return len(totals) == 1
+
+
+def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
+    """Batch source for ``_sgd`` over ``can_stack`` tasks.
+
+    Model k's ``shared + extra`` sit in row k of one ``(K, n, tokens, dim)``
+    array; each epoch gathers the active models' shuffled rows from it once.
+    """
+    first = (tasks[0].shared or tasks[0].extra)[0]
+    n = len(tasks[0].shared) + len(tasks[0].extra)
+    x_all = np.empty((len(tasks), n) + first.features.shape)
     y_all = np.empty(x_all.shape[:3], dtype=np.int64)
-
-    def fill(rows, examples: Sequence[Example]) -> None:
-        if examples:
-            x_all[rows] = np.stack([ex.features for ex in examples])
-            y_all[rows] = np.stack([ex.labels for ex in examples])
-
-    fill((slice(None), slice(0, len(shared))), shared)
-    for k, examples in enumerate(extras):
-        fill((k, slice(len(shared), None)), examples)
+    stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k, task in enumerate(tasks):
+        split = len(task.shared)
+        for where, examples in ((slice(0, split), task.shared), (slice(split, n), task.extra)):
+            if not examples:
+                continue
+            if id(examples) not in stacked:
+                stacked[id(examples)] = (
+                    np.stack([ex.features for ex in examples]),
+                    np.stack([ex.labels for ex in examples]),
+                )
+            x_all[k, where], y_all[k, where] = stacked[id(examples)]
     gold_all = _one_hot(spec, y_all)
     step = BATCH_SIZE * first.token_count
 
@@ -323,6 +356,19 @@ def _ragged_batches(spec: LearnerSpec, examples: Sequence[Example]):
     return batches
 
 
+def _pooled_evals(tasks: Sequence[FitTask]):
+    """Each distinct eval list's pooled tokens, stacked into ``(E, m, dim)``
+    rows and ``(E, m)`` labels, with their E bounds and each task's list index."""
+    index: dict[int, int] = {}
+    pooled = []
+    for examples in _distinct(t.eval_examples for t in tasks):
+        index[id(examples)] = len(pooled)
+        pooled.append(_pool_tokens(examples))
+    x, y, bounds = zip(*pooled)
+    of = np.array([index[id(t.eval_examples)] for t in tasks])
+    return np.stack(x), np.stack(y), bounds, of
+
+
 # Epochs whose shuffle orders are drawn together; a model that stops
 # within a block wastes the rest of its orders there.
 SHUFFLE_BLOCK = 8
@@ -331,47 +377,53 @@ SHUFFLE_BLOCK = 8
 def _sgd(
     spec: LearnerSpec,
     params: np.ndarray,
-    shared: Sequence[Example],
-    extras: Sequence[Sequence[Example]],
-    eval_examples: Sequence[Example],
-    seeds: Sequence[int],
+    tasks: Sequence[FitTask],
     metric: MetricKind,
+    stacked: bool,
 ) -> tuple[list[list[int]], list[float]]:
     """Mini-batch SGD with early stopping of the ``(K, P)`` stack ``params``, in place.
 
-    Model k trains on ``shared + extras[k]`` under ``seeds[k]``: its own
-    shuffle order each epoch and its own early stop, after which it leaves
-    the stack. Lists that ``can_stack`` rejects take one model at a time.
-    Returns each model's epoch shuffle seeds and last eval score.
+    Model k trains on ``tasks[k]``'s lists under its seed: its own shuffle
+    order each epoch, its own eval list and its own early stop, after which
+    it leaves the stack. ``stacked`` says that ``can_stack(tasks)`` holds;
+    without it there is one task, of any token counts. Returns each
+    model's epoch shuffle seeds and last eval score.
     """
-    if not eval_examples:
+    if any(not t.eval_examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
-    if can_stack(shared, extras):
-        batches = _stacked_batches(spec, shared, extras)
+    if stacked:
+        batches = _stacked_batches(spec, tasks)
     else:
-        (examples,) = extras
-        batches = _ragged_batches(spec, list(shared) + list(examples))
-    n = len(shared) + len(extras[0])
+        (task,) = tasks
+        batches = _ragged_batches(spec, list(task.shared) + list(task.extra))
+    n = len(tasks[0].shared) + len(tasks[0].extra)
     shuffle_seeds = derive_seeds(
-        np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)[:, None],
+        np.array([t.seed & MASK64 for t in tasks], dtype=np.uint64)[:, None],
         iteration=np.arange(spec.max_epochs),
         purpose=PURPOSE_SHUFFLE,
     )
-    eval_x, eval_y, eval_bounds = _pool_tokens(eval_examples)
+    eval_x, eval_y, eval_bounds, eval_of = _pooled_evals(tasks)
 
-    def scores(stack: np.ndarray) -> list[float]:
-        preds = _logits(spec, stack, eval_x)[0].argmax(axis=-1)
+    def scores(stack: np.ndarray, evals) -> list[float]:
+        x, y, bounds = evals
+        preds = _logits(spec, stack, x)[0].argmax(axis=-1)
         if metric is MetricKind.ACCURACY:
             # Exact hit counts over one length: the same floats as np.mean.
-            return (np.count_nonzero(preds == eval_y, axis=-1) / eval_y.size).tolist()
-        return [_score_predictions(spec, p, eval_y, eval_bounds, metric) for p in preds]
+            return (np.count_nonzero(preds == y, axis=-1) / y.shape[-1]).tolist()
+        return [_score_predictions(spec, *row, metric) for row in zip(preds, y, bounds)]
+
+    def gather(active: list[int]):
+        # Each active model's eval rows, gathered once per stack shape.
+        picked = eval_of[active]
+        return eval_x[picked], eval_y[picked], [eval_bounds[e] for e in picked]
 
     stack = params.copy()
-    best = scores(stack)
+    active = list(range(len(tasks)))
+    evals = gather(active)
+    best = scores(stack, evals)
     last = list(best)
-    plateau = [0] * len(seeds)
-    epochs = [0] * len(seeds)
-    active = list(range(len(seeds)))
+    plateau = [0] * len(tasks)
+    epochs = [0] * len(tasks)
     for epoch in range(spec.max_epochs):
         offset = epoch % SHUFFLE_BLOCK
         if offset == 0:
@@ -381,7 +433,7 @@ def _sgd(
         for x, gold in batches(active, [pending[k][offset] for k in active]):
             stack = stack - spec.learning_rate * _flat_gradient(spec, stack, x, gold)
         kept = []
-        for row, (k, current) in enumerate(zip(active, scores(stack))):
+        for row, (k, current) in enumerate(zip(active, scores(stack, evals))):
             epochs[k] = epoch + 1
             last[k] = current
             # Significant improvement means beating the best score so far
@@ -396,6 +448,7 @@ def _sgd(
             stack = stack[kept]
             if not active:
                 break
+            evals = gather(active)
     params[active] = stack
     lineages = [row[:count] for row, count in zip(shuffle_seeds.tolist(), epochs)]
     return lineages, last
@@ -426,24 +479,21 @@ class StackedFit:
 
 
 def _fit(
-    spec: LearnerSpec,
-    base: ModelState | None,
-    shared: Sequence[Example],
-    extras: Sequence[Sequence[Example]],
-    eval_examples: Sequence[Example],
-    seeds: Sequence[int],
-    metric: MetricKind,
+    spec: LearnerSpec, tasks: Sequence[FitTask], metric: MetricKind, stacked: bool
 ) -> StackedFit:
-    """One model per ``extras[k]``, from ``base`` or from the init ``seeds[k]`` derives;
-    its score is its last epoch's eval score."""
-    if base is None:
-        init_seeds = [derive_seed(seed, purpose=PURPOSE_INIT) for seed in seeds]
-        params = np.array([_init_params(spec, s) for s in init_seeds])
-        starts = [[s] for s in init_seeds]
-    else:
-        params = np.tile(base.parameters, (len(seeds), 1))
-        starts = [list(base.seed_lineage)] * len(seeds)
-    runs, last = _sgd(spec, params, shared, extras, eval_examples, seeds, metric)
+    """One model per task, from its base or from the init its seed derives;
+    its score is its last epoch's eval score. ``stacked`` is as for ``_sgd``."""
+    rows, starts = [], []
+    for task in tasks:
+        if task.base is None:
+            init_seed = derive_seed(task.seed, purpose=PURPOSE_INIT)
+            rows.append(_init_params(spec, init_seed))
+            starts.append([init_seed])
+        else:
+            rows.append(task.base.parameters)
+            starts.append(list(task.base.seed_lineage))
+    params = np.array(rows)
+    runs, last = _sgd(spec, params, tasks, metric, stacked)
     return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], last)
 
 
@@ -463,7 +513,8 @@ def train(
     _check_examples(spec, eval_examples)
     if len(labeled) == 0:
         return initialize(spec, seed)
-    return _fit(spec, None, [], [labeled], eval_examples, [seed], metric).model(0)
+    tasks = [FitTask(None, [], labeled, eval_examples, seed)]
+    return _fit(spec, tasks, metric, can_stack(tasks)).model(0)
 
 
 def fine_tune(
@@ -479,39 +530,42 @@ def fine_tune(
         raise EmptyFineTuneError("fine_tune needs at least one example")
     _check_examples(base.spec, examples)
     _check_examples(base.spec, eval_examples)
-    return _fit(base.spec, base, [], [examples], eval_examples, [seed], metric).model(0)
+    tasks = [FitTask(base, [], examples, eval_examples, seed)]
+    return _fit(base.spec, tasks, metric, can_stack(tasks)).model(0)
 
 
 def fit_stacked(
     spec: LearnerSpec,
-    shared: Sequence[Example],
-    extras: Sequence[Sequence[Example]],
-    eval_examples: Sequence[Example],
-    seeds: Sequence[int],
+    tasks: Sequence[FitTask],
     *,
-    base: ModelState | None = None,
     metric: MetricKind = MetricKind.ACCURACY,
     loss_based: bool = False,
 ) -> StackedFit:
-    """Fit one model per ``extras[k]`` on ``shared + extras[k]``, as one SGD run.
+    """Fit one model per task, as one SGD run.
 
-    Model k equals ``fine_tune(base, shared + extras[k], eval_examples,
-    seeds[k])``, or without a base ``train(spec, ...)``, bit for bit. Its
-    score is its last epoch's eval score, which ``evaluate`` would give,
-    or with ``loss_based`` its negated eval loss. Each list is validated
-    once. Needs ``can_stack(shared, extras)``.
+    Model k equals ``fine_tune(base, shared + extra, eval_examples, seed)``
+    of ``tasks[k]``, or without a base ``train(spec, ...)``, bit for bit.
+    Its score is its last epoch's eval score, which ``evaluate`` would
+    give, or with ``loss_based`` its negated eval loss. Each distinct list
+    is validated once. Needs ``can_stack(tasks)``.
     """
-    if not can_stack(shared, extras):
-        raise SpecMismatchError("fit_stacked needs equal-length lists of one token count")
-    if base is not None and base.spec != spec:
-        raise SpecMismatchError("the base model has another spec")
-    for examples in (shared, eval_examples, *extras):
+    if not can_stack(tasks):
+        raise SpecMismatchError(
+            "fit_stacked needs equal-length lists of one token count "
+            "and eval lists of one token total"
+        )
+    if any(t.base is not None and t.base.spec != spec for t in tasks):
+        raise SpecMismatchError("a base model has another spec")
+    lists = [t.shared for t in tasks] + [t.extra for t in tasks]
+    for examples in _distinct(lists + [t.eval_examples for t in tasks]):
         _check_examples(spec, examples)
-    fit = _fit(spec, base, shared, extras, eval_examples, seeds, metric)
+    fit = _fit(spec, tasks, metric, stacked=True)
     if not loss_based:
         return fit
-    eval_x, eval_y, _ = _pool_tokens(eval_examples)
-    losses = [_mean_loss(spec, p, eval_x, eval_y) for p in fit.parameters]
+    eval_x, eval_y, _, eval_of = _pooled_evals(tasks)
+    losses = [
+        _mean_loss(spec, p, eval_x[e], eval_y[e]) for p, e in zip(fit.parameters, eval_of)
+    ]
     return StackedFit(spec, fit.parameters, fit.lineages, [-value for value in losses])
 
 

@@ -18,8 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SpecMismatchError, StaleCandidateError
+from .errors import NanScoreError, SpecMismatchError, StaleCandidateError
 from .learners import (
+    FitTask,
     LearnerSpec,
     ModelState,
     can_stack,
@@ -75,8 +76,11 @@ class SelectionOutcome:
 
 
 def lowest_argmax(scores: Sequence[float]) -> int:
-    """First index attaining the maximum score."""
-    return int(np.argmax(np.asarray(scores, dtype=np.float64)))
+    """First index attaining the maximum score; a NaN score raises ``NanScoreError``."""
+    values = np.asarray(scores, dtype=np.float64)
+    if np.isnan(values).any():
+        raise NanScoreError(f"scores {list(scores)} hold a NaN, so none can be chosen")
+    return int(np.argmax(values))
 
 
 def _policy_stream(seed: int) -> SplitMix64:
@@ -122,6 +126,59 @@ def _check_fresh(pool: PoolState, candidates: Sequence[CandidateSet]) -> None:
                 )
 
 
+def candidate_fits(
+    base: ModelState | None,
+    candidates: Sequence[CandidateSet],
+    dataset: Dataset,
+    labeled_examples: Sequence[Example],
+    eval_examples: Sequence[Example],
+    mode: TrainingMode,
+    seed: int,
+) -> list[FitTask]:
+    """The fit that scores each candidate set: candidate j trains under the
+    seed derived from ``seed`` with ``candidate=j+1``, so scores are
+    independent of evaluation order. ``base`` is ignored when ``mode``
+    trains from scratch."""
+    shared = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else labeled_examples
+    if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH:
+        base = None
+    return [
+        FitTask(
+            base,
+            shared,
+            dataset.subset(c.ids),
+            eval_examples,
+            derive_seed(seed, candidate=c.candidate_index + 1),
+        )
+        for c in candidates
+    ]
+
+
+def score_fits(
+    spec: LearnerSpec, tasks: Sequence[FitTask], metric: MetricKind, loss_based: bool = False
+) -> list[float]:
+    """Each task's model score: its eval ``metric``, or with ``loss_based``
+    its negated eval cross-entropy.
+
+    Tasks that ``can_stack`` accepts are fit as one stacked SGD run, others
+    one at a time; both give the same bytes.
+    """
+    if can_stack(tasks):
+        return fit_stacked(spec, tasks, metric=metric, loss_based=loss_based).scores
+    out = []
+    for task in tasks:
+        examples = [*task.shared, *task.extra]
+        if task.base is None:
+            model = train(spec, examples, task.eval_examples, task.seed, metric=metric)
+        else:
+            model = fine_tune(task.base, examples, task.eval_examples, task.seed, metric=metric)
+        if loss_based:
+            out.append(-loss(model, task.eval_examples))
+        else:
+            out.append(evaluate(model, task.eval_examples, metric))
+    return out
+
+
 def oracle_candidate_scores(
     base: ModelState | None,
     pool: PoolState,
@@ -140,12 +197,9 @@ def oracle_candidate_scores(
 ) -> tuple[float, ...]:
     """Score every candidate set by simulating its commitment.
 
-    Candidate j gets its own derived seed, so scores are independent of
-    evaluation order. When every training list has one length and every
-    example one token count, the K models are fit as one stacked SGD run;
-    otherwise one at a time. Both give the same bytes. ``jobs`` must be
-    >= 1 and changes nothing: scoring runs in the calling thread.
-    ``scorer`` short-circuits the model building for stubbed tests.
+    The fits are those of ``candidate_fits``, scored by ``score_fits``.
+    ``jobs`` must be >= 1 and changes nothing: scoring runs in the calling
+    thread. ``scorer`` short-circuits the model building for stubbed tests.
     ``loss_based`` scores by negated cross-entropy instead of the metric.
     """
     if jobs < 1:
@@ -153,41 +207,14 @@ def oracle_candidate_scores(
     _check_fresh(pool, candidates)
     if scorer is not None:
         return tuple(float(scorer(c)) for c in candidates)
-    if spec is None:
-        if base is None:
-            raise SpecMismatchError("need a base model or an explicit learner spec")
+    if base is not None and (spec is None or mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH):
         spec = base.spec
-    if mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH and base is None:
+    elif spec is None:
+        raise SpecMismatchError("need a base model or an explicit learner spec")
+    elif mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
         raise SpecMismatchError(f"{mode.value} needs a base model")
-    shared = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else list(labeled_examples)
-    extras = [dataset.subset(c.ids) for c in candidates]
-    eval_list = list(eval_examples)
-    seeds = [derive_seed(seed, candidate=c.candidate_index + 1) for c in candidates]
-    if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH:
-        base = None
-    if can_stack(shared, extras):
-        fit = fit_stacked(
-            spec if base is None else base.spec,
-            shared,
-            extras,
-            eval_list,
-            seeds,
-            base=base,
-            metric=metric,
-            loss_based=loss_based,
-        )
-        return tuple(fit.scores)
-
-    def build_and_score(examples: list[Example], cand_seed: int) -> float:
-        if base is None:
-            model = train(spec, shared + examples, eval_list, cand_seed, metric=metric)
-        else:
-            model = fine_tune(base, shared + examples, eval_list, cand_seed, metric=metric)
-        if loss_based:
-            return -loss(model, eval_list)
-        return evaluate(model, eval_list, metric)
-
-    return tuple(build_and_score(e, s) for e, s in zip(extras, seeds))
+    tasks = candidate_fits(base, candidates, dataset, labeled_examples, eval_examples, mode, seed)
+    return tuple(score_fits(spec, tasks, metric, loss_based))
 
 
 def select_oracle(
@@ -257,6 +284,18 @@ def select_loss_oracle(
     return SelectionOutcome(chosen_index=lowest_argmax(scores), scores=scores)
 
 
+def epsilon_explore(epsilon: float, candidate_count: int, seed: int) -> SelectionOutcome | None:
+    """The explore choice of an epsilon-greedy draw, or None when it exploits."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise SpecMismatchError(f"epsilon {epsilon} outside [0, 1]")
+    stream = _policy_stream(seed)
+    if stream.next_float() < epsilon:
+        return SelectionOutcome(
+            chosen_index=stream.next_below(candidate_count), branch="explore"
+        )
+    return None
+
+
 def select_epsilon_greedy(
     epsilon: float,
     oracle_thunk: Callable[[], SelectionOutcome],
@@ -268,11 +307,7 @@ def select_epsilon_greedy(
     The explore branch never invokes the thunk, so no candidate models are
     built there.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise SpecMismatchError(f"epsilon {epsilon} outside [0, 1]")
-    stream = _policy_stream(seed)
-    if stream.next_float() < epsilon:
-        return SelectionOutcome(
-            chosen_index=stream.next_below(candidate_count), branch="explore"
-        )
+    explore = epsilon_explore(epsilon, candidate_count, seed)
+    if explore is not None:
+        return explore
     return replace(oracle_thunk(), branch="exploit")

@@ -14,7 +14,7 @@ states can be shared read-only across parallel candidate evaluations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ class Example:
     features: np.ndarray
     labels: np.ndarray
     sequence: bool
+    token_count: int = field(init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -66,10 +67,7 @@ class Example:
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def token_count(self) -> int:
-        return self.features.shape[0]
+        object.__setattr__(self, "token_count", feats.shape[0])
 
 
 @dataclass(frozen=True)
@@ -242,6 +240,10 @@ def load_dataset(path) -> Dataset:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise AlolError(f"{path}:{lineno}: bad JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise AlolError(f"{path}:{lineno}: expected a JSON object")
+            if "id" not in record or "label" not in record:
+                raise AlolError(f"{path}:{lineno}: needs both 'id' and 'label'")
             if "tokens" in record:
                 this_kind = "tokens"
                 feats = np.asarray(record["tokens"], dtype=np.float64)

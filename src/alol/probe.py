@@ -19,7 +19,13 @@ from typing import Callable, Sequence
 from .errors import PoolExhaustedError, SpecMismatchError
 from .learners import LearnerSpec, ModelState, spec_to_json, train
 from .metrics import MetricKind
-from .policies import TrainingMode, lowest_argmax, oracle_candidate_scores
+from .policies import (
+    TrainingMode,
+    candidate_fits,
+    lowest_argmax,
+    oracle_candidate_scores,
+    score_fits,
+)
 from .pool import CandidateSet, Dataset, commit_selection, sample_candidates, split_dataset
 from .rng import derive_seed
 
@@ -102,6 +108,8 @@ def run_mrr_probe(
         raise SpecMismatchError(
             f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
         )
+    if jobs < 1:
+        raise SpecMismatchError(f"jobs={jobs} must be >= 1")
     seed_ref, seed_alt = config.seed_pair
     pool = split_dataset(dataset, config.partition_sizes, seed_ref)
     eval_examples = dataset.subset(pool.eval)
@@ -133,25 +141,41 @@ def run_mrr_probe(
                 metric=config.selection_metric,
             )
 
-        def pass_scores(run: int, scope: int) -> tuple[float, ...]:
-            scorer = None if scorer_factory is None else scorer_factory(run, i)
-            return oracle_candidate_scores(
-                base,
-                pool,
-                candidates,
-                dataset,
-                labeled_examples,
-                eval_examples,
-                config.training_mode,
-                config.selection_metric,
-                scope,
-                jobs=jobs,
-                scorer=scorer,
-                spec=config.learner,
+        if scorer_factory is None:
+            # Both passes as one stack of 2K fits; only their seeds differ.
+            tasks = [
+                task
+                for scope in (scope_ref, scope_alt)
+                for task in candidate_fits(
+                    base,
+                    candidates,
+                    dataset,
+                    labeled_examples,
+                    eval_examples,
+                    config.training_mode,
+                    scope,
+                )
+            ]
+            scores = score_fits(config.learner, tasks, config.selection_metric)
+            reference_scores, second_scores = scores[: len(candidates)], scores[len(candidates) :]
+        else:
+            reference_scores, second_scores = (
+                oracle_candidate_scores(
+                    base,
+                    pool,
+                    candidates,
+                    dataset,
+                    labeled_examples,
+                    eval_examples,
+                    config.training_mode,
+                    config.selection_metric,
+                    scope,
+                    jobs=jobs,
+                    scorer=scorer_factory(run, i),
+                    spec=config.learner,
+                )
+                for run, scope in enumerate((scope_ref, scope_alt))
             )
-
-        reference_scores = pass_scores(0, scope_ref)
-        second_scores = pass_scores(1, scope_alt)
         chosen_index = lowest_argmax(reference_scores)
         ranks.append(rank_of(chosen_index, second_scores))
         pool = commit_selection(pool, candidates[chosen_index])

@@ -251,6 +251,18 @@ def test_simulate_repeats_average_into_mean_curve(tmp_path):
     assert summary["seeds"][1] != 77
 
 
+def test_repeats_value_never_changes_a_repeats_bytes(tmp_path):
+    outs = {}
+    for repeats in (1, 2, 3):
+        config = sim_config(tmp_path, repeats=repeats)
+        outs[repeats] = tmp_path / f"out{repeats}"
+        assert main(["simulate", "--config", str(config), "--out", str(outs[repeats])]) == 0
+    for name in ("run_0.json", "curve_0.csv", "policy_examples_0.jsonl"):
+        assert len({(outs[r] / name).read_bytes() for r in (1, 2, 3)}) == 1
+    for name in ("run_1.json", "curve_1.csv", "policy_examples_1.jsonl"):
+        assert (outs[2] / name).read_bytes() == (outs[3] / name).read_bytes()
+
+
 def test_simulate_refuses_overwrite(tmp_path):
     config = sim_config(tmp_path)
     out = tmp_path / "out"
@@ -411,3 +423,43 @@ def test_report_rejects_bad_header(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_report_non_integer_labeled_size_exits_2(tmp_path):
+    baseline = tmp_path / "random.csv"
+    curve_csv(baseline, [("ten", 48.3)], policy="random")
+    policy = tmp_path / "oracle.csv"
+    curve_csv(policy, [(10, 52.9)], policy="oracle")
+    out = tmp_path / "report.csv"
+    code = main(["report", str(policy), "--baseline", str(baseline), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_simulate_non_integer_repeats_exits_2(tmp_path):
+    config = sim_config(tmp_path, repeats="x")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["id", "label"])
+def test_dataset_line_without_id_or_label_exits_1(tmp_path, key):
+    config = sim_config(tmp_path)
+    dataset = tmp_path / "dataset.jsonl"
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    del record[key]
+    lines[3] = json.dumps(record)
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_nan_scores_exit_1(tmp_path, monkeypatch):
+    from alol import engine
+
+    monkeypatch.setattr(
+        engine, "score_fits", lambda spec, tasks, *args: [float("nan")] * len(tasks)
+    )
+    config = sim_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1

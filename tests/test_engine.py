@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from alol import engine, policies
 from alol.datagen import GenKind, GenSpec, generate
 from alol.engine import (
     IterationRecord,
@@ -16,10 +18,12 @@ from alol.engine import (
     run_log_from_json,
     run_log_to_json,
     run_simulation,
+    run_simulations,
 )
 from alol.errors import (
     AlignmentError,
     MissingScoresError,
+    NanScoreError,
     SpecMismatchError,
     UndefinedPointError,
 )
@@ -34,7 +38,7 @@ from alol.policies import (
     select_random,
 )
 from alol.pool import commit_selection, sample_candidates, split_dataset
-from alol.rng import derive_seed
+from alol.rng import derive_seed, repeat_seed
 
 
 def small_dataset(n=64, seed=9, noise=0.2):
@@ -329,3 +333,109 @@ def test_run_rejects_mismatched_learner_and_empty_partitions():
     )
     with pytest.raises(SpecMismatchError):
         run_simulation(config, dataset)
+
+
+def tagging_dataset():
+    spec = GenSpec(
+        kind=GenKind.TOKEN_TAGGING,
+        n=64,
+        input_dim=4,
+        class_count=2,
+        cluster_separation=4.0,
+        noise_fraction=0.2,
+        seed=9,
+        seq_len_range=(2, 5),
+    )
+    dataset, _ = generate(spec)
+    return dataset
+
+
+ORACLE = PolicyName.ORACLE
+LOCKSTEP_CASES = {
+    "random": dict(policy=PolicySpec(name=PolicyName.RANDOM)),
+    "longest": dict(policy=PolicySpec(name=PolicyName.LONGEST)),
+    "uncertainty": dict(policy=PolicySpec(name=PolicyName.UNCERTAINTY)),
+    "oracle": dict(policy=PolicySpec(name=ORACLE)),
+    "oracle-candidate-only": dict(
+        policy=PolicySpec(name=ORACLE, training_mode=TrainingMode.FINE_TUNE_CANDIDATE_ONLY)
+    ),
+    "oracle-from-scratch": dict(
+        policy=PolicySpec(name=ORACLE, training_mode=TrainingMode.INDEPENDENT_FROM_SCRATCH)
+    ),
+    "loss-oracle": dict(policy=PolicySpec(name=PolicyName.LOSS_ORACLE)),
+    "epsilon-greedy": dict(
+        policy=PolicySpec(name=PolicyName.EPSILON_GREEDY, epsilon=0.5), iterations=6
+    ),
+    "oracle-switch": dict(
+        policy=PolicySpec(name=PolicyName.ORACLE_SWITCH, switch_after=2), iterations=4
+    ),
+    "random-logging-scores": dict(
+        policy=PolicySpec(name=PolicyName.RANDOM), log_oracle_scores=True
+    ),
+    "epsilon-greedy-logging-from-scratch": dict(
+        policy=PolicySpec(
+            name=PolicyName.EPSILON_GREEDY,
+            epsilon=0.5,
+            training_mode=TrainingMode.INDEPENDENT_FROM_SCRATCH,
+        ),
+        iterations=6,
+        log_oracle_scores=True,
+    ),
+    "oracle-no-initial-labels": dict(
+        policy=PolicySpec(name=ORACLE), partition_sizes=(0, 44, 8, 6), checkpoint_every=2
+    ),
+    "oracle-pool-runs-out": dict(
+        policy=PolicySpec(name=ORACLE), iterations=5, partition_sizes=(4, 3, 6, 4)
+    ),
+    "oracle-token-tagging": dict(
+        policy=PolicySpec(name=ORACLE),
+        selection_metric=MetricKind.MACRO_F1,
+        report_metric=MetricKind.TOKEN_F1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_repeat_equals_its_single_run(case):
+    config = make_config(**LOCKSTEP_CASES[case])
+    dataset = tagging_dataset() if "tagging" in case else small_dataset()
+    seeds = [repeat_seed(config.master_seed, r) for r in range(3)]
+    logs = run_simulations(config, dataset, seeds)
+    assert len(logs) == 3
+    for seed, log in zip(seeds, logs):
+        alone = run_simulation(replace(config, master_seed=seed), dataset)
+        assert log.records == alone.records
+        assert log.final_model_fingerprint == alone.final_model_fingerprint
+        assert log == alone
+    if "epsilon" in case:
+        # The repeats draw their branches apart.
+        assert len({tuple(r.branch for r in log.records) for log in logs}) > 1
+    if "runs-out" in case:
+        assert all(log.truncated and log.records[-1].checkpoint is not None for log in logs)
+
+
+def test_lockstep_fits_each_phase_of_all_repeats_as_one_stack(monkeypatch):
+    sizes = []
+
+    def counting(fit):
+        def wrapper(spec, tasks, **kwargs):
+            sizes.append(len(tasks))
+            return fit(spec, tasks, **kwargs)
+
+        return wrapper
+
+    for module in (engine, policies):
+        monkeypatch.setattr(module, "fit_stacked", counting(module.fit_stacked))
+    config = make_config(PolicySpec(name=PolicyName.ORACLE), iterations=3)
+    run_simulations(config, small_dataset(), [1, 2, 3])
+    # Per iteration: 3 bases, then 3 x 4 candidates; checkpoints of all
+    # three repeats before the loop and after the last iteration.
+    assert sizes == [3] + [3, 12] * 3 + [3]
+
+
+def test_nan_score_stops_the_run(monkeypatch):
+    monkeypatch.setattr(
+        engine, "score_fits", lambda spec, tasks, *args: [float("nan")] * len(tasks)
+    )
+    with pytest.raises(NanScoreError):
+        run_simulation(make_config(PolicySpec(name=PolicyName.ORACLE)), small_dataset())

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from alol.errors import EmptyEvalError, EmptyFineTuneError, SpecMismatchError
 from alol.learners import (
     BATCH_SIZE,
+    FitTask,
     LearnerFamily,
     LearnerSpec,
     ModelState,
@@ -391,46 +392,82 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
         max_epochs=30,
         patience=3,
     )
-    labeled = [tokens(i, rng, length) for i in range(11)]
+    # Two runs side by side: each has its own labeled list, eval list and
+    # base; their eval lists hold the same token total in another layout.
+    labeled = [[tokens(i + 50 * r, rng, length) for i in range(11)] for r in range(2)]
+    evals = [
+        [tokens(200 + i, rng, 1 + i % 4) for i in range(25)],
+        [tokens(300 + i, rng, 1 + (24 - i) % 4) for i in range(25)],
+    ]
     extras = [[tokens(100 + 2 * k + j, rng, length) for j in range(2)] for k in range(6)]
-    eval_set = [tokens(200 + i, rng, 1 + i % 4) for i in range(25)]
     seeds = [derive_seed(9, candidate=k + 1) for k in range(6)]
-    base = None if mode == "from_scratch" else train(spec, labeled, eval_set, seed=4)
-    shared = [] if mode == "candidate_only" else labeled
-    for metric in (MetricKind.ACCURACY, MetricKind.MACRO_F1):
-        for loss_based in (False, True):
-            fit = fit_stacked(
-                spec, shared, extras, eval_set, seeds,
-                base=base, metric=metric, loss_based=loss_based,
+    bases = [
+        None if mode == "from_scratch" else train(spec, labeled[r], evals[r], seed=4 + r)
+        for r in range(2)
+    ]
+    for runs in (1, 2):
+        # Model k belongs to run k % runs.
+        tasks = [
+            FitTask(
+                bases[k % runs],
+                [] if mode == "candidate_only" else labeled[k % runs],
+                extras[k],
+                evals[k % runs],
+                seeds[k],
             )
-            for k, value in enumerate(fit.scores):
-                model = fit.model(k)
-                alone, alone_value = fit_alone(
-                    spec, base, shared + extras[k], eval_set, seeds[k], metric, loss_based
-                )
-                assert model.parameters.tobytes() == alone.parameters.tobytes()
-                assert model.seed_lineage == alone.seed_lineage
-                assert value == alone_value
-    # The stack loses models at different epochs along the way.
-    assert len({len(lineage) for lineage in fit.lineages}) > 1
+            for k in range(6)
+        ]
+        for metric in (MetricKind.ACCURACY, MetricKind.MACRO_F1):
+            for loss_based in (False, True):
+                fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
+                for k, (task, value) in enumerate(zip(tasks, fit.scores)):
+                    model = fit.model(k)
+                    alone, alone_value = fit_alone(
+                        spec,
+                        task.base,
+                        [*task.shared, *task.extra],
+                        task.eval_examples,
+                        task.seed,
+                        metric,
+                        loss_based,
+                    )
+                    assert model.parameters.tobytes() == alone.parameters.tobytes()
+                    assert model.seed_lineage == alone.seed_lineage
+                    assert value == alone_value
+        # The stack loses models at different epochs along the way.
+        assert len({len(lineage) for lineage in fit.lineages}) > 1
 
 
 def test_stacked_fit_needs_one_length_and_one_token_count():
     rng = np.random.default_rng(2)
+    eval_set = blobs(4, 2.0, 0)
+
+    def tasks(shared, extras, evals=None):
+        evals = evals or [eval_set] * len(extras)
+        return [FitTask(None, shared, e, ev, k) for k, (e, ev) in enumerate(zip(extras, evals))]
+
     uniform = [[tokens(i, rng, 2)] for i in range(3)]
-    assert can_stack([], uniform)
-    assert can_stack([tokens(9, rng, 2)], uniform)
-    assert not can_stack([], [])
-    assert not can_stack([], [[], []])
-    assert not can_stack([tokens(9, rng, 3)], uniform)
-    assert not can_stack([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]])
+    assert can_stack(tasks([], uniform))
+    assert can_stack(tasks([tokens(9, rng, 2)], uniform))
+    assert not can_stack([])
+    assert not can_stack(tasks([], [[], []]))
+    assert not can_stack(tasks([tokens(9, rng, 3)], uniform))
+    assert not can_stack(tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
+    # One length over all, split at another point per model.
+    pair = [[tokens(5, rng, 2)], [tokens(6, rng, 2), tokens(7, rng, 2)]]
+    assert can_stack(
+        [FitTask(None, pair[0], uniform[0], eval_set, 1), FitTask(None, [], pair[1], eval_set, 2)]
+    )
+    # Eval lists must hold one token total.
+    assert can_stack(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
+    assert not can_stack(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
     ragged = [[tokens(i, rng, 1 + i)] for i in range(3)]
     with pytest.raises(SpecMismatchError):
-        fit_stacked(LINEAR, [], ragged, blobs(4, 2.0, 0), [1, 2, 3])
+        fit_stacked(LINEAR, tasks([], ragged))
     with pytest.raises(EmptyEvalError):
-        fit_stacked(LINEAR, [], [blobs(2, 2.0, 0)], [], [1])
+        fit_stacked(LINEAR, [FitTask(None, [], blobs(2, 2.0, 0), [], 1)])
     with pytest.raises(SpecMismatchError):
-        fit_stacked(LINEAR, [], [blobs(2, 2.0, 0)], blobs(4, 2.0, 0), [1], base=initialize(MLP, 1))
+        fit_stacked(LINEAR, [FitTask(initialize(MLP, 1), [], blobs(2, 2.0, 0), eval_set, 1)])
 
 
 def reference_train(spec, examples, eval_set, seed, metric):

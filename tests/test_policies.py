@@ -3,7 +3,7 @@ import pytest
 
 from alol import policies
 from alol.datagen import GenKind, GenSpec, generate
-from alol.errors import SpecMismatchError, StaleCandidateError
+from alol.errors import NanScoreError, SpecMismatchError, StaleCandidateError
 from alol.learners import LearnerFamily, LearnerSpec, ModelState, initialize, train
 from alol.metrics import MetricKind, mean_entropy
 from alol.policies import (
@@ -47,6 +47,16 @@ def test_lowest_argmax_tie_rule():
     assert lowest_argmax([0.3, 0.7, 0.5]) == 1
     assert lowest_argmax([0.5, 0.5]) == 0
     assert lowest_argmax([1.0]) == 0
+
+
+def test_lowest_argmax_refuses_nan_and_orders_negative_infinity():
+    with pytest.raises(NanScoreError):
+        lowest_argmax([0.5, float("nan"), 0.9])
+    with pytest.raises(NanScoreError):
+        lowest_argmax([float("nan")])
+    assert lowest_argmax([-np.inf, 0.1]) == 1
+    assert lowest_argmax([-np.inf, -np.inf]) == 0
+    assert lowest_argmax([0.2, -np.inf, 0.2]) == 0
 
 
 def test_policy_spec_validation():
@@ -467,7 +477,7 @@ def test_stacked_scoring_matches_one_candidate_at_a_time(monkeypatch, mode, loss
         13,
     )
     stacked = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
-    monkeypatch.setattr(policies, "can_stack", lambda shared, extras: False)
+    monkeypatch.setattr(policies, "can_stack", lambda tasks: False)
     alone = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
     assert stacked == alone
 

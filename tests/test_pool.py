@@ -213,6 +213,17 @@ def test_loader_rejects_bad_json(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ['{"features": [1.0], "label": 0}', '{"id": 1, "features": [1.0]}', "[1, 2]", "7"],
+)
+def test_loader_rejects_lines_without_id_label_or_object(tmp_path, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text(f'{{"id": 0, "features": [0.5], "label": 1}}\n{line}\n', encoding="utf-8")
+    with pytest.raises(AlolError, match="d.jsonl:2"):
+        load_dataset(path)
+
+
 def test_save_is_byte_stable(tmp_path):
     dataset = toy_dataset(8)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

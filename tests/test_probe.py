@@ -2,9 +2,10 @@ import pytest
 
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import PoolExhaustedError, SpecMismatchError
-from alol.learners import LearnerFamily, LearnerSpec
+from alol.learners import LearnerFamily, LearnerSpec, train
 from alol.metrics import MetricKind
-from alol.policies import TrainingMode
+from alol.policies import TrainingMode, lowest_argmax, oracle_candidate_scores
+from alol.pool import commit_selection, sample_candidates, split_dataset
 from alol.probe import (
     MrrConfig,
     mrr_config_to_json,
@@ -12,7 +13,7 @@ from alol.probe import (
     rank_of,
     run_mrr_probe,
 )
-from alol.rng import SplitMix64
+from alol.rng import SplitMix64, derive_seed
 
 
 def cluster_dataset(n=64, seed=21, noise=0.2):
@@ -208,3 +209,42 @@ def test_config_validation_and_json():
     assert data["seed_pair"] == [31, 32]
     assert data["training_mode"] == "fine_tune_union"
     assert data["selection_metric"] == "accuracy"
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+def test_one_stack_of_both_passes_matches_two_scoring_passes(mode):
+    learner = LearnerSpec(
+        family=LearnerFamily.MLP,
+        input_dim=4,
+        class_count=2,
+        hidden_dim=5,
+        learning_rate=1.0,
+        max_epochs=15,
+        patience=3,
+    )
+    config = make_config(learner=learner, iterations=6, training_mode=mode)
+    dataset = cluster_dataset()
+    report = run_mrr_probe(config, dataset)
+
+    seed_ref, seed_alt = config.seed_pair
+    pool = split_dataset(dataset, config.partition_sizes, seed_ref)
+    eval_examples = dataset.subset(pool.eval)
+    ranks = []
+    for i in range(1, config.iterations + 1):
+        scope_ref = derive_seed(seed_ref, iteration=i)
+        candidates = sample_candidates(pool, config.candidate_count, 1, scope_ref)
+        labeled = dataset.subset(pool.labeled)
+        base = None
+        if mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
+            base = train(learner, labeled, eval_examples, scope_ref)
+        ref, alt = (
+            oracle_candidate_scores(
+                base, pool, candidates, dataset, labeled, eval_examples, mode,
+                MetricKind.ACCURACY, scope, spec=learner,
+            )
+            for scope in (scope_ref, derive_seed(seed_alt, iteration=i))
+        )
+        chosen = lowest_argmax(ref)
+        ranks.append(rank_of(chosen, alt))
+        pool = commit_selection(pool, candidates[chosen])
+    assert report.ranks == tuple(ranks)
