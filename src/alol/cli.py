@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import datagen, engine, probe
 from .errors import AlignmentError, AlolError, MissingScoresError
-from .learners import spec_from_json
+from .learners import json_int, spec_from_json
 from .metrics import MetricKind
 from .policies import TrainingMode
 from .pool import load_dataset, save_dataset
@@ -184,11 +184,9 @@ def _parse_simulation_config(data: dict, config_path: str) -> tuple[engine.Simul
     _check_keys(data["policy"], _POLICY_KEYS, f"{config_path}: policy")
     _check_keys(data["learner"], _LEARNER_KEYS, f"{config_path}: learner")
     try:
-        repeats = int(data.get("repeats", 1))
-    except (ValueError, TypeError):
-        raise _CliFailure(
-            2, f"{config_path}: repeats={data['repeats']!r} is not an integer"
-        ) from None
+        repeats = json_int(data.get("repeats", 1), "repeats")
+    except ValueError as exc:
+        raise _CliFailure(2, f"{config_path}: {exc}") from None
     if repeats < 1:
         raise _CliFailure(2, f"{config_path}: repeats={repeats} must be >= 1")
     payload = {k: v for k, v in data.items() if k not in {"command", "dataset", "repeats"}}
@@ -286,14 +284,14 @@ def cmd_probe_mrr(args) -> int:
     _check_keys(data["learner"], _LEARNER_KEYS, f"{args.config}: learner")
     try:
         config = probe.MrrConfig(
-            iterations=int(data["iterations"]),
-            candidate_count=int(data["candidate_count"]),
-            set_size=int(data["set_size"]),
+            iterations=json_int(data["iterations"], "iterations"),
+            candidate_count=json_int(data["candidate_count"], "candidate_count"),
+            set_size=json_int(data["set_size"], "set_size"),
             learner=spec_from_json(data["learner"]),
             selection_metric=MetricKind(data["selection_metric"]),
-            seed_pair=tuple(int(s) for s in data["seed_pair"]),
-            partition_sizes=tuple(int(s) for s in data["partition_sizes"]),
-            window=int(data.get("window", 10)),
+            seed_pair=tuple(json_int(s, "seed_pair") for s in data["seed_pair"]),
+            partition_sizes=tuple(json_int(s, "partition_sizes") for s in data["partition_sizes"]),
+            window=json_int(data.get("window", 10), "window"),
             training_mode=TrainingMode(data.get("training_mode", "fine_tune_union")),
         )
     except (AlolError, ValueError, KeyError, TypeError) as exc:

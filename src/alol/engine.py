@@ -40,6 +40,7 @@ from .learners import (
     can_stack,
     evaluate,
     fit_stacked,
+    json_int,
     spec_from_json,
     spec_to_json,
     train,
@@ -442,21 +443,21 @@ def config_to_json(config: SimulationConfig) -> dict:
 def config_from_json(data: dict) -> SimulationConfig:
     policy = data["policy"]
     return SimulationConfig(
-        iterations=int(data["iterations"]),
-        candidate_count=int(data["candidate_count"]),
-        set_size=int(data["set_size"]),
+        iterations=json_int(data["iterations"], "iterations"),
+        candidate_count=json_int(data["candidate_count"], "candidate_count"),
+        set_size=json_int(data["set_size"], "set_size"),
         policy=PolicySpec(
             name=PolicyName(policy["name"]),
             epsilon=float(policy.get("epsilon", 0.0)),
-            switch_after=int(policy.get("switch_after", 0)),
+            switch_after=json_int(policy.get("switch_after", 0), "switch_after"),
             training_mode=TrainingMode(policy.get("training_mode", "fine_tune_union")),
         ),
         learner=spec_from_json(data["learner"]),
         selection_metric=MetricKind(data["selection_metric"]),
         report_metric=MetricKind(data["report_metric"]),
-        master_seed=int(data["master_seed"]),
-        partition_sizes=tuple(int(s) for s in data["partition_sizes"]),
-        checkpoint_every=int(data.get("checkpoint_every", 10)),
+        master_seed=json_int(data["master_seed"], "master_seed"),
+        partition_sizes=tuple(json_int(s, "partition_sizes") for s in data["partition_sizes"]),
+        checkpoint_every=json_int(data.get("checkpoint_every", 10), "checkpoint_every"),
         log_oracle_scores=bool(data.get("log_oracle_scores", False)),
     )
 

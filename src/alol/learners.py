@@ -21,7 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyEvalError, EmptyFineTuneError, SpecMismatchError
-from .metrics import MetricKind, score
+from .metrics import (
+    MetricKind,
+    confusion_counts,
+    macro_f1_from_counts,
+    score,
+    token_f1_from_counts,
+)
 from .pool import Example
 from .rng import (
     MASK64,
@@ -87,15 +93,25 @@ def spec_to_json(spec: LearnerSpec) -> dict:
     }
 
 
+def json_int(value, key: str) -> int:
+    """The value of the config key ``key`` as an int. A fraction, a bool or
+    a non-number raises ``ValueError`` naming the key; 3.0 reads as 3."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{key}={value!r} is not an integer")
+    return int(value)
+
+
 def spec_from_json(data: dict) -> LearnerSpec:
     return LearnerSpec(
         family=LearnerFamily(data["family"]),
-        input_dim=int(data["input_dim"]),
-        class_count=int(data["class_count"]),
-        hidden_dim=int(data.get("hidden_dim", 0)),
+        input_dim=json_int(data["input_dim"], "input_dim"),
+        class_count=json_int(data["class_count"], "class_count"),
+        hidden_dim=json_int(data.get("hidden_dim", 0), "hidden_dim"),
         learning_rate=float(data.get("learning_rate", 0.1)),
-        max_epochs=int(data.get("max_epochs", 200)),
-        patience=int(data.get("patience", 5)),
+        max_epochs=json_int(data.get("max_epochs", 200), "max_epochs"),
+        patience=json_int(data.get("patience", 5), "patience"),
         stop_epsilon=float(data.get("stop_epsilon", 1e-4)),
         init_scale=float(data.get("init_scale", 0.1)),
     )
@@ -201,18 +217,28 @@ def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
 
 
 def _flat_gradient(
-    spec: LearnerSpec, params: np.ndarray, x: np.ndarray, one_hot: np.ndarray
+    spec: LearnerSpec,
+    params: np.ndarray,
+    x: np.ndarray,
+    one_hot: np.ndarray,
+    real: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the mean token cross-entropy at ``params``.
 
     ``one_hot`` holds the ``_one_hot`` gold labels of the rows of ``x``.
     Stacked ``(K, P)`` parameters with ``(K, rows, dim)`` inputs give the
-    ``(K, P)`` gradients of K models at once.
+    ``(K, P)`` gradients of K models at once. ``real`` marks the rows that
+    hold tokens when the others are zero padding: each model's mean is
+    then over its real rows, and padded rows add exact zeros to the sums.
     """
     z, hidden = _logits(spec, params, x)
     # Subtracting False (0.0) leaves every non-gold entry unchanged.
     delta = np.exp(_log_softmax(z)) - one_hot
-    delta /= x.shape[-2]
+    if real is None:
+        delta /= x.shape[-2]
+    else:
+        delta /= np.count_nonzero(real, axis=-1)[..., None, None]
+        delta *= real[..., None]
     delta_t = delta.swapaxes(-1, -2)
     lead = params.shape[:-1]
     if spec.family is LearnerFamily.LINEAR_SOFTMAX:
@@ -267,8 +293,10 @@ class FitTask:
     """One model to fit: SGD on ``shared + extra`` from ``base``, or without
     a base from the init ``seed`` derives, early-stopped on ``eval_examples``.
 
-    Tasks fit side by side may share list objects; each distinct list is
-    stacked, pooled and validated once per fit.
+    Tasks fit side by side need one ``shared + extra`` length; their
+    examples may have any token counts and their eval lists any token
+    totals. They may share list objects; each distinct list is stacked,
+    pooled and validated once per fit.
     """
 
     base: ModelState | None
@@ -284,89 +312,79 @@ def _distinct(lists) -> list:
 
 
 def can_stack(tasks: Sequence[FitTask]) -> bool:
-    """Whether ``fit_stacked`` takes these tasks: every ``shared + extra`` has
-    one non-zero length, all their examples one token count, and all eval
-    lists one token total."""
-    if not tasks or len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
-        return False
-    if len(tasks[0].shared) + len(tasks[0].extra) == 0:
-        return False
-    counts = {
-        ex.token_count
-        for examples in _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
-        for ex in examples
-    }
-    if len(counts) != 1:
-        return False
-    totals = {
-        sum(ex.token_count for ex in examples)
-        for examples in _distinct(t.eval_examples for t in tasks)
-    }
-    return len(totals) == 1
+    """Whether ``fit_stacked`` takes these tasks: every ``shared + extra``
+    has one non-zero length. Token counts and eval token totals may differ."""
+    lengths = {len(t.shared) + len(t.extra) for t in tasks}
+    return len(lengths) == 1 and 0 not in lengths
+
+
+def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, width, dim)`` features and ``(n, width)`` labels of ``examples``,
+    each padded at its end with zero rows of label -1."""
+    if all(ex.token_count == width for ex in examples):
+        return np.stack([ex.features for ex in examples]), np.stack([ex.labels for ex in examples])
+    x = np.zeros((len(examples), width, examples[0].features.shape[1]))
+    y = np.full((len(examples), width), -1, dtype=np.int64)
+    for i, ex in enumerate(examples):
+        x[i, : ex.token_count] = ex.features
+        y[i, : ex.token_count] = ex.labels
+    return x, y
 
 
 def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     """Batch source for ``_sgd`` over ``can_stack`` tasks.
 
-    Model k's ``shared + extra`` sit in row k of one ``(K, n, tokens, dim)``
-    array; each epoch gathers the active models' shuffled rows from it once.
+    Model k's ``shared + extra`` sit in row k of one ``(K, n, width, dim)``
+    array, each example padded to the widest token count with zero rows of
+    label -1; each epoch gathers the active models' shuffled rows from it
+    once. Batches yield ``(x, gold, real)``, where ``real`` marks the token
+    rows, or is None when no example needed padding.
     """
-    first = (tasks[0].shared or tasks[0].extra)[0]
+    lists = _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
+    width = max(ex.token_count for examples in lists for ex in examples)
     n = len(tasks[0].shared) + len(tasks[0].extra)
-    x_all = np.empty((len(tasks), n) + first.features.shape)
+    x_all = np.empty((len(tasks), n, width, spec.input_dim))
     y_all = np.empty(x_all.shape[:3], dtype=np.int64)
-    stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    stacked = {id(examples): _padded(examples, width) for examples in lists if examples}
     for k, task in enumerate(tasks):
         split = len(task.shared)
         for where, examples in ((slice(0, split), task.shared), (slice(split, n), task.extra)):
-            if not examples:
-                continue
-            if id(examples) not in stacked:
-                stacked[id(examples)] = (
-                    np.stack([ex.features for ex in examples]),
-                    np.stack([ex.labels for ex in examples]),
-                )
-            x_all[k, where], y_all[k, where] = stacked[id(examples)]
+            if examples:
+                x_all[k, where], y_all[k, where] = stacked[id(examples)]
     gold_all = _one_hot(spec, y_all)
-    step = BATCH_SIZE * first.token_count
+    real_all = y_all >= 0
+    padded = not real_all.all()
+    step = BATCH_SIZE * width
 
     def batches(active: list[int], orders: list[list[int]]):
         picked = (np.array(active)[:, None], np.array(orders))
         x = x_all[picked].reshape(len(active), -1, spec.input_dim)
         gold = gold_all[picked].reshape(len(active), -1, spec.class_count)
+        real = real_all[picked].reshape(len(active), -1) if padded else None
         for start in range(0, x.shape[1], step):
-            yield x[:, start : start + step], gold[:, start : start + step]
+            rows = slice(start, start + step)
+            yield x[:, rows], gold[:, rows], None if real is None else real[:, rows]
 
     return batches
 
 
-def _ragged_batches(spec: LearnerSpec, examples: Sequence[Example]):
-    """Batch source for ``_sgd`` over one model's examples of any token counts."""
-    feats = [ex.features for ex in examples]
-    golds = [_one_hot(spec, ex.labels) for ex in examples]
-
-    def batches(active: list[int], orders: list[list[int]]):
-        (order,) = orders
-        for start in range(0, len(order), BATCH_SIZE):
-            batch = order[start : start + BATCH_SIZE]
-            x = np.concatenate([feats[i] for i in batch], axis=0)
-            gold = np.concatenate([golds[i] for i in batch], axis=0)
-            yield x[None], gold[None]
-
-    return batches
-
-
-def _pooled_evals(tasks: Sequence[FitTask]):
-    """Each distinct eval list's pooled tokens, stacked into ``(E, m, dim)``
-    rows and ``(E, m)`` labels, with their E bounds and each task's list index."""
+def _pooled_evals(spec: LearnerSpec, tasks: Sequence[FitTask]):
+    """Each distinct eval list's pooled tokens, padded at the end to the
+    largest token total with zero rows of label -1 and stacked into
+    ``(E, m, dim)`` rows and ``(E, m)`` labels; with the E token totals, the
+    E bounds and each task's list index."""
     index: dict[int, int] = {}
     pooled = []
     for examples in _distinct(t.eval_examples for t in tasks):
         index[id(examples)] = len(pooled)
         pooled.append(_pool_tokens(examples))
-    x, y, bounds = zip(*pooled)
+    totals = np.array([len(y) for _, y, _ in pooled])
+    x = np.zeros((len(pooled), totals.max(), spec.input_dim))
+    y = np.full(x.shape[:2], -1, dtype=np.int64)
+    for e, (px, py, _) in enumerate(pooled):
+        x[e, : totals[e]], y[e, : totals[e]] = px, py
     of = np.array([index[id(t.eval_examples)] for t in tasks])
-    return np.stack(x), np.stack(y), bounds, of
+    return x, y, totals, [bounds for _, _, bounds in pooled], of
 
 
 # Epochs whose shuffle orders are drawn together; a model that stops
@@ -379,43 +397,55 @@ def _sgd(
     params: np.ndarray,
     tasks: Sequence[FitTask],
     metric: MetricKind,
-    stacked: bool,
 ) -> tuple[list[list[int]], list[float]]:
     """Mini-batch SGD with early stopping of the ``(K, P)`` stack ``params``, in place.
 
     Model k trains on ``tasks[k]``'s lists under its seed: its own shuffle
     order each epoch, its own eval list and its own early stop, after which
-    it leaves the stack. ``stacked`` says that ``can_stack(tasks)`` holds;
-    without it there is one task, of any token counts. Returns each
+    it leaves the stack. The tasks must satisfy ``can_stack``; one task of
+    any token counts is the one-model case. Each epoch, the macro and
+    token F1 of the whole stack come from one confusion count, accuracy
+    from one hit count, and exact match is scored per model. Returns each
     model's epoch shuffle seeds and last eval score.
     """
     if any(not t.eval_examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
-    if stacked:
-        batches = _stacked_batches(spec, tasks)
-    else:
-        (task,) = tasks
-        batches = _ragged_batches(spec, list(task.shared) + list(task.extra))
+    batches = _stacked_batches(spec, tasks)
     n = len(tasks[0].shared) + len(tasks[0].extra)
     shuffle_seeds = derive_seeds(
         np.array([t.seed & MASK64 for t in tasks], dtype=np.uint64)[:, None],
         iteration=np.arange(spec.max_epochs),
         purpose=PURPOSE_SHUFFLE,
     )
-    eval_x, eval_y, eval_bounds, eval_of = _pooled_evals(tasks)
+    eval_x, eval_y, eval_totals, eval_bounds, eval_of = _pooled_evals(spec, tasks)
 
     def scores(stack: np.ndarray, evals) -> list[float]:
-        x, y, bounds = evals
+        x, y, totals, bounds = evals
         preds = _logits(spec, stack, x)[0].argmax(axis=-1)
         if metric is MetricKind.ACCURACY:
-            # Exact hit counts over one length: the same floats as np.mean.
-            return (np.count_nonzero(preds == y, axis=-1) / y.shape[-1]).tolist()
-        return [_score_predictions(spec, *row, metric) for row in zip(preds, y, bounds)]
+            # Exact hit counts over the real tokens, as no prediction equals
+            # the padding label -1: the same floats as np.mean.
+            return (np.count_nonzero(preds == y, axis=-1) / totals).tolist()
+        if metric is MetricKind.EXACT_MATCH:
+            return [
+                _score_predictions(spec, p[:t], g[:t], b, metric)
+                for p, g, t, b in zip(preds, y, totals, bounds)
+            ]
+        # One count of the whole stack; padded tokens are left out of it.
+        counts = confusion_counts(preds, y, spec.class_count)
+        if metric is MetricKind.MACRO_F1:
+            return macro_f1_from_counts(counts, range(spec.class_count)).tolist()
+        return token_f1_from_counts(counts).tolist()
 
     def gather(active: list[int]):
-        # Each active model's eval rows, gathered once per stack shape.
+        # Each active model's eval rows, gathered once per stack shape; the
+        # rows of a single eval list are shared by the stack, not copied.
         picked = eval_of[active]
-        return eval_x[picked], eval_y[picked], [eval_bounds[e] for e in picked]
+        if len(eval_x) == 1:
+            x, y = eval_x[0], np.broadcast_to(eval_y[0], (len(active), eval_y.shape[1]))
+        else:
+            x, y = eval_x[picked], eval_y[picked]
+        return x, y, eval_totals[picked], [eval_bounds[e] for e in picked]
 
     stack = params.copy()
     active = list(range(len(tasks)))
@@ -430,8 +460,8 @@ def _sgd(
             block = shuffle_seeds[active, epoch : epoch + SHUFFLE_BLOCK]
             drawn = iter(shuffled_ranges(block.ravel().tolist(), n))
             pending = {k: [next(drawn) for _ in range(block.shape[1])] for k in active}
-        for x, gold in batches(active, [pending[k][offset] for k in active]):
-            stack = stack - spec.learning_rate * _flat_gradient(spec, stack, x, gold)
+        for x, gold, real in batches(active, [pending[k][offset] for k in active]):
+            stack = stack - spec.learning_rate * _flat_gradient(spec, stack, x, gold, real)
         kept = []
         for row, (k, current) in enumerate(zip(active, scores(stack, evals))):
             epochs[k] = epoch + 1
@@ -478,11 +508,9 @@ class StackedFit:
         )
 
 
-def _fit(
-    spec: LearnerSpec, tasks: Sequence[FitTask], metric: MetricKind, stacked: bool
-) -> StackedFit:
-    """One model per task, from its base or from the init its seed derives;
-    its score is its last epoch's eval score. ``stacked`` is as for ``_sgd``."""
+def _fit(spec: LearnerSpec, tasks: Sequence[FitTask], metric: MetricKind) -> StackedFit:
+    """One model per ``can_stack`` task, from its base or from the init its
+    seed derives; its score is its last epoch's eval score."""
     rows, starts = [], []
     for task in tasks:
         if task.base is None:
@@ -493,7 +521,7 @@ def _fit(
             rows.append(task.base.parameters)
             starts.append(list(task.base.seed_lineage))
     params = np.array(rows)
-    runs, last = _sgd(spec, params, tasks, metric, stacked)
+    runs, last = _sgd(spec, params, tasks, metric)
     return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], last)
 
 
@@ -513,8 +541,7 @@ def train(
     _check_examples(spec, eval_examples)
     if len(labeled) == 0:
         return initialize(spec, seed)
-    tasks = [FitTask(None, [], labeled, eval_examples, seed)]
-    return _fit(spec, tasks, metric, can_stack(tasks)).model(0)
+    return _fit(spec, [FitTask(None, [], labeled, eval_examples, seed)], metric).model(0)
 
 
 def fine_tune(
@@ -530,8 +557,7 @@ def fine_tune(
         raise EmptyFineTuneError("fine_tune needs at least one example")
     _check_examples(base.spec, examples)
     _check_examples(base.spec, eval_examples)
-    tasks = [FitTask(base, [], examples, eval_examples, seed)]
-    return _fit(base.spec, tasks, metric, can_stack(tasks)).model(0)
+    return _fit(base.spec, [FitTask(base, [], examples, eval_examples, seed)], metric).model(0)
 
 
 def fit_stacked(
@@ -547,24 +573,24 @@ def fit_stacked(
     of ``tasks[k]``, or without a base ``train(spec, ...)``, bit for bit.
     Its score is its last epoch's eval score, which ``evaluate`` would
     give, or with ``loss_based`` its negated eval loss. Each distinct list
-    is validated once. Needs ``can_stack(tasks)``.
+    is validated once. Needs ``can_stack(tasks)``: examples of different
+    token counts are zero-padded to the widest, and eval lists of
+    different token totals to the largest, which changes no output bit.
     """
     if not can_stack(tasks):
-        raise SpecMismatchError(
-            "fit_stacked needs equal-length lists of one token count "
-            "and eval lists of one token total"
-        )
+        raise SpecMismatchError("fit_stacked needs training lists of one non-zero length")
     if any(t.base is not None and t.base.spec != spec for t in tasks):
         raise SpecMismatchError("a base model has another spec")
     lists = [t.shared for t in tasks] + [t.extra for t in tasks]
     for examples in _distinct(lists + [t.eval_examples for t in tasks]):
         _check_examples(spec, examples)
-    fit = _fit(spec, tasks, metric, stacked=True)
+    fit = _fit(spec, tasks, metric)
     if not loss_based:
         return fit
-    eval_x, eval_y, _, eval_of = _pooled_evals(tasks)
+    eval_x, eval_y, totals, _, eval_of = _pooled_evals(spec, tasks)
     losses = [
-        _mean_loss(spec, p, eval_x[e], eval_y[e]) for p, e in zip(fit.parameters, eval_of)
+        _mean_loss(spec, p, eval_x[e, : totals[e]], eval_y[e, : totals[e]])
+        for p, e in zip(fit.parameters, eval_of)
     ]
     return StackedFit(spec, fit.parameters, fit.lineages, [-value for value in losses])
 

@@ -36,14 +36,53 @@ def _as_label_arrays(
     return preds, gold
 
 
-def _binary_f1(tp: int, pred_pos: int, gold_pos: int) -> float:
-    if pred_pos == 0 and gold_pos == 0:
-        return 1.0
-    if tp == 0:
-        return 0.0
-    precision = tp / pred_pos
-    recall = tp / gold_pos
-    return 2.0 * precision * recall / (precision + recall)
+def _binary_f1s(tp: np.ndarray, pred_pos: np.ndarray, gold_pos: np.ndarray) -> np.ndarray:
+    """Elementwise binary F1 of count arrays: 1.0 where nothing is predicted
+    or gold, 0.0 where nothing is right, else the harmonic mean of precision
+    and recall, in the float operations of the scalar formula."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = tp / pred_pos
+        recall = tp / gold_pos
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return np.where((pred_pos == 0) & (gold_pos == 0), 1.0, np.where(tp == 0, 0.0, f1))
+
+
+def confusion_counts(predictions: np.ndarray, golds: np.ndarray, size: int) -> np.ndarray:
+    """Token counts by gold and predicted label, ``[..., gold, predicted]``.
+
+    ``predictions`` and ``golds`` are ``(..., n)`` arrays of labels in
+    ``[0, size)``, one count table per leading index. Tokens whose gold
+    label is -1 are padding and are not counted.
+    """
+    lead = golds.shape[:-1]
+    tables = int(np.prod(lead, dtype=np.int64))
+    cells = (np.arange(tables).reshape(lead + (1,)) * size + golds) * size + predictions
+    counts = np.bincount(cells[golds >= 0], minlength=tables * size * size)
+    return counts.reshape(lead + (size, size))
+
+
+def macro_f1_from_counts(counts: np.ndarray, classes: Sequence[int]) -> np.ndarray:
+    """MacroF1 of each ``confusion_counts`` table over the label indices
+    ``classes``: per-class F1 summed in class order, over ``len(classes)``.
+    A class absent from both prediction and gold contributes 0."""
+    tp = counts.diagonal(axis1=-2, axis2=-1)
+    pred_pos = counts.sum(axis=-2)
+    gold_pos = counts.sum(axis=-1)
+    f1 = np.where((pred_pos == 0) & (gold_pos == 0), 0.0, _binary_f1s(tp, pred_pos, gold_pos))
+    total = np.zeros(counts.shape[:-2])
+    for c in classes:
+        total = total + f1[..., c]
+    return total / len(classes)
+
+
+def token_f1_from_counts(counts: np.ndarray, background: int = 0) -> np.ndarray:
+    """TokenF1 of each ``confusion_counts`` table: F1 micro-averaged over
+    every label but the one at index ``background``."""
+    tokens = counts.sum(axis=(-2, -1))
+    tp = counts.trace(axis1=-2, axis2=-1) - counts[..., background, background]
+    pred_pos = tokens - counts[..., :, background].sum(axis=-1)
+    gold_pos = tokens - counts[..., background, :].sum(axis=-1)
+    return _binary_f1s(tp, pred_pos, gold_pos)
 
 
 def score(
@@ -71,29 +110,24 @@ def score(
         hits = sum(1 for p, g in zip(preds, gold) if np.array_equal(p, g))
         return hits / len(preds)
 
+    if kind not in (MetricKind.TOKEN_F1, MetricKind.MACRO_F1):
+        raise ValueError(f"unknown metric kind: {kind!r}")
+    # Count over dense indices of the labels seen, the background label 0
+    # and the pinned class universe, so that any integer labels count.
+    pinned = np.arange(class_count if class_count is not None else 0)
+    labels = np.sort(np.concatenate([flat_pred, flat_gold, pinned, [0]]))
+    labels = labels[np.concatenate([[True], labels[1:] != labels[:-1]])]
+    counts = confusion_counts(
+        np.searchsorted(labels, flat_pred), np.searchsorted(labels, flat_gold), labels.size
+    )
     if kind is MetricKind.TOKEN_F1:
         # Class 0 is background; F1 is micro-averaged over the rest.
-        tp = int(np.sum((flat_pred == flat_gold) & (flat_gold != 0)))
-        return _binary_f1(tp, int(np.sum(flat_pred != 0)), int(np.sum(flat_gold != 0)))
-
-    if kind is MetricKind.MACRO_F1:
-        if class_count is not None:
-            classes: Sequence[int] = range(class_count)
-        else:
-            classes = np.union1d(flat_pred, flat_gold).tolist()
-        # Classes absent from both prediction and gold contribute 0, which
-        # only matters when class_count pins the universe.
-        total = 0.0
-        for c in classes:
-            pred_pos = int(np.sum(flat_pred == c))
-            gold_pos = int(np.sum(flat_gold == c))
-            if pred_pos == 0 and gold_pos == 0:
-                continue
-            tp = int(np.sum((flat_pred == c) & (flat_gold == c)))
-            total += _binary_f1(tp, pred_pos, gold_pos)
-        return total / len(classes)
-
-    raise ValueError(f"unknown metric kind: {kind!r}")
+        return float(token_f1_from_counts(counts, int(np.searchsorted(labels, 0))))
+    if class_count is not None:
+        classes = np.searchsorted(labels, pinned)
+    else:
+        classes = np.flatnonzero(counts.sum(axis=0) + counts.sum(axis=1))
+    return float(macro_f1_from_counts(counts, classes.tolist()))
 
 
 def mean_entropy(distributions: Sequence) -> float:

@@ -222,6 +222,22 @@ def commit_selection(pool: PoolState, chosen: CandidateSet) -> PoolState:
     )
 
 
+def _numbers(value, ndim: int, kinds: str, where: str, problem: str) -> np.ndarray:
+    """``value`` as an array of ``ndim`` dimensions whose dtype kind is one
+    of ``kinds`` (``i``/``u`` integers, ``f`` floats) and whose floats are
+    finite; otherwise ``AlolError`` with ``where`` and ``problem``. Bools,
+    strings, NaN, infinities and jagged lists never qualify."""
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError):
+        raise AlolError(f"{where}: {problem}") from None
+    if array.ndim != ndim or array.dtype.kind not in kinds:
+        raise AlolError(f"{where}: {problem}")
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise AlolError(f"{where}: {problem}")
+    return array
+
+
 def load_dataset(path) -> Dataset:
     """Read a JSON-lines dataset file.
 
@@ -244,27 +260,40 @@ def load_dataset(path) -> Dataset:
                 raise AlolError(f"{path}:{lineno}: expected a JSON object")
             if "id" not in record or "label" not in record:
                 raise AlolError(f"{path}:{lineno}: needs both 'id' and 'label'")
+            where = f"{path}:{lineno}"
             if "tokens" in record:
                 this_kind = "tokens"
-                feats = np.asarray(record["tokens"], dtype=np.float64)
-                labels = np.asarray(record["label"], dtype=np.int64)
+                feats = _numbers(
+                    record["tokens"], 2, "iuf", where, "'tokens' must be equal finite-number rows"
+                )
+                labels = _numbers(
+                    record["label"], 1, "iu", where, "'label' must be a list of integers"
+                )
                 sequence = True
             elif "features" in record:
                 this_kind = "features"
-                feats = np.asarray(record["features"], dtype=np.float64).reshape(1, -1)
-                labels = np.asarray([record["label"]], dtype=np.int64)
+                feats = _numbers(
+                    record["features"], 1, "iuf", where, "'features' must hold finite numbers"
+                ).reshape(1, -1)
+                labels = _numbers(
+                    record["label"], 0, "iu", where, "'label' must be an integer"
+                ).reshape(1)
                 sequence = False
             else:
-                raise AlolError(f"{path}:{lineno}: neither 'features' nor 'tokens'")
+                raise AlolError(f"{where}: neither 'features' nor 'tokens'")
             if kind is None:
                 kind = this_kind
             elif kind != this_kind:
                 raise AlolError(
                     f"{path}:{lineno}: mixes '{this_kind}' examples into a '{kind}' file"
                 )
-            examples.append(
-                Example(id=int(record["id"]), features=feats, labels=labels, sequence=sequence)
-            )
+            example_id = int(_numbers(record["id"], 0, "iu", where, "'id' must be an integer"))
+            try:
+                examples.append(
+                    Example(id=example_id, features=feats, labels=labels, sequence=sequence)
+                )
+            except AlolError as exc:
+                raise AlolError(f"{where}: {exc}") from None
     if not examples:
         raise AlolError(f"{path}: no examples")
     return Dataset(examples=tuple(examples))

@@ -443,6 +443,67 @@ def test_simulate_non_integer_repeats_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"repeats": 2.5}, "repeats"),
+        ({"iterations": 3.7}, "iterations"),
+        ({"partition_sizes": [6, 44, 8.5, 6]}, "partition_sizes"),
+        ({"master_seed": True}, "master_seed"),
+        ({"policy": {"name": "oracle_switch", "switch_after": 1.5}}, "switch_after"),
+        (
+            {"learner": {"family": "linear_softmax", "input_dim": 4, "class_count": 2.5}},
+            "class_count",
+        ),
+    ],
+)
+def test_simulate_fractional_integer_key_exits_2(tmp_path, capsys, overrides, key):
+    config = sim_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"window": 2.5}, "window"),
+        ({"seed_pair": [31, 31.5]}, "seed_pair"),
+        ({"candidate_count": "3"}, "candidate_count"),
+    ],
+)
+def test_probe_fractional_integer_key_exits_2(tmp_path, capsys, overrides, key):
+    config = probe_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["probe-mrr", "--config", str(config), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_counts_run_like_integers(tmp_path):
+    whole = sim_config(tmp_path, repeats=2, iterations=3.0)
+    assert main(["simulate", "--config", str(whole), "--out", str(tmp_path / "a")]) == 0
+    plain = sim_config(tmp_path, repeats=2)
+    assert main(["simulate", "--config", str(plain), "--out", str(tmp_path / "b")]) == 0
+    for name in ("run_0.json", "run_1.json", "mean_curve.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"features": ["x"], "label": 0}, {"tokens": [[1.0], [2.0, 3.0]], "label": [0, 1]}],
+)
+def test_dataset_line_with_bad_numbers_exits_1(tmp_path, capsys, payload):
+    config = sim_config(tmp_path)
+    dataset = tmp_path / "dataset.jsonl"
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    lines[3] = json.dumps({"id": 3, **payload})
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "dataset.jsonl:4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["id", "label"])
 def test_dataset_line_without_id_or_label_exits_1(tmp_path, key):
     config = sim_config(tmp_path)

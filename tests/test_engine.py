@@ -414,7 +414,8 @@ def test_lockstep_repeat_equals_its_single_run(case):
         assert all(log.truncated and log.records[-1].checkpoint is not None for log in logs)
 
 
-def test_lockstep_fits_each_phase_of_all_repeats_as_one_stack(monkeypatch):
+def phase_sizes(monkeypatch, config, dataset):
+    """The number of models in each ``fit_stacked`` call of a 3-repeat run."""
     sizes = []
 
     def counting(fit):
@@ -426,11 +427,23 @@ def test_lockstep_fits_each_phase_of_all_repeats_as_one_stack(monkeypatch):
 
     for module in (engine, policies):
         monkeypatch.setattr(module, "fit_stacked", counting(module.fit_stacked))
+    run_simulations(config, dataset, [1, 2, 3])
+    return sizes
+
+
+def test_lockstep_fits_each_phase_of_all_repeats_as_one_stack(monkeypatch):
     config = make_config(PolicySpec(name=PolicyName.ORACLE), iterations=3)
-    run_simulations(config, small_dataset(), [1, 2, 3])
     # Per iteration: 3 bases, then 3 x 4 candidates; checkpoints of all
     # three repeats before the loop and after the last iteration.
-    assert sizes == [3] + [3, 12] * 3 + [3]
+    assert phase_sizes(monkeypatch, config, small_dataset()) == [3] + [3, 12] * 3 + [3]
+
+
+def test_lockstep_fits_each_phase_of_ragged_repeats_as_one_stack(monkeypatch):
+    # Sequences of 2-5 tokens, zero-padded within each stack.
+    config = make_config(
+        PolicySpec(name=PolicyName.ORACLE), iterations=3, selection_metric=MetricKind.MACRO_F1
+    )
+    assert phase_sizes(monkeypatch, config, tagging_dataset()) == [3] + [3, 12] * 3 + [3]
 
 
 def test_nan_score_stops_the_run(monkeypatch):

@@ -380,7 +380,7 @@ def fit_alone(spec, base, examples, eval_set, seed, metric, loss_based):
 
 @pytest.mark.parametrize("family", ["linear", "mlp"])
 @pytest.mark.parametrize("mode", ["union", "candidate_only", "from_scratch"])
-@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("length", [1, 3, "ragged"])
 def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
     rng = np.random.default_rng(11)
     spec = LearnerSpec(
@@ -393,18 +393,29 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
         patience=3,
     )
     # Two runs side by side: each has its own labeled list, eval list and
-    # base; their eval lists hold the same token total in another layout.
-    labeled = [[tokens(i + 50 * r, rng, length) for i in range(11)] for r in range(2)]
+    # base; with uniform examples their eval lists hold the same token
+    # total in another layout, with ragged ones different totals. Ragged
+    # candidates are padded to the widest example of the stack.
+    ragged = length == "ragged"
+
+    def width(i):
+        return 1 + i % 4 if ragged else length
+
+    labeled = [[tokens(i + 50 * r, rng, width(i)) for i in range(11)] for r in range(2)]
     evals = [
         [tokens(200 + i, rng, 1 + i % 4) for i in range(25)],
-        [tokens(300 + i, rng, 1 + (24 - i) % 4) for i in range(25)],
+        [tokens(300 + i, rng, 1 + (24 - i) % 4) for i in range(22 if ragged else 25)],
     ]
-    extras = [[tokens(100 + 2 * k + j, rng, length) for j in range(2)] for k in range(6)]
+    extras = [
+        [tokens(100 + 2 * k + j, rng, 5 if ragged and k == 3 else width(k + j)) for j in range(2)]
+        for k in range(6)
+    ]
     seeds = [derive_seed(9, candidate=k + 1) for k in range(6)]
     bases = [
         None if mode == "from_scratch" else train(spec, labeled[r], evals[r], seed=4 + r)
         for r in range(2)
     ]
+    stops = {}
     for runs in (1, 2):
         # Model k belongs to run k % runs.
         tasks = [
@@ -417,7 +428,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
             )
             for k in range(6)
         ]
-        for metric in (MetricKind.ACCURACY, MetricKind.MACRO_F1):
+        for metric in MetricKind:
             for loss_based in (False, True):
                 fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
                 for k, (task, value) in enumerate(zip(tasks, fit.scores)):
@@ -434,11 +445,12 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
                     assert model.parameters.tobytes() == alone.parameters.tobytes()
                     assert model.seed_lineage == alone.seed_lineage
                     assert value == alone_value
+                stops[metric] = {len(lineage) for lineage in fit.lineages}
         # The stack loses models at different epochs along the way.
-        assert len({len(lineage) for lineage in fit.lineages}) > 1
+        assert len(stops[MetricKind.MACRO_F1]) > 1
 
 
-def test_stacked_fit_needs_one_length_and_one_token_count():
+def test_stacked_fit_needs_one_nonzero_length():
     rng = np.random.default_rng(2)
     eval_set = blobs(4, 2.0, 0)
 
@@ -451,19 +463,24 @@ def test_stacked_fit_needs_one_length_and_one_token_count():
     assert can_stack(tasks([tokens(9, rng, 2)], uniform))
     assert not can_stack([])
     assert not can_stack(tasks([], [[], []]))
-    assert not can_stack(tasks([tokens(9, rng, 3)], uniform))
+    # Token counts may differ: examples are zero-padded to the widest.
+    assert can_stack(tasks([tokens(9, rng, 3)], uniform))
     assert not can_stack(tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
     # One length over all, split at another point per model.
     pair = [[tokens(5, rng, 2)], [tokens(6, rng, 2), tokens(7, rng, 2)]]
     assert can_stack(
         [FitTask(None, pair[0], uniform[0], eval_set, 1), FitTask(None, [], pair[1], eval_set, 2)]
     )
-    # Eval lists must hold one token total.
+    # Eval lists may hold different token totals: they are padded at the end.
     assert can_stack(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
-    assert not can_stack(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
+    assert can_stack(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
     ragged = [[tokens(i, rng, 1 + i)] for i in range(3)]
+    fit = fit_stacked(LINEAR, tasks([], ragged, [eval_set, blobs(5, 2.0, 1), eval_set]))
+    assert fit.parameters.shape == (3, parameter_count(LINEAR))
     with pytest.raises(SpecMismatchError):
-        fit_stacked(LINEAR, tasks([], ragged))
+        fit_stacked(LINEAR, tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
+    with pytest.raises(SpecMismatchError):
+        fit_stacked(LINEAR, tasks([], [[], []]))
     with pytest.raises(EmptyEvalError):
         fit_stacked(LINEAR, [FitTask(None, [], blobs(2, 2.0, 0), [], 1)])
     with pytest.raises(SpecMismatchError):
@@ -503,3 +520,43 @@ def test_train_matches_plain_reference_loop(spec, ragged):
     for metric in (MetricKind.ACCURACY, MetricKind.TOKEN_F1, MetricKind.EXACT_MATCH):
         model = train(spec, examples, eval_set, seed=17, metric=metric)
         assert model == reference_train(spec, examples, eval_set, 17, metric)
+
+
+@pytest.mark.parametrize("dim, classes", [(10, 3), (10, 16), (16, 3)])
+def test_zero_padded_rows_leave_stacked_products_bit_equal(dim, classes):
+    # Ragged stacks pad each example, and each eval list, with zero rows.
+    # That changes no output bit only while this build's matmul and sum
+    # add those zeros exactly; a numpy or BLAS change that breaks it fails
+    # here by name rather than as a fingerprint mismatch elsewhere.
+    rng = np.random.default_rng(dim * classes)
+    for _ in range(100):
+        models = int(rng.integers(1, 6))
+        counts = rng.integers(1, 9, size=(models, BATCH_SIZE))
+        width = int(counts.max())
+        x_pad = np.zeros((models, BATCH_SIZE, width, dim))
+        delta_pad = np.zeros((models, BATCH_SIZE, width, classes))
+        xs, deltas = [], []
+        for k in range(models):
+            x = rng.normal(size=(int(counts[k].sum()), dim))
+            delta = rng.normal(size=(x.shape[0], classes)) / x.shape[0]
+            starts = np.concatenate([[0], np.cumsum(counts[k])])
+            for i in range(BATCH_SIZE):
+                x_pad[k, i, : counts[k, i]] = x[starts[i] : starts[i + 1]]
+                delta_pad[k, i, : counts[k, i]] = delta[starts[i] : starts[i + 1]]
+            xs.append(x)
+            deltas.append(delta)
+        x_pad = x_pad.reshape(models, -1, dim)
+        delta_pad = delta_pad.reshape(models, -1, classes)
+        # Padded per example: the gradient's reductions over rows.
+        products = delta_pad.swapaxes(-1, -2) @ x_pad
+        sums = delta_pad.sum(axis=-2)
+        # Padded at the end: the forward pass over an eval list.
+        tail = np.zeros((models, int(counts.sum(axis=1).max()), dim))
+        for k, x in enumerate(xs):
+            tail[k, : x.shape[0]] = x
+        weights = rng.normal(size=(models, classes, dim))
+        logits = tail @ weights.swapaxes(-1, -2)
+        for k, (x, delta) in enumerate(zip(xs, deltas)):
+            assert products[k].tobytes() == (delta.T @ x).tobytes()
+            assert sums[k].tobytes() == delta.sum(axis=0).tobytes()
+            assert logits[k, : x.shape[0]].tobytes() == (x @ weights[k].T).tobytes()

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from alol.errors import AlignmentError, DistributionError
-from alol.metrics import MetricKind, mean_entropy, score
+from alol.metrics import (
+    MetricKind,
+    confusion_counts,
+    macro_f1_from_counts,
+    mean_entropy,
+    score,
+    token_f1_from_counts,
+)
 
 ALL_KINDS = [
     MetricKind.ACCURACY,
@@ -104,6 +111,71 @@ def test_scores_stay_in_unit_interval_and_permutation_invariant():
                 class_count=3,
             )
             assert shuffled == pytest.approx(value)
+
+
+def loop_f1(flat_p, flat_g, kind, class_count=None):
+    """F1 written as one loop over classes, in the float order of the counts."""
+
+    def binary(tp, pred_pos, gold_pos):
+        if pred_pos == 0 and gold_pos == 0:
+            return 1.0
+        if tp == 0:
+            return 0.0
+        precision, recall = tp / pred_pos, tp / gold_pos
+        return 2.0 * precision * recall / (precision + recall)
+
+    pairs = list(zip(flat_p, flat_g))
+    if kind is MetricKind.TOKEN_F1:
+        tp = sum(1 for p, g in pairs if p == g and g != 0)
+        return binary(tp, sum(1 for p in flat_p if p != 0), sum(1 for g in flat_g if g != 0))
+    classes = range(class_count) if class_count is not None else sorted({*flat_p, *flat_g})
+    total = 0.0
+    for c in classes:
+        pred_pos = sum(1 for p in flat_p if p == c)
+        gold_pos = sum(1 for g in flat_g if g == c)
+        if pred_pos or gold_pos:
+            total += binary(sum(1 for p, g in pairs if p == g == c), pred_pos, gold_pos)
+    return total / len(classes)
+
+
+def test_f1_equals_the_class_loop_exactly():
+    rng = random.Random(23)
+    for _ in range(300):
+        low = rng.choice([0, 0, -2])
+        high = rng.randint(1, 6)
+        class_count = rng.choice([None, high, max(1, high - 2), high + 2])
+        flat_g = [rng.randint(low, high - 1) for _ in range(rng.randint(1, 12))]
+        flat_p = [rng.randint(low, high - 1) for _ in flat_g]
+        for kind in (MetricKind.MACRO_F1, MetricKind.TOKEN_F1):
+            got = score([flat_p], [flat_g], kind, class_count=class_count)
+            assert got == loop_f1(flat_p, flat_g, kind, class_count)
+
+
+def test_stacked_confusion_counts_score_like_score():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        classes = int(rng.integers(1, 6))
+        models, width = int(rng.integers(1, 7)), int(rng.integers(1, 30))
+        preds = rng.integers(0, classes, size=(models, width))
+        golds = rng.integers(0, classes, size=(models, width))
+        # Tokens past each model's total are padding, labeled -1.
+        totals = rng.integers(1, width + 1, size=models)
+        golds[np.arange(width) >= totals[:, None]] = -1
+        counts = confusion_counts(preds, golds, classes)
+        assert counts.shape == (models, classes, classes)
+        assert counts.sum(axis=(1, 2)).tolist() == totals.tolist()
+        macro = macro_f1_from_counts(counts, range(classes))
+        token = token_f1_from_counts(counts)
+        for k, total in enumerate(totals):
+            p, g = preds[k, :total], golds[k, :total]
+            assert macro[k] == score([p], [g], MetricKind.MACRO_F1, class_count=classes)
+            assert token[k] == score([p], [g], MetricKind.TOKEN_F1)
+            assert token[k] == loop_f1(p.tolist(), g.tolist(), MetricKind.TOKEN_F1)
+            # Without class_count the universe is the labels that occur.
+            present = np.flatnonzero(counts[k].sum(axis=0) + counts[k].sum(axis=1))
+            assert macro_f1_from_counts(counts[k], present) == score(
+                [p], [g], MetricKind.MACRO_F1
+            )
 
 
 def test_length_mismatch_raises_alignment_error():

@@ -4,7 +4,7 @@ import pytest
 from alol import policies
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import NanScoreError, SpecMismatchError, StaleCandidateError
-from alol.learners import LearnerFamily, LearnerSpec, ModelState, initialize, train
+from alol.learners import LearnerFamily, LearnerSpec, ModelState, fit_stacked, initialize, train
 from alol.metrics import MetricKind, mean_entropy
 from alol.policies import (
     PolicySpec,
@@ -482,7 +482,7 @@ def test_stacked_scoring_matches_one_candidate_at_a_time(monkeypatch, mode, loss
     assert stacked == alone
 
 
-def test_ragged_candidates_are_scored_one_at_a_time(monkeypatch):
+def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
     spec = GenSpec(
         kind=GenKind.TOKEN_TAGGING,
         n=40,
@@ -499,23 +499,34 @@ def test_ragged_candidates_are_scored_one_at_a_time(monkeypatch):
     )
     learner = linear_spec(dim=3, classes=3)
     base = train(learner, dataset.subset(pool.labeled), dataset.subset(pool.eval), seed=1)
+    sizes = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("ragged lists must not be stacked")
+    def counting(spec, tasks, **kwargs):
+        sizes.append(len(tasks))
+        return fit_stacked(spec, tasks, **kwargs)
 
-    monkeypatch.setattr(policies, "fit_stacked", refuse)
-    scores = oracle_candidate_scores(
-        base,
-        pool,
-        sample_candidates(pool, 4, 1, seed=2),
-        dataset,
-        dataset.subset(pool.labeled),
-        dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION,
-        MetricKind.MACRO_F1,
-        5,
-    )
-    assert len(scores) == 4
+    monkeypatch.setattr(policies, "fit_stacked", counting)
+    for metric in MetricKind:
+        args = (
+            base,
+            pool,
+            sample_candidates(pool, 4, 1, seed=2),
+            dataset,
+            dataset.subset(pool.labeled),
+            dataset.subset(pool.eval),
+            TrainingMode.FINE_TUNE_UNION,
+            metric,
+            5,
+        )
+        scores = oracle_candidate_scores(*args)
+        assert len(scores) == 4
+        assert sizes == [4]
+        # The same scores as fitting each candidate alone through fine_tune.
+        with monkeypatch.context() as alone:
+            alone.setattr(policies, "can_stack", lambda tasks: False)
+            assert oracle_candidate_scores(*args) == scores
+        assert sizes == [4]
+        sizes.clear()
 
 
 def test_oracle_scores_reject_non_positive_jobs():

@@ -224,6 +224,57 @@ def test_loader_rejects_lines_without_id_label_or_object(tmp_path, line):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id": 1, "features": ["x"], "label": 0}',
+        '{"id": 1, "features": [[1.0]], "label": 0}',
+        '{"id": 1, "features": [1.0], "label": 2.5}',
+        '{"id": 1, "features": [1.0], "label": true}',
+        '{"id": "one", "features": [1.0], "label": 0}',
+        '{"id": 1.5, "features": [1.0], "label": 0}',
+        '{"id": 1, "features": [null], "label": 0}',
+        '{"id": 1, "features": [NaN], "label": 0}',
+        '{"id": 1, "features": [-Infinity], "label": 0}',
+    ],
+)
+def test_loader_rejects_bad_numbers_with_line(tmp_path, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text(f'{{"id": 0, "features": [0.5], "label": 1}}\n{line}\n', encoding="utf-8")
+    with pytest.raises(AlolError, match="d.jsonl:2"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id": 1, "tokens": [[1.0], [2.0, 3.0]], "label": [0, 1]}',
+        '{"id": 1, "tokens": [[1.0], ["x"]], "label": [0, 1]}',
+        '{"id": 1, "tokens": [[1.0], [NaN]], "label": [0, 1]}',
+        '{"id": 1, "tokens": [[1.0], [2.0]], "label": [0, 1.5]}',
+        '{"id": 1, "tokens": [[1.0], [2.0]], "label": 0}',
+        '{"id": 1, "tokens": [[1.0], [2.0]], "label": [0]}',
+        '{"id": 1, "tokens": [1.0, 2.0], "label": [0, 1]}',
+    ],
+)
+def test_loader_rejects_bad_token_rows_with_line(tmp_path, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        f'{{"id": 0, "tokens": [[0.5], [0.5]], "label": [1, 0]}}\n{line}\n', encoding="utf-8"
+    )
+    with pytest.raises(AlolError, match="d.jsonl:2"):
+        load_dataset(path)
+
+
+def test_loader_reads_integer_features_as_floats(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": 0, "tokens": [[1, 2], [3.5, 4]], "label": [1, 0]}\n')
+    (example,) = load_dataset(path).examples
+    assert example.features.dtype == np.float64
+    assert example.features.tolist() == [[1.0, 2.0], [3.5, 4.0]]
+    assert example.labels.tolist() == [1, 0]
+
+
 def test_save_is_byte_stable(tmp_path):
     dataset = toy_dataset(8)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
