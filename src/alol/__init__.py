@@ -27,10 +27,7 @@ from .policies import (
     PolicySpec,
     SelectionOutcome,
     TrainingMode,
-    select_epsilon_greedy,
     select_longest,
-    select_loss_oracle,
-    select_oracle,
     select_random,
     select_uncertainty,
 )
@@ -88,10 +85,7 @@ __all__ = [
     "sample_candidates",
     "save_dataset",
     "score",
-    "select_epsilon_greedy",
     "select_longest",
-    "select_loss_oracle",
-    "select_oracle",
     "select_random",
     "select_uncertainty",
     "split_dataset",

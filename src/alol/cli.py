@@ -25,63 +25,31 @@ import sys
 from pathlib import Path
 
 from . import datagen, engine, probe
-from .errors import AlignmentError, AlolError, MissingScoresError
-from .learners import json_int, spec_from_json
-from .metrics import MetricKind
-from .policies import TrainingMode
+from .errors import AlignmentError, AlolError, MissingScoresError, SchemaError
 from .pool import load_dataset, save_dataset
 from .rng import repeat_seed
+from .schema import from_json, to_json
 
 SEED_OVERRIDE_ENV = "ALOL_SEED_OVERRIDE"
 
-_POLICY_KEYS = {"name"}, {"epsilon", "switch_after", "training_mode"}
-_LEARNER_KEYS = (
-    {"family", "input_dim", "class_count"},
-    {"hidden_dim", "learning_rate", "max_epochs", "patience", "stop_epsilon", "init_scale"},
-)
-_SIMULATE_KEYS = (
-    {
-        "command",
-        "dataset",
-        "iterations",
-        "candidate_count",
-        "set_size",
-        "policy",
-        "learner",
-        "selection_metric",
-        "report_metric",
-        "master_seed",
-        "partition_sizes",
-    },
-    {"repeats", "checkpoint_every", "log_oracle_scores"},
-)
-_PROBE_KEYS = (
-    {
-        "command",
-        "dataset",
-        "iterations",
-        "candidate_count",
-        "set_size",
-        "learner",
-        "selection_metric",
-        "seed_pair",
-        "partition_sizes",
-    },
-    {"window", "training_mode"},
-)
-_GEN_KEYS = (
-    {
-        "command",
-        "kind",
-        "n",
-        "input_dim",
-        "class_count",
-        "cluster_separation",
-        "noise_fraction",
-        "seed",
-    },
-    {"seq_len_range"},
-)
+
+@dataclasses.dataclass(frozen=True)
+class _SimulateKeys:
+    """The keys of a ``simulate`` config that the CLI reads itself."""
+
+    dataset: str
+    repeats: int = 1
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise SchemaError(f"repeats={self.repeats} must be >= 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProbeKeys:
+    """The key of a ``probe-mrr`` config that the CLI reads itself."""
+
+    dataset: str
 
 
 class _CliFailure(Exception):
@@ -94,19 +62,9 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _check_keys(obj: dict, keys: tuple[set, set], where: str) -> None:
-    required, optional = keys
-    if not isinstance(obj, dict):
-        raise _CliFailure(2, f"{where}: expected a JSON object")
-    unknown = sorted(set(obj) - required - optional)
-    if unknown:
-        raise _CliFailure(2, f"{where}: unknown keys {unknown}")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise _CliFailure(2, f"{where}: missing keys {missing}")
-
-
-def _load_config(path: str, command: str) -> dict:
+def _parse(path: str, command: str, cls, own=None) -> tuple:
+    """The config file at ``path`` decoded as ``cls``, plus its keys that
+    the CLI reads itself decoded as ``own``. Every violation exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -118,7 +76,13 @@ def _load_config(path: str, command: str) -> dict:
         raise _CliFailure(
             2, f"{path}: command {data.get('command')!r} does not match '{command}'"
         )
-    return data
+    del data["command"]
+    keys = {f.name for f in dataclasses.fields(own)} if own else set()
+    mine = {k: data.pop(k) for k in keys & data.keys()}
+    try:
+        return from_json(cls, data), None if own is None else from_json(own, mine)
+    except AlolError as exc:
+        raise _CliFailure(2, f"{path}: {exc}") from None
 
 
 def _refuse_overwrite(paths: list[Path], force: bool) -> None:
@@ -179,36 +143,8 @@ def _seed_override() -> int | None:
         raise _CliFailure(2, f"{SEED_OVERRIDE_ENV}={raw!r} is not an integer") from None
 
 
-def _parse_simulation_config(data: dict, config_path: str) -> tuple[engine.SimulationConfig, int, Path]:
-    _check_keys(data, _SIMULATE_KEYS, config_path)
-    _check_keys(data["policy"], _POLICY_KEYS, f"{config_path}: policy")
-    _check_keys(data["learner"], _LEARNER_KEYS, f"{config_path}: learner")
-    try:
-        repeats = json_int(data.get("repeats", 1), "repeats")
-    except ValueError as exc:
-        raise _CliFailure(2, f"{config_path}: {exc}") from None
-    if repeats < 1:
-        raise _CliFailure(2, f"{config_path}: repeats={repeats} must be >= 1")
-    payload = {k: v for k, v in data.items() if k not in {"command", "dataset", "repeats"}}
-    try:
-        config = engine.config_from_json(payload)
-    except (AlolError, ValueError, KeyError, TypeError) as exc:
-        raise _CliFailure(2, f"{config_path}: {exc}") from None
-    override = _seed_override()
-    if override is not None:
-        config = dataclasses.replace(config, master_seed=override)
-    dataset_path = Path(config_path).parent / data["dataset"]
-    return config, repeats, dataset_path
-
-
 def cmd_gen_data(args) -> int:
-    data = _load_config(args.config, "gen-data")
-    _check_keys(data, _GEN_KEYS, args.config)
-    payload = {k: v for k, v in data.items() if k != "command"}
-    try:
-        spec = datagen.gen_spec_from_json(payload)
-    except (AlolError, ValueError, KeyError, TypeError) as exc:
-        raise _CliFailure(2, f"{args.config}: {exc}") from None
+    spec, _ = _parse(args.config, "gen-data", datagen.GenSpec)
     out = Path(args.out)
     sidecar = Path(str(out).removesuffix(".jsonl") + ".provenance.jsonl")
     _refuse_overwrite([out, sidecar], args.force)
@@ -220,10 +156,13 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    data = _load_config(args.config, "simulate")
-    config, repeats, dataset_path = _parse_simulation_config(data, args.config)
+    config, keys = _parse(args.config, "simulate", engine.SimulationConfig, _SimulateKeys)
+    override = _seed_override()
+    if override is not None:
+        config = dataclasses.replace(config, master_seed=override)
     if args.log_oracle_scores:
         config = dataclasses.replace(config, log_oracle_scores=True)
+    repeats = keys.repeats
     out_dir = Path(args.out)
     outputs = [out_dir / "mean_curve.csv", out_dir / "summary.json"]
     dump_policy = config.policy.name in engine.ORACLE_FAMILY
@@ -232,7 +171,7 @@ def cmd_simulate(args) -> int:
         if dump_policy:
             outputs.append(out_dir / f"policy_examples_{r}.jsonl")
     _refuse_overwrite(outputs, args.force)
-    dataset = load_dataset(dataset_path)
+    dataset = load_dataset(Path(args.config).parent / keys.dataset)
     curves = []
     truncated_flags = []
     seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
@@ -241,7 +180,7 @@ def cmd_simulate(args) -> int:
         truncated_flags.append(log.truncated)
         curve = engine.learning_curve(log)
         curves.append(curve)
-        _write_json(out_dir / f"run_{r}.json", engine.run_log_to_json(log))
+        _write_json(out_dir / f"run_{r}.json", to_json(log))
         _write_text(
             out_dir / f"curve_{r}.csv",
             _curve_csv(curve, config.policy.name.value, seed_r),
@@ -268,7 +207,7 @@ def cmd_simulate(args) -> int:
     _write_json(
         out_dir / "summary.json",
         {
-            "config": engine.config_to_json(config),
+            "config": to_json(config),
             "repeats": repeats,
             "seeds": seeds,
             "truncated": truncated_flags,
@@ -279,26 +218,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_probe_mrr(args) -> int:
-    data = _load_config(args.config, "probe-mrr")
-    _check_keys(data, _PROBE_KEYS, args.config)
-    _check_keys(data["learner"], _LEARNER_KEYS, f"{args.config}: learner")
-    try:
-        config = probe.MrrConfig(
-            iterations=json_int(data["iterations"], "iterations"),
-            candidate_count=json_int(data["candidate_count"], "candidate_count"),
-            set_size=json_int(data["set_size"], "set_size"),
-            learner=spec_from_json(data["learner"]),
-            selection_metric=MetricKind(data["selection_metric"]),
-            seed_pair=tuple(json_int(s, "seed_pair") for s in data["seed_pair"]),
-            partition_sizes=tuple(json_int(s, "partition_sizes") for s in data["partition_sizes"]),
-            window=json_int(data.get("window", 10), "window"),
-            training_mode=TrainingMode(data.get("training_mode", "fine_tune_union")),
-        )
-    except (AlolError, ValueError, KeyError, TypeError) as exc:
-        raise _CliFailure(2, f"{args.config}: {exc}") from None
+    config, keys = _parse(args.config, "probe-mrr", probe.MrrConfig, _ProbeKeys)
     out_dir = Path(args.out)
     _refuse_overwrite([out_dir / "mrr.csv", out_dir / "mrr_summary.json"], args.force)
-    dataset = load_dataset(Path(args.config).parent / data["dataset"])
+    dataset = load_dataset(Path(args.config).parent / keys.dataset)
     report = probe.run_mrr_probe(config, dataset, jobs=args.jobs)
     lines = ["window_start,window_end,mrr,baseline"]
     for w in report.windows:
@@ -307,7 +230,7 @@ def cmd_probe_mrr(args) -> int:
     _write_json(
         out_dir / "mrr_summary.json",
         {
-            "config": probe.mrr_config_to_json(config),
+            "config": to_json(config),
             "overall_mrr": report.overall_mrr,
             "baseline": report.baseline,
             "ranks": list(report.ranks),

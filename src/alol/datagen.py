@@ -146,29 +146,3 @@ def load_provenance(path) -> dict[int, bool]:
                 record = json.loads(line)
                 out[int(record["id"])] = bool(record["informative"])
     return out
-
-
-def gen_spec_to_json(spec: GenSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "n": spec.n,
-        "input_dim": spec.input_dim,
-        "class_count": spec.class_count,
-        "cluster_separation": spec.cluster_separation,
-        "noise_fraction": spec.noise_fraction,
-        "seed": spec.seed,
-        "seq_len_range": list(spec.seq_len_range),
-    }
-
-
-def gen_spec_from_json(data: dict) -> GenSpec:
-    return GenSpec(
-        kind=GenKind(data["kind"]),
-        n=int(data["n"]),
-        input_dim=int(data["input_dim"]),
-        class_count=int(data["class_count"]),
-        cluster_separation=float(data["cluster_separation"]),
-        noise_fraction=float(data["noise_fraction"]),
-        seed=int(data["seed"]),
-        seq_len_range=tuple(int(v) for v in data.get("seq_len_range", (1, 1))),
-    )

@@ -40,9 +40,6 @@ from .learners import (
     can_stack,
     evaluate,
     fit_stacked,
-    json_int,
-    spec_from_json,
-    spec_to_json,
     train,
 )
 from .metrics import MetricKind
@@ -417,93 +414,3 @@ def emit_policy_training_examples(log: RunLog, path) -> int:
             }
             handle.write(json.dumps(line, separators=(",", ":")) + "\n")
     return len(scored)
-
-
-def config_to_json(config: SimulationConfig) -> dict:
-    return {
-        "iterations": config.iterations,
-        "candidate_count": config.candidate_count,
-        "set_size": config.set_size,
-        "policy": {
-            "name": config.policy.name.value,
-            "epsilon": config.policy.epsilon,
-            "switch_after": config.policy.switch_after,
-            "training_mode": config.policy.training_mode.value,
-        },
-        "learner": spec_to_json(config.learner),
-        "selection_metric": config.selection_metric.value,
-        "report_metric": config.report_metric.value,
-        "master_seed": config.master_seed,
-        "partition_sizes": list(config.partition_sizes),
-        "checkpoint_every": config.checkpoint_every,
-        "log_oracle_scores": config.log_oracle_scores,
-    }
-
-
-def config_from_json(data: dict) -> SimulationConfig:
-    policy = data["policy"]
-    return SimulationConfig(
-        iterations=json_int(data["iterations"], "iterations"),
-        candidate_count=json_int(data["candidate_count"], "candidate_count"),
-        set_size=json_int(data["set_size"], "set_size"),
-        policy=PolicySpec(
-            name=PolicyName(policy["name"]),
-            epsilon=float(policy.get("epsilon", 0.0)),
-            switch_after=json_int(policy.get("switch_after", 0), "switch_after"),
-            training_mode=TrainingMode(policy.get("training_mode", "fine_tune_union")),
-        ),
-        learner=spec_from_json(data["learner"]),
-        selection_metric=MetricKind(data["selection_metric"]),
-        report_metric=MetricKind(data["report_metric"]),
-        master_seed=json_int(data["master_seed"], "master_seed"),
-        partition_sizes=tuple(json_int(s, "partition_sizes") for s in data["partition_sizes"]),
-        checkpoint_every=json_int(data.get("checkpoint_every", 10), "checkpoint_every"),
-        log_oracle_scores=bool(data.get("log_oracle_scores", False)),
-    )
-
-
-def run_log_to_json(log: RunLog) -> dict:
-    return {
-        "config": config_to_json(log.config),
-        "initial_labeled_ids": list(log.initial_labeled_ids),
-        "initial_checkpoint": log.initial_checkpoint,
-        "records": [
-            {
-                "iteration": r.iteration,
-                "candidate_ids": [list(ids) for ids in r.candidate_ids],
-                "scores": None if r.scores is None else list(r.scores),
-                "chosen_index": r.chosen_index,
-                "branch": r.branch,
-                "labeled_size_after": r.labeled_size_after,
-                "checkpoint": r.checkpoint,
-                "base_model_fingerprint": r.base_model_fingerprint,
-            }
-            for r in log.records
-        ],
-        "final_model_fingerprint": log.final_model_fingerprint,
-        "truncated": log.truncated,
-    }
-
-
-def run_log_from_json(data: dict) -> RunLog:
-    records = tuple(
-        IterationRecord(
-            iteration=int(r["iteration"]),
-            candidate_ids=tuple(tuple(int(i) for i in ids) for ids in r["candidate_ids"]),
-            scores=None if r["scores"] is None else tuple(float(s) for s in r["scores"]),
-            chosen_index=int(r["chosen_index"]),
-            branch=r["branch"],
-            labeled_size_after=int(r["labeled_size_after"]),
-            checkpoint=None if r["checkpoint"] is None else float(r["checkpoint"]),
-            base_model_fingerprint=r["base_model_fingerprint"],
-        )
-        for r in data["records"]
-    )
-    return RunLog(
-        config=config_from_json(data["config"]),
-        initial_labeled_ids=tuple(int(i) for i in data["initial_labeled_ids"]),
-        initial_checkpoint=float(data["initial_checkpoint"]),
-        records=records,
-        final_model_fingerprint=data["final_model_fingerprint"],
-        truncated=bool(data["truncated"]),
-    )

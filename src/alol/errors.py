@@ -24,6 +24,10 @@ class StaleCandidateError(AlolError):
     """A candidate references an example no longer in the unlabeled pool."""
 
 
+class SchemaError(AlolError):
+    """A config or run-log JSON value is missing, unknown or of the wrong type."""
+
+
 class SpecMismatchError(AlolError):
     """A model was applied to data whose shape contradicts its spec."""
 

@@ -38,6 +38,7 @@ from .rng import (
     derive_seeds,
     shuffled_ranges,
 )
+from .schema import from_json
 
 BATCH_SIZE = 8
 
@@ -79,42 +80,10 @@ def parameter_count(spec: LearnerSpec) -> int:
     return h * d + h + c * h + c
 
 
-def spec_to_json(spec: LearnerSpec) -> dict:
-    return {
-        "family": spec.family.value,
-        "input_dim": spec.input_dim,
-        "class_count": spec.class_count,
-        "hidden_dim": spec.hidden_dim,
-        "learning_rate": spec.learning_rate,
-        "max_epochs": spec.max_epochs,
-        "patience": spec.patience,
-        "stop_epsilon": spec.stop_epsilon,
-        "init_scale": spec.init_scale,
-    }
-
-
-def json_int(value, key: str) -> int:
-    """The value of the config key ``key`` as an int. A fraction, a bool or
-    a non-number raises ``ValueError`` naming the key; 3.0 reads as 3."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"{key}={value!r} is not an integer")
-    return int(value)
-
-
 def spec_from_json(data: dict) -> LearnerSpec:
-    return LearnerSpec(
-        family=LearnerFamily(data["family"]),
-        input_dim=json_int(data["input_dim"], "input_dim"),
-        class_count=json_int(data["class_count"], "class_count"),
-        hidden_dim=json_int(data.get("hidden_dim", 0), "hidden_dim"),
-        learning_rate=float(data.get("learning_rate", 0.1)),
-        max_epochs=json_int(data.get("max_epochs", 200), "max_epochs"),
-        patience=json_int(data.get("patience", 5), "patience"),
-        stop_epsilon=float(data.get("stop_epsilon", 1e-4)),
-        init_scale=float(data.get("init_scale", 0.1)),
-    )
+    """The spec a run log's ``learner`` object describes; the benchmark's
+    output checks read it through this name."""
+    return from_json(LearnerSpec, data)
 
 
 @dataclass(frozen=True, eq=False)

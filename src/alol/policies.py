@@ -5,15 +5,18 @@ the per-candidate scores it computed (if any), and which branch an
 epsilon-greedy draw took. Score-based policies always choose the lowest
 argmax index, so ties are deterministic and order-stable.
 
-The oracle scoring loop is shared between ``select_oracle``,
-``select_loss_oracle``, and the optimization-consistency probe, so all
-three see byte-identical candidate models for the same seeds.
+The oracle's candidate fits come from ``candidate_fits`` and are scored
+by ``score_fits``; the simulation engine and the optimization-consistency
+probe both go through them, so they see byte-identical candidate models
+for the same seeds. An oracle choice is the ``lowest_argmax`` of those
+scores, and ``epsilon_explore`` decides whether an epsilon-greedy step
+explores instead.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -190,7 +193,6 @@ def oracle_candidate_scores(
     metric: MetricKind,
     seed: int,
     *,
-    jobs: int = 1,
     scorer: Callable[[CandidateSet], float] | None = None,
     spec: LearnerSpec | None = None,
     loss_based: bool = False,
@@ -198,12 +200,9 @@ def oracle_candidate_scores(
     """Score every candidate set by simulating its commitment.
 
     The fits are those of ``candidate_fits``, scored by ``score_fits``.
-    ``jobs`` must be >= 1 and changes nothing: scoring runs in the calling
-    thread. ``scorer`` short-circuits the model building for stubbed tests.
+    ``scorer`` short-circuits the model building for stubbed tests.
     ``loss_based`` scores by negated cross-entropy instead of the metric.
     """
-    if jobs < 1:
-        raise SpecMismatchError(f"jobs={jobs} must be >= 1")
     _check_fresh(pool, candidates)
     if scorer is not None:
         return tuple(float(scorer(c)) for c in candidates)
@@ -217,73 +216,6 @@ def oracle_candidate_scores(
     return tuple(score_fits(spec, tasks, metric, loss_based))
 
 
-def select_oracle(
-    base: ModelState | None,
-    pool: PoolState,
-    candidates: Sequence[CandidateSet],
-    dataset: Dataset,
-    labeled_examples: Sequence[Example],
-    eval_examples: Sequence[Example],
-    mode: TrainingMode,
-    metric: MetricKind,
-    seed: int,
-    *,
-    jobs: int = 1,
-    scorer: Callable[[CandidateSet], float] | None = None,
-    spec: LearnerSpec | None = None,
-) -> SelectionOutcome:
-    """Fine-tune (or retrain) one model per candidate and pick the best score."""
-    scores = oracle_candidate_scores(
-        base,
-        pool,
-        candidates,
-        dataset,
-        labeled_examples,
-        eval_examples,
-        mode,
-        metric,
-        seed,
-        jobs=jobs,
-        scorer=scorer,
-        spec=spec,
-    )
-    return SelectionOutcome(chosen_index=lowest_argmax(scores), scores=scores)
-
-
-def select_loss_oracle(
-    base: ModelState | None,
-    pool: PoolState,
-    candidates: Sequence[CandidateSet],
-    dataset: Dataset,
-    labeled_examples: Sequence[Example],
-    eval_examples: Sequence[Example],
-    mode: TrainingMode,
-    metric: MetricKind,
-    seed: int,
-    *,
-    jobs: int = 1,
-    scorer: Callable[[CandidateSet], float] | None = None,
-    spec: LearnerSpec | None = None,
-) -> SelectionOutcome:
-    """Like select_oracle but scores are negated eval-set loss."""
-    scores = oracle_candidate_scores(
-        base,
-        pool,
-        candidates,
-        dataset,
-        labeled_examples,
-        eval_examples,
-        mode,
-        metric,
-        seed,
-        jobs=jobs,
-        scorer=scorer,
-        spec=spec,
-        loss_based=True,
-    )
-    return SelectionOutcome(chosen_index=lowest_argmax(scores), scores=scores)
-
-
 def epsilon_explore(epsilon: float, candidate_count: int, seed: int) -> SelectionOutcome | None:
     """The explore choice of an epsilon-greedy draw, or None when it exploits."""
     if not 0.0 <= epsilon <= 1.0:
@@ -294,20 +226,3 @@ def epsilon_explore(epsilon: float, candidate_count: int, seed: int) -> Selectio
             chosen_index=stream.next_below(candidate_count), branch="explore"
         )
     return None
-
-
-def select_epsilon_greedy(
-    epsilon: float,
-    oracle_thunk: Callable[[], SelectionOutcome],
-    candidate_count: int,
-    seed: int,
-) -> SelectionOutcome:
-    """Explore uniformly with probability ``epsilon``, else run the oracle.
-
-    The explore branch never invokes the thunk, so no candidate models are
-    built there.
-    """
-    explore = epsilon_explore(epsilon, candidate_count, seed)
-    if explore is not None:
-        return explore
-    return replace(oracle_thunk(), branch="exploit")

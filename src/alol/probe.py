@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PoolExhaustedError, SpecMismatchError
-from .learners import LearnerSpec, ModelState, spec_to_json, train
+from .learners import LearnerSpec, ModelState, train
 from .metrics import MetricKind
 from .policies import (
     TrainingMode,
@@ -170,7 +170,6 @@ def run_mrr_probe(
                     config.training_mode,
                     config.selection_metric,
                     scope,
-                    jobs=jobs,
                     scorer=scorer_factory(run, i),
                     spec=config.learner,
                 )
@@ -200,17 +199,3 @@ def run_mrr_probe(
         baseline=random_mrr_baseline(config.candidate_count),
         truncated=truncated,
     )
-
-
-def mrr_config_to_json(config: MrrConfig) -> dict:
-    return {
-        "iterations": config.iterations,
-        "candidate_count": config.candidate_count,
-        "set_size": config.set_size,
-        "learner": spec_to_json(config.learner),
-        "selection_metric": config.selection_metric.value,
-        "seed_pair": list(config.seed_pair),
-        "partition_sizes": list(config.partition_sizes),
-        "window": config.window,
-        "training_mode": config.training_mode.value,
-    }

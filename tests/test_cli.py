@@ -524,3 +524,47 @@ def test_nan_scores_exit_1(tmp_path, monkeypatch):
     )
     config = sim_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+def with_learner(**changes):
+    learner = {
+        "family": "linear_softmax",
+        "input_dim": 4,
+        "class_count": 2,
+        "learning_rate": 0.5,
+        "max_epochs": 20,
+    }
+    return {"learner": {**learner, **changes}}
+
+
+# Each of these configs was accepted or misreported before every key was
+# decoded by its field type: most exited 0, "log_oracle_scores": "no" read
+# as true, a cluster_separation of NaN wrote a dataset that then failed to
+# load, and "partition_sizes": 7 exited 2 without naming the key. A JSON
+# literal 1e999 parses to the same infinity as the one written here.
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("simulate", with_learner(learning_rate=float("nan")), "learner.learning_rate"),
+        ("simulate", with_learner(learning_rate=float("inf")), "learner.learning_rate"),
+        ("simulate", with_learner(learning_rate="0.5"), "learner.learning_rate"),
+        ("simulate", with_learner(learning_rate=True), "learner.learning_rate"),
+        ("simulate", {"policy": {"name": "epsilon_greedy", "epsilon": "0.5"}}, "policy.epsilon"),
+        ("simulate", with_learner(stop_epsilon=float("nan")), "learner.stop_epsilon"),
+        ("simulate", {"log_oracle_scores": "no"}, "log_oracle_scores"),
+        ("simulate", {"partition_sizes": 7}, "partition_sizes"),
+        ("gen-data", {"n": 40.7}, "n"),
+        ("gen-data", {"n": True}, "n"),
+        ("gen-data", {"cluster_separation": float("nan")}, "cluster_separation"),
+    ],
+)
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides, key):
+    if command == "simulate":
+        config, out = sim_config(tmp_path, **overrides), tmp_path / "o"
+        written = [out]
+    else:
+        config, out = gen_config(tmp_path, **overrides), tmp_path / "data.jsonl"
+        written = [out, tmp_path / "data.provenance.jsonl"]
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f": {key}=" in capsys.readouterr().err
+    assert not any(path.exists() for path in written)

@@ -7,8 +7,6 @@ from scipy import stats
 from alol.datagen import (
     GenKind,
     GenSpec,
-    gen_spec_from_json,
-    gen_spec_to_json,
     generate,
     load_provenance,
     save_provenance,
@@ -197,8 +195,3 @@ def test_generated_dataset_survives_jsonl_round_trip(tmp_path):
     path = tmp_path / "data.jsonl"
     save_dataset(dataset, path)
     assert load_dataset(path) == dataset
-
-
-def test_spec_json_round_trip():
-    spec = tagging_spec(noise_fraction=0.25, seq_len_range=(3, 7))
-    assert gen_spec_from_json(gen_spec_to_json(spec)) == spec

@@ -10,13 +10,9 @@ from alol.engine import (
     IterationRecord,
     RunLog,
     SimulationConfig,
-    config_from_json,
-    config_to_json,
     emit_policy_training_examples,
     learning_curve,
     relative_improvement,
-    run_log_from_json,
-    run_log_to_json,
     run_simulation,
     run_simulations,
 )
@@ -39,6 +35,7 @@ from alol.policies import (
 )
 from alol.pool import commit_selection, sample_candidates, split_dataset
 from alol.rng import derive_seed, repeat_seed
+from alol.schema import to_json
 
 
 def small_dataset(n=64, seed=9, noise=0.2):
@@ -153,7 +150,7 @@ def test_jobs_do_not_change_output():
     dataset = small_dataset()
     serial = run_simulation(config, dataset, jobs=1)
     threaded = run_simulation(config, dataset, jobs=8)
-    assert run_log_to_json(serial) == run_log_to_json(threaded)
+    assert to_json(serial) == to_json(threaded)
 
 
 def test_uncertainty_records_carry_entropy_scores():
@@ -291,21 +288,6 @@ def test_emit_skips_unscored_iterations(tmp_path):
     assert emit_policy_training_examples(log, path) == len(exploits)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["iteration"] for line in lines] == [r.iteration for r in exploits]
-
-
-def test_config_json_round_trip():
-    config = make_config(
-        PolicySpec(name=PolicyName.EPSILON_GREEDY, epsilon=0.25),
-        log_oracle_scores=True,
-        checkpoint_every=3,
-    )
-    assert config_from_json(config_to_json(config)) == config
-
-
-def test_run_log_json_round_trip():
-    config = make_config(PolicySpec(name=PolicyName.ORACLE), iterations=2)
-    log = run_simulation(config, small_dataset())
-    assert run_log_from_json(run_log_to_json(log)) == log
 
 
 def test_config_validation():

@@ -21,8 +21,6 @@ from alol.learners import (
     loss,
     parameter_count,
     predict_distribution,
-    spec_from_json,
-    spec_to_json,
     train,
 )
 from alol.metrics import MetricKind
@@ -77,11 +75,6 @@ def test_spec_validation():
         LearnerSpec(family=LearnerFamily.LINEAR_SOFTMAX, input_dim=0, class_count=2)
     with pytest.raises(SpecMismatchError):
         LearnerSpec(family=LearnerFamily.LINEAR_SOFTMAX, input_dim=2, class_count=2, patience=0)
-
-
-def test_spec_json_round_trip():
-    for spec in [LINEAR, MLP]:
-        assert spec_from_json(spec_to_json(spec)) == spec
 
 
 def test_model_state_checks_parameter_length():

@@ -9,14 +9,11 @@ from alol.metrics import MetricKind, mean_entropy
 from alol.policies import (
     PolicySpec,
     PolicyName,
-    SelectionOutcome,
     TrainingMode,
+    epsilon_explore,
     lowest_argmax,
     oracle_candidate_scores,
-    select_epsilon_greedy,
     select_longest,
-    select_loss_oracle,
-    select_oracle,
     select_random,
     select_uncertainty,
 )
@@ -219,7 +216,7 @@ def test_select_oracle_with_stub_scores():
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 3, 1, seed=1)
     stub = {0: 0.3, 1: 0.7, 2: 0.5}
-    outcome = select_oracle(
+    scores = oracle_candidate_scores(
         base,
         pool,
         candidates,
@@ -231,10 +228,10 @@ def test_select_oracle_with_stub_scores():
         seed=0,
         scorer=lambda c: stub[c.candidate_index],
     )
-    assert outcome.chosen_index == 1
-    assert outcome.scores == (0.3, 0.7, 0.5)
+    assert scores == (0.3, 0.7, 0.5)
+    assert lowest_argmax(scores) == 1
 
-    tie = select_oracle(
+    tie = oracle_candidate_scores(
         base,
         pool,
         candidates[:2],
@@ -246,14 +243,14 @@ def test_select_oracle_with_stub_scores():
         seed=0,
         scorer=lambda c: 0.5,
     )
-    assert tie.chosen_index == 0
+    assert lowest_argmax(tie) == 0
 
 
 def test_select_oracle_rejects_stale_candidates():
     dataset, pool, base = oracle_fixture()
     stale = [CandidateSet(ids=(0,), candidate_index=0)]  # id 0 is labeled
     with pytest.raises(StaleCandidateError):
-        select_oracle(
+        oracle_candidate_scores(
             base,
             pool,
             stale,
@@ -264,25 +261,6 @@ def test_select_oracle_rejects_stale_candidates():
             MetricKind.ACCURACY,
             seed=0,
         )
-
-
-def test_oracle_scores_are_independent_of_jobs():
-    dataset, pool, base = oracle_fixture()
-    candidates = sample_candidates(pool, 4, 1, seed=2)
-    args = (
-        base,
-        pool,
-        candidates,
-        dataset,
-        dataset.subset(pool.labeled),
-        dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION,
-        MetricKind.ACCURACY,
-        11,
-    )
-    sequential = oracle_candidate_scores(*args, jobs=1)
-    parallel = oracle_candidate_scores(*args, jobs=4)
-    assert sequential == parallel
 
 
 def test_oracle_modes_build_different_models():
@@ -332,58 +310,48 @@ def test_loss_oracle_minimizes_stub_loss():
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 3, 1, seed=6)
     losses = {0: 0.9, 1: 0.2, 2: 0.4}
-    outcome = select_loss_oracle(
+    scores = oracle_candidate_scores(
         base, pool, candidates, dataset, [], dataset.subset(pool.eval),
         TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: -losses[c.candidate_index],
+        scorer=lambda c: -losses[c.candidate_index], loss_based=True,
     )
-    assert outcome.chosen_index == 1
-    equal = select_loss_oracle(
+    assert lowest_argmax(scores) == 1
+    equal = oracle_candidate_scores(
         base, pool, candidates, dataset, [], dataset.subset(pool.eval),
         TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: -0.5,
+        scorer=lambda c: -0.5, loss_based=True,
     )
-    assert equal.chosen_index == 0
+    assert lowest_argmax(equal) == 0
 
 
 def test_loss_oracle_agrees_with_oracle_under_calibrated_stub():
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 4, 1, seed=8)
     metric_stub = {0: 0.2, 1: 0.9, 2: 0.4, 3: 0.6}
-    by_metric = select_oracle(
+    by_metric = oracle_candidate_scores(
         base, pool, candidates, dataset, [], dataset.subset(pool.eval),
         TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
         scorer=lambda c: metric_stub[c.candidate_index],
     )
-    by_loss = select_loss_oracle(
+    by_loss = oracle_candidate_scores(
         base, pool, candidates, dataset, [], dataset.subset(pool.eval),
         TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: -(1.0 - metric_stub[c.candidate_index]),
+        scorer=lambda c: -(1.0 - metric_stub[c.candidate_index]), loss_based=True,
     )
-    assert by_metric.chosen_index == by_loss.chosen_index
+    assert lowest_argmax(by_metric) == lowest_argmax(by_loss)
 
 
+# The engine runs the oracle on an epsilon-greedy step only when
+# ``epsilon_explore`` returns None, the exploit branch.
 def test_epsilon_zero_always_exploits():
-    calls = []
-
-    def thunk():
-        calls.append(1)
-        return SelectionOutcome(chosen_index=2, scores=(0.1, 0.2, 0.9))
-
     for seed in range(50):
-        outcome = select_epsilon_greedy(0.0, thunk, 3, seed)
-        assert outcome.branch == "exploit"
-        assert outcome.chosen_index == 2
-    assert len(calls) == 50
+        assert epsilon_explore(0.0, 3, seed) is None
 
 
 def test_epsilon_one_never_invokes_thunk():
-    def thunk():
-        raise AssertionError("oracle must not run on explore")
-
     counts = [0] * 4
     for seed in range(20000):
-        outcome = select_epsilon_greedy(1.0, thunk, 4, seed)
+        outcome = epsilon_explore(1.0, 4, seed)
         assert outcome.branch == "explore"
         assert outcome.scores is None
         counts[outcome.chosen_index] += 1
@@ -392,13 +360,8 @@ def test_epsilon_one_never_invokes_thunk():
 
 
 def test_epsilon_explore_fraction():
-    explored = 0
     trials = 100000
-    for seed in range(trials):
-        outcome = select_epsilon_greedy(
-            0.3, lambda: SelectionOutcome(chosen_index=0), 5, seed
-        )
-        explored += outcome.branch == "explore"
+    explored = sum(epsilon_explore(0.3, 5, seed) is not None for seed in range(trials))
     assert abs(explored / trials - 0.3) < 0.01
 
 
@@ -411,9 +374,7 @@ def test_epsilon_draw_matches_policy_stream():
     stream = SplitMix64(derive_seed(seed, purpose=PURPOSE_POLICY))
     u = stream.next_float()
     expected_index = stream.next_below(6)
-    outcome = select_epsilon_greedy(
-        1.0, lambda: SelectionOutcome(chosen_index=0), 6, seed
-    )
+    outcome = epsilon_explore(1.0, 6, seed)
     assert u < 1.0
     assert outcome.chosen_index == expected_index
 
@@ -445,17 +406,17 @@ def test_oracle_finds_informative_examples_on_rigged_data():
             candidates = sample_candidates(pool, 5, 1, scope)
             labeled = dataset.subset(pool.labeled)
             base = train(spec, labeled, eval_set, scope)
-            outcome = select_oracle(
-                base, pool, candidates, dataset, labeled, eval_set,
-                TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, scope,
+            chosen = lowest_argmax(
+                oracle_candidate_scores(
+                    base, pool, candidates, dataset, labeled, eval_set,
+                    TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, scope,
+                )
             )
             kinds = {informative[c.ids[0]] for c in candidates}
             if len(kinds) == 2:
                 decided += 1
-                informative_hits += informative[
-                    candidates[outcome.chosen_index].ids[0]
-                ]
-            pool = commit_selection(pool, candidates[outcome.chosen_index])
+                informative_hits += informative[candidates[chosen].ids[0]]
+            pool = commit_selection(pool, candidates[chosen])
     assert decided >= 15
     assert informative_hits / decided >= 0.8
 
@@ -527,20 +488,3 @@ def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
             assert oracle_candidate_scores(*args) == scores
         assert sizes == [4]
         sizes.clear()
-
-
-def test_oracle_scores_reject_non_positive_jobs():
-    dataset, pool, base = oracle_fixture()
-    with pytest.raises(SpecMismatchError):
-        oracle_candidate_scores(
-            base,
-            pool,
-            sample_candidates(pool, 2, 1, seed=2),
-            dataset,
-            dataset.subset(pool.labeled),
-            dataset.subset(pool.eval),
-            TrainingMode.FINE_TUNE_UNION,
-            MetricKind.ACCURACY,
-            11,
-            jobs=0,
-        )

@@ -8,12 +8,12 @@ from alol.policies import TrainingMode, lowest_argmax, oracle_candidate_scores
 from alol.pool import commit_selection, sample_candidates, split_dataset
 from alol.probe import (
     MrrConfig,
-    mrr_config_to_json,
     random_mrr_baseline,
     rank_of,
     run_mrr_probe,
 )
 from alol.rng import SplitMix64, derive_seed
+from alol.schema import to_json
 
 
 def cluster_dataset(n=64, seed=21, noise=0.2):
@@ -205,7 +205,7 @@ def test_config_validation_and_json():
         make_config(window=0)
     with pytest.raises(SpecMismatchError):
         make_config(seed_pair=(1, 2, 3))
-    data = mrr_config_to_json(make_config())
+    data = to_json(make_config())
     assert data["seed_pair"] == [31, 32]
     assert data["training_mode"] == "fine_tune_union"
     assert data["selection_metric"] == "accuracy"
