@@ -172,14 +172,19 @@ def cmd_simulate(args) -> int:
             outputs.append(out_dir / f"policy_examples_{r}.jsonl")
     _refuse_overwrite(outputs, args.force)
     dataset = load_dataset(Path(args.config).parent / keys.dataset)
-    curves = []
-    truncated_flags = []
     seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
     logs = engine.run_simulations(config, dataset, seeds, jobs=args.jobs)
-    for r, (seed_r, log) in enumerate(zip(seeds, logs)):
-        truncated_flags.append(log.truncated)
-        curve = engine.learning_curve(log)
-        curves.append(curve)
+    curves = [engine.learning_curve(log) for log in logs]
+    # The mean curve is checked before any file is written, so misaligned
+    # repeats leave no partial output behind.
+    common = min(len(c) for c in curves)
+    mean_curve = []
+    for k in range(common):
+        sizes = {c[k][0] for c in curves}
+        if len(sizes) != 1:
+            raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
+        mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
+    for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
         _write_json(out_dir / f"run_{r}.json", to_json(log))
         _write_text(
             out_dir / f"curve_{r}.csv",
@@ -192,14 +197,6 @@ def cmd_simulate(args) -> int:
                 )
             except MissingScoresError:
                 pass
-
-    common = min(len(c) for c in curves)
-    mean_curve = []
-    for k in range(common):
-        sizes = {c[k][0] for c in curves}
-        if len(sizes) != 1:
-            raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
-        mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
     _write_text(
         out_dir / "mean_curve.csv",
         _curve_csv(mean_curve, config.policy.name.value, config.master_seed),
@@ -210,7 +207,7 @@ def cmd_simulate(args) -> int:
             "config": to_json(config),
             "repeats": repeats,
             "seeds": seeds,
-            "truncated": truncated_flags,
+            "truncated": [log.truncated for log in logs],
             "checkpoints_in_mean_curve": common,
         },
     )

@@ -33,10 +33,11 @@ from .rng import (
     MASK64,
     PURPOSE_INIT,
     PURPOSE_SHUFFLE,
-    SplitMix64,
+    SplitMix64,  # noqa: F401  (bench/tracing.py patches this name)
     derive_seed,
     derive_seeds,
     shuffled_ranges,
+    stream_draws,
 )
 from .schema import from_json
 
@@ -135,43 +136,97 @@ def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
         )
 
 
-def _unpack(spec: LearnerSpec, params: np.ndarray):
-    """Weight views of a ``(P,)`` vector, or of a ``(K, P)`` stack with a leading K axis."""
+def _unpack(spec: LearnerSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the weight and bias views of a ``(P,)`` vector, or of a
+    ``(K, P)`` stack with a leading K axis."""
     d, c, h = spec.input_dim, spec.class_count, spec.hidden_dim
-    lead = params.shape[:-1]
-    if spec.family is LearnerFamily.LINEAR_SOFTMAX:
-        w = params[..., : c * d].reshape(*lead, c, d)
-        b = params[..., c * d :]
-        return w, b
-    w1 = params[..., : h * d].reshape(*lead, h, d)
-    b1 = params[..., h * d : h * d + h]
-    w2 = params[..., h * d + h : h * d + h + c * h].reshape(*lead, c, h)
-    b2 = params[..., h * d + h + c * h :]
-    return w1, b1, w2, b2
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w.swapaxes(-1, -2) + b[..., None, :]
-
-
-def _logits(spec: LearnerSpec, params: np.ndarray, x: np.ndarray):
-    """Logits for (tokens, dim) rows; also the hidden activations for mlp.
-
-    A ``(K, P)`` parameter stack gives ``(K, tokens, classes)`` logits, for
-    shared ``(tokens, dim)`` rows or per-model ``(K, tokens, dim)`` rows.
-    Each slice of a stacked product is bit-equal to the single-model one.
-    """
-    if spec.family is LearnerFamily.LINEAR_SOFTMAX:
-        w, b = _unpack(spec, params)
-        return _affine(x, w, b), None
-    w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = np.tanh(_affine(x, w1, b1))
-    return _affine(hidden, w2, b2), hidden
+    shapes = [(c, d)] if spec.family is LearnerFamily.LINEAR_SOFTMAX else [(h, d), (c, h)]
+    layers, start = [], 0
+    for rows, cols in shapes:
+        end = start + rows * cols
+        w = params[..., start:end].reshape(*params.shape[:-1], rows, cols)
+        layers.append((w, params[..., end : end + rows]))
+        start = end + rows
+    return layers
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, in place in ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
+
+
+class _Workspace:
+    """A ``(P,)`` vector or ``(K, P)`` stack of parameters with its layer
+    views, taken once, and a gradient buffer of the same shape and views.
+
+    Steps write through the views in place, so a stack that loses models
+    takes a new workspace from ``keep``. Every float operation and matmul
+    operand layout is that of the plain expressions: only destinations
+    differ, which leaves every bit the same.
+    """
+
+    def __init__(self, spec: LearnerSpec, params: np.ndarray) -> None:
+        self.spec = spec
+        self.params = params
+        self.grad = np.empty_like(params)
+        self.layers = _unpack(spec, params)
+        self.affine = [(w.swapaxes(-1, -2), b[..., None, :]) for w, b in self.layers]
+        self.grads = _unpack(spec, self.grad)
+
+    def keep(self, rows: list[int]) -> _Workspace:
+        return _Workspace(self.spec, self.params[rows])
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Logits for (tokens, dim) rows; also the hidden activations for mlp.
+        A stack gives ``(K, tokens, classes)`` logits, for shared rows or
+        per-model ``(K, tokens, dim)`` rows, each slice bit-equal to one model's."""
+        (w_t, b), *out_layer = self.affine
+        z = np.matmul(x, w_t)
+        z += b
+        if not out_layer:
+            return z, None
+        hidden = np.tanh(z, out=z)
+        (w_t, b), = out_layer
+        z = np.matmul(hidden, w_t)
+        z += b
+        return z, hidden
+
+    def gradient(self, x: np.ndarray, one_hot: np.ndarray, real: np.ndarray | None) -> np.ndarray:
+        """Gradient of the mean token cross-entropy, written into ``grad``.
+
+        ``one_hot`` holds the ``_one_hot`` gold labels of the rows of ``x``;
+        a stack takes ``(K, rows, dim)`` rows. ``real`` marks the rows that
+        hold tokens when the others are zero padding: each model's mean is
+        then over its real rows, and padded rows add exact zeros to the sums.
+        """
+        z, hidden = self.forward(x)
+        delta = np.exp(_log_softmax(z), out=z)
+        # Subtracting False (0.0) leaves every non-gold entry unchanged.
+        delta -= one_hot
+        if real is None:
+            delta /= x.shape[-2]
+        else:
+            delta /= np.count_nonzero(real, axis=-1)[..., None, None]
+            delta *= real[..., None]
+        (g_w, g_b), *out_layer = self.grads
+        if out_layer:
+            (g_w2, g_b2), = out_layer
+            np.matmul(delta.swapaxes(-1, -2), hidden, out=g_w2)
+            np.add.reduce(delta, axis=-2, out=g_b2)
+            delta = delta @ self.layers[1][0]
+            hidden *= hidden
+            delta *= np.subtract(1.0, hidden, out=hidden)
+        np.matmul(delta.swapaxes(-1, -2), x, out=g_w)
+        np.add.reduce(delta, axis=-2, out=g_b)
+        return self.grad
+
+    def step(self, x: np.ndarray, one_hot: np.ndarray, real: np.ndarray | None) -> None:
+        """One SGD step of every model on its batch rows, in place."""
+        grad = self.gradient(x, one_hot, real)
+        grad *= self.spec.learning_rate
+        self.params -= grad
 
 
 def _pool_tokens(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,46 +238,6 @@ def _pool_tokens(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, n
 
 def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
     return y[..., None] == np.arange(spec.class_count)
-
-
-def _flat_gradient(
-    spec: LearnerSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    one_hot: np.ndarray,
-    real: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of the mean token cross-entropy at ``params``.
-
-    ``one_hot`` holds the ``_one_hot`` gold labels of the rows of ``x``.
-    Stacked ``(K, P)`` parameters with ``(K, rows, dim)`` inputs give the
-    ``(K, P)`` gradients of K models at once. ``real`` marks the rows that
-    hold tokens when the others are zero padding: each model's mean is
-    then over its real rows, and padded rows add exact zeros to the sums.
-    """
-    z, hidden = _logits(spec, params, x)
-    # Subtracting False (0.0) leaves every non-gold entry unchanged.
-    delta = np.exp(_log_softmax(z)) - one_hot
-    if real is None:
-        delta /= x.shape[-2]
-    else:
-        delta /= np.count_nonzero(real, axis=-1)[..., None, None]
-        delta *= real[..., None]
-    delta_t = delta.swapaxes(-1, -2)
-    lead = params.shape[:-1]
-    if spec.family is LearnerFamily.LINEAR_SOFTMAX:
-        return np.concatenate(
-            [(delta_t @ x).reshape(*lead, -1), delta.sum(axis=-2)], axis=-1
-        )
-    _, _, w2, _ = _unpack(spec, params)
-    g_w2 = delta_t @ hidden
-    g_b2 = delta.sum(axis=-2)
-    d_act = (delta @ w2) * (1.0 - hidden * hidden)
-    g_w1 = d_act.swapaxes(-1, -2) @ x
-    g_b1 = d_act.sum(axis=-2)
-    return np.concatenate(
-        [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
-    )
 
 
 def _score_predictions(
@@ -245,16 +260,15 @@ def _score_predictions(
 
 
 def _mean_loss(spec: LearnerSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    logp = _log_softmax(_logits(spec, params, x)[0])
+    logp = _log_softmax(_Workspace(spec, params).forward(x)[0])
     return float(-logp[np.arange(x.shape[0]), y].mean())
 
 
 def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
-    stream = SplitMix64(init_seed)
-    total = parameter_count(spec)
-    return np.array(
-        [(2.0 * stream.next_float() - 1.0) * spec.init_scale for _ in range(total)]
-    )
+    """``(2 * next_float() - 1) * init_scale`` over the init stream, each draw
+    converted as ``SplitMix64.next_float`` does."""
+    draws = stream_draws([init_seed], parameter_count(spec))[0]
+    return (2.0 * ((draws >> 11) * 2**-53) - 1.0) * spec.init_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,10 +386,12 @@ def _sgd(
     Model k trains on ``tasks[k]``'s lists under its seed: its own shuffle
     order each epoch, its own eval list and its own early stop, after which
     it leaves the stack. The tasks must satisfy ``can_stack``; one task of
-    any token counts is the one-model case. Each epoch, the macro and
-    token F1 of the whole stack come from one confusion count, accuracy
-    from one hit count, and exact match is scored per model. Returns each
-    model's epoch shuffle seeds and last eval score.
+    any token counts is the one-model case. The stack steps in place through
+    one ``_Workspace``; stopped models are written back to ``params`` and
+    the rest copied into a new one. Each epoch, the macro and token F1 of
+    the whole stack come from one confusion count, accuracy from one hit
+    count, and exact match is scored per model. Returns each model's epoch
+    shuffle seeds and last eval score.
     """
     if any(not t.eval_examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
@@ -388,9 +404,9 @@ def _sgd(
     )
     eval_x, eval_y, eval_totals, eval_bounds, eval_of = _pooled_evals(spec, tasks)
 
-    def scores(stack: np.ndarray, evals) -> list[float]:
+    def scores(work: _Workspace, evals) -> list[float]:
         x, y, totals, bounds = evals
-        preds = _logits(spec, stack, x)[0].argmax(axis=-1)
+        preds = work.forward(x)[0].argmax(axis=-1)
         if metric is MetricKind.ACCURACY:
             # Exact hit counts over the real tokens, as no prediction equals
             # the padding label -1: the same floats as np.mean.
@@ -416,10 +432,10 @@ def _sgd(
             x, y = eval_x[picked], eval_y[picked]
         return x, y, eval_totals[picked], [eval_bounds[e] for e in picked]
 
-    stack = params.copy()
+    work = _Workspace(spec, params.copy())
     active = list(range(len(tasks)))
     evals = gather(active)
-    best = scores(stack, evals)
+    best = scores(work, evals)
     last = list(best)
     plateau = [0] * len(tasks)
     epochs = [0] * len(tasks)
@@ -430,9 +446,9 @@ def _sgd(
             drawn = iter(shuffled_ranges(block.ravel().tolist(), n))
             pending = {k: [next(drawn) for _ in range(block.shape[1])] for k in active}
         for x, gold, real in batches(active, [pending[k][offset] for k in active]):
-            stack = stack - spec.learning_rate * _flat_gradient(spec, stack, x, gold, real)
+            work.step(x, gold, real)
         kept = []
-        for row, (k, current) in enumerate(zip(active, scores(stack, evals))):
+        for row, (k, current) in enumerate(zip(active, scores(work, evals))):
             epochs[k] = epoch + 1
             last[k] = current
             # Significant improvement means beating the best score so far
@@ -442,13 +458,13 @@ def _sgd(
             if plateau[k] < spec.patience:
                 kept.append(row)
         if len(kept) < len(active):
-            params[active] = stack
+            params[active] = work.params
             active = [active[row] for row in kept]
-            stack = stack[kept]
+            work = work.keep(kept)
             if not active:
                 break
             evals = gather(active)
-    params[active] = stack
+    params[active] = work.params
     lineages = [row[:count] for row, count in zip(shuffle_seeds.tolist(), epochs)]
     return lineages, last
 
@@ -545,6 +561,8 @@ def fit_stacked(
     is validated once. Needs ``can_stack(tasks)``: examples of different
     token counts are zero-padded to the widest, and eval lists of
     different token totals to the largest, which changes no output bit.
+    The stack's forward pass and gradient are the code of ``evaluate`` and
+    ``gradient`` with K models in place of one, writing in place.
     """
     if not can_stack(tasks):
         raise SpecMismatchError("fit_stacked needs training lists of one non-zero length")
@@ -567,8 +585,8 @@ def fit_stacked(
 def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
     """Per-token softmax distributions, shape (token_count, class_count)."""
     _check_examples(model.spec, [example])
-    z, _ = _logits(model.spec, model.parameters, example.features)
-    return np.exp(_log_softmax(z))
+    z, _ = _Workspace(model.spec, model.parameters).forward(example.features)
+    return np.exp(_log_softmax(z), out=z)
 
 
 def evaluate(
@@ -579,7 +597,7 @@ def evaluate(
         raise EmptyEvalError("evaluate needs at least one example")
     _check_examples(model.spec, examples)
     x, y, bounds = _pool_tokens(examples)
-    preds = _logits(model.spec, model.parameters, x)[0].argmax(axis=-1)
+    preds = _Workspace(model.spec, model.parameters).forward(x)[0].argmax(axis=-1)
     return _score_predictions(model.spec, preds, y, bounds, metric)
 
 
@@ -598,4 +616,4 @@ def gradient(model: ModelState, examples: Sequence[Example]) -> np.ndarray:
         raise EmptyEvalError("gradient needs at least one example")
     _check_examples(model.spec, examples)
     x, y, _ = _pool_tokens(examples)
-    return _flat_gradient(model.spec, model.parameters, x, _one_hot(model.spec, y))
+    return _Workspace(model.spec, model.parameters).gradient(x, _one_hot(model.spec, y), None)

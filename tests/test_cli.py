@@ -526,6 +526,25 @@ def test_nan_scores_exit_1(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_misaligned_repeat_curves_exit_4_and_write_nothing(tmp_path, monkeypatch):
+    from alol import engine
+
+    curve = engine.learning_curve
+    calls = []
+
+    def shifted(log):
+        # Repeat 1's checkpoints sit one example later than repeat 0's.
+        calls.append(log)
+        return [(size + len(calls) - 1, value) for size, value in curve(log)]
+
+    monkeypatch.setattr(engine, "learning_curve", shifted)
+    config = sim_config(tmp_path, repeats=2)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
+    assert len(calls) == 2
+    assert not out.exists()
+
+
 def with_learner(**changes):
     learner = {
         "family": "linear_softmax",

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from alol.errors import EmptyEvalError, EmptyFineTuneError, SpecMismatchError
@@ -23,6 +25,7 @@ from alol.learners import (
     predict_distribution,
     train,
 )
+from alol.learners import _init_params, _Workspace
 from alol.metrics import MetricKind
 from alol.pool import Example
 from alol.rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed
@@ -515,6 +518,55 @@ def test_train_matches_plain_reference_loop(spec, ragged):
         assert model == reference_train(spec, examples, eval_set, 17, metric)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
+    spec = replace(data.draw(st.sampled_from([LINEAR, MLP])), max_epochs=8, patience=2)
+    metric = data.draw(st.sampled_from(list(MetricKind)))
+    loss_based = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    # One token count for every example, or None for ragged ones.
+    width = data.draw(st.none() | st.integers(1, 4))
+    ids = iter(range(10**6))
+
+    def example_list(count):
+        widths = [width] * count if width else data.draw(
+            st.lists(st.integers(1, 4), min_size=count, max_size=count)
+        )
+        return [tokens(next(ids), rng, w) for w in widths]
+
+    # Lists are drawn from small pools, so tasks share some list objects
+    # as the engine's tasks share the labeled list.
+    n = data.draw(st.integers(1, 10))
+    shared = {}
+    evals = [example_list(data.draw(st.integers(1, 6))) for _ in range(3)]
+    tasks = []
+    for k in range(data.draw(st.integers(1, 6))):
+        split = data.draw(st.integers(0, n))
+        if split not in shared:
+            shared[split] = example_list(split)
+        base = None
+        if data.draw(st.booleans()):
+            params = rng.normal(scale=0.5, size=parameter_count(spec))
+            base = ModelState(spec=spec, parameters=params, seed_lineage=(k, 1))
+        eval_set = evals[data.draw(st.integers(0, 2))]
+        tasks.append(FitTask(base, shared[split], example_list(n - split), eval_set, k))
+    fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
+    for k, task in enumerate(tasks):
+        alone, value = fit_alone(
+            spec,
+            task.base,
+            [*task.shared, *task.extra],
+            task.eval_examples,
+            task.seed,
+            metric,
+            loss_based,
+        )
+        assert fit.model(k).parameters.tobytes() == alone.parameters.tobytes()
+        assert fit.lineages[k] == list(alone.seed_lineage)
+        assert fit.scores[k] == value
+
+
 @pytest.mark.parametrize("dim, classes", [(10, 3), (10, 16), (16, 3)])
 def test_zero_padded_rows_leave_stacked_products_bit_equal(dim, classes):
     # Ragged stacks pad each example, and each eval list, with zero rows.
@@ -553,3 +605,102 @@ def test_zero_padded_rows_leave_stacked_products_bit_equal(dim, classes):
             assert products[k].tobytes() == (delta.T @ x).tobytes()
             assert sums[k].tobytes() == delta.sum(axis=0).tobytes()
             assert logits[k, : x.shape[0]].tobytes() == (x @ weights[k].T).tobytes()
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_init_matches_the_scalar_stream(spec):
+    rng = np.random.default_rng(305)
+    seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+    seeds += rng.integers(0, 2**64, size=300, dtype=np.uint64).tolist()
+    for seed in seeds:
+        stream = SplitMix64(seed)
+        expected = [
+            (2.0 * stream.next_float() - 1.0) * spec.init_scale
+            for _ in range(parameter_count(spec))
+        ]
+        assert _init_params(spec, seed).tobytes() == np.array(expected).tobytes()
+
+
+def reference_gradient(spec, params, x, one_hot, real=None):
+    """The mean token cross-entropy gradient as plain expressions, each a
+    new array: the reference the in-place workspace must match bit for bit."""
+    d, c, h = spec.input_dim, spec.class_count, spec.hidden_dim
+    lead = params.shape[:-1]
+
+    def affine(rows, w, b):
+        return rows @ w.swapaxes(-1, -2) + b[..., None, :]
+
+    if spec.family is LearnerFamily.LINEAR_SOFTMAX:
+        w, b = params[..., : c * d].reshape(*lead, c, d), params[..., c * d :]
+        z, hidden = affine(x, w, b), None
+    else:
+        w1, b1 = params[..., : h * d].reshape(*lead, h, d), params[..., h * d : h * d + h]
+        w2 = params[..., h * d + h : h * d + h + c * h].reshape(*lead, c, h)
+        b2 = params[..., h * d + h + c * h :]
+        hidden = np.tanh(affine(x, w1, b1))
+        z = affine(hidden, w2, b2)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    delta = np.exp(log_p) - one_hot
+    if real is None:
+        delta /= x.shape[-2]
+    else:
+        delta /= np.count_nonzero(real, axis=-1)[..., None, None]
+        delta *= real[..., None]
+    delta_t = delta.swapaxes(-1, -2)
+    if hidden is None:
+        return np.concatenate([(delta_t @ x).reshape(*lead, -1), delta.sum(axis=-2)], axis=-1)
+    g_w2 = delta_t @ hidden
+    g_b2 = delta.sum(axis=-2)
+    d_act = (delta @ w2) * (1.0 - hidden * hidden)
+    g_w1 = d_act.swapaxes(-1, -2) @ x
+    g_b1 = d_act.sum(axis=-2)
+    return np.concatenate(
+        [g_w1.reshape(*lead, -1), g_b1, g_w2.reshape(*lead, -1), g_b2], axis=-1
+    )
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+@pytest.mark.parametrize("models", [1, 7])
+@pytest.mark.parametrize("padded", [False, True], ids=["uniform", "padded"])
+def test_workspace_step_matches_the_plain_step(spec, models, padded):
+    rng = np.random.default_rng(models)
+    spec = replace(spec, input_dim=5, class_count=3)
+    width = 3
+
+    def batch(count, examples):
+        rows = examples * width
+        x = rng.normal(size=(count, rows, spec.input_dim))
+        y = rng.integers(0, spec.class_count, size=(count, rows))
+        real = None
+        if padded:
+            real = rng.random((count, rows)) < 0.6
+            real[:, 0] = True
+            x[~real], y[~real] = 0.0, -1
+        return x, y[..., None] == np.arange(spec.class_count), real
+
+    stack = rng.normal(size=(models, parameter_count(spec)))
+    work = _Workspace(spec, stack.copy())
+    # A full batch, then the short last batch of an epoch.
+    for examples in (BATCH_SIZE, 2):
+        x, gold, real = batch(models, examples)
+        stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
+        work.step(x, gold, real)
+        assert work.params.tobytes() == stack.tobytes()
+    # After models leave, steps must update the kept copy, not the old stack.
+    kept = [0, 2, 5, 6] if models == 7 else [0]
+    old = work.params
+    before = old.copy()
+    work, stack = work.keep(kept), stack[kept]
+    for _ in range(2):
+        x, gold, real = batch(len(kept), BATCH_SIZE)
+        stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
+        work.step(x, gold, real)
+        assert work.params.tobytes() == stack.tobytes()
+    assert old.tobytes() == before.tobytes()
+    # The public gradient is the one-model case of the same code.
+    if not padded:
+        model = ModelState(spec=spec, parameters=stack[0], seed_lineage=())
+        whole = Example(id=0, features=x[0], labels=gold[0].argmax(axis=-1), sequence=True)
+        expected = reference_gradient(spec, stack[0], x[0], gold[0])
+        assert gradient(model, [whole]).tobytes() == expected.tobytes()
