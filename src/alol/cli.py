@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -122,11 +123,14 @@ def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
         if len(cells) != 4:
             raise _CliFailure(2, f"{path}:{lineno}: expected 4 columns")
         try:
-            curve.append((int(cells[0]), float(cells[1])))
+            size, value = int(cells[0]), float(cells[1])
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise _CliFailure(
-                2, f"{path}:{lineno}: expected an integer labeled_size and a numeric metric"
-            ) from None
+                2, f"{path}:{lineno}: expected an integer labeled_size and a finite metric"
+            )
+        curve.append((size, value))
         label = cells[2]
     if not curve:
         raise _CliFailure(2, f"{path}: no data rows")

@@ -33,15 +33,8 @@ from .errors import (
     SpecMismatchError,
     UndefinedPointError,
 )
-from .learners import (
-    FitTask,
-    LearnerSpec,
-    ModelState,
-    can_stack,
-    evaluate,
-    fit_stacked,
-    train,
-)
+from .learners import FitTask, LearnerSpec, ModelState, evaluate, fit_stacked
+from .learners import train  # noqa: F401  (bench/tracing.py wraps this name)
 from .metrics import MetricKind
 from .policies import (
     PolicyName,
@@ -52,7 +45,6 @@ from .policies import (
     epsilon_explore,
     lowest_argmax,
     oracle_candidate_scores,  # noqa: F401  (bench/tracing.py wraps this name)
-    score_fits,
     select_longest,
     select_random,
     select_uncertainty,
@@ -164,12 +156,11 @@ class _Step:
 
 
 def _train_all(spec: LearnerSpec, tasks: list[FitTask], metric: MetricKind) -> list[ModelState]:
-    """``train`` on each base-less task's ``shared`` list, as one stacked fit
-    when ``can_stack`` allows."""
-    if can_stack(tasks):
-        fit = fit_stacked(spec, tasks, metric=metric)
-        return [fit.model(k) for k in range(len(tasks))]
-    return [train(spec, t.shared, t.eval_examples, t.seed, metric=metric) for t in tasks]
+    """The model of each base-less task, fit as one stack; none for no tasks."""
+    if not tasks:
+        return []
+    fit = fit_stacked(spec, tasks, metric=metric)
+    return [fit.model(k) for k in range(len(tasks))]
 
 
 def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Run, int]]):
@@ -219,8 +210,8 @@ def run_simulations(
     ``seeds[r]``, byte for byte: the runs advance one iteration at a time,
     and each phase of an iteration fits the base models, the oracle's
     candidate models and the checkpoint models of every live run side by
-    side, as one stacked SGD run when ``can_stack`` allows. ``jobs`` must
-    be >= 1 and changes nothing.
+    side, as one stacked SGD run. ``jobs`` must be >= 1 and changes
+    nothing.
     """
     if jobs < 1:
         raise SpecMismatchError(f"jobs={jobs} must be >= 1")
@@ -286,9 +277,12 @@ def run_simulations(
             )
         ]
         if tasks:
-            values = score_fits(
-                config.learner, tasks, config.selection_metric, name is PolicyName.LOSS_ORACLE
-            )
+            values = fit_stacked(
+                config.learner,
+                tasks,
+                metric=config.selection_metric,
+                loss_based=name is PolicyName.LOSS_ORACLE,
+            ).scores
             for n, s in enumerate(scored):
                 k = len(s.candidates)
                 s.scores = tuple(values[n * k : (n + 1) * k])

@@ -240,23 +240,28 @@ def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
     return y[..., None] == np.arange(spec.class_count)
 
 
-def _score_predictions(
-    spec: LearnerSpec,
-    preds: np.ndarray,
-    y: np.ndarray,
-    bounds: np.ndarray,
-    metric: MetricKind,
-) -> float:
+def _scores(work: _Workspace, evals, metric: MetricKind) -> list[float]:
+    """Each model's ``metric`` on its eval tokens, scored from its argmax
+    predictions. ``evals`` holds the shared ``(m, dim)`` or per-model
+    ``(K, m, dim)`` rows, the ``(K, m)`` labels, padded at the end with -1,
+    and each model's token total and example bounds."""
+    x, y, totals, bounds = evals
+    preds = work.forward(x)[0].argmax(axis=-1)
     if metric is MetricKind.ACCURACY:
-        return float(np.mean(preds == y))
+        # Exact hit counts over the real tokens, as no prediction equals
+        # the padding label -1: the same floats as np.mean.
+        return (np.count_nonzero(preds == y, axis=-1) / totals).tolist()
     if metric is MetricKind.EXACT_MATCH:
-        cuts = bounds[:-1]
-        return score(
-            np.split(preds, cuts), np.split(y, cuts), metric, class_count=spec.class_count
-        )
-    # The other metrics read only the flat label arrays, so one sequence
-    # holding every token scores the same as one sequence per example.
-    return score([preds], [y], metric, class_count=spec.class_count)
+        return [
+            score(np.split(p[:t], b[:-1]), np.split(g[:t], b[:-1]), metric)
+            for p, g, t, b in zip(preds, y, totals, bounds)
+        ]
+    # One count of the whole stack; padded tokens are left out of it.
+    classes = work.spec.class_count
+    counts = confusion_counts(preds, y, classes)
+    if metric is MetricKind.MACRO_F1:
+        return macro_f1_from_counts(counts, range(classes)).tolist()
+    return token_f1_from_counts(counts).tolist()
 
 
 def _mean_loss(spec: LearnerSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -294,13 +299,6 @@ def _distinct(lists) -> list:
     return list({id(examples): examples for examples in lists}.values())
 
 
-def can_stack(tasks: Sequence[FitTask]) -> bool:
-    """Whether ``fit_stacked`` takes these tasks: every ``shared + extra``
-    has one non-zero length. Token counts and eval token totals may differ."""
-    lengths = {len(t.shared) + len(t.extra) for t in tasks}
-    return len(lengths) == 1 and 0 not in lengths
-
-
 def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.ndarray]:
     """``(n, width, dim)`` features and ``(n, width)`` labels of ``examples``,
     each padded at its end with zero rows of label -1."""
@@ -315,7 +313,7 @@ def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.nda
 
 
 def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
-    """Batch source for ``_sgd`` over ``can_stack`` tasks.
+    """Batch source for ``_sgd`` over tasks of one training length.
 
     Model k's ``shared + extra`` sit in row k of one ``(K, n, width, dim)``
     array, each example padded to the widest token count with zero rows of
@@ -324,7 +322,7 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     rows, or is None when no example needed padding.
     """
     lists = _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
-    width = max(ex.token_count for examples in lists for ex in examples)
+    width = max((ex.token_count for examples in lists for ex in examples), default=0)
     n = len(tasks[0].shared) + len(tasks[0].extra)
     x_all = np.empty((len(tasks), n, width, spec.input_dim))
     y_all = np.empty(x_all.shape[:3], dtype=np.int64)
@@ -385,13 +383,12 @@ def _sgd(
 
     Model k trains on ``tasks[k]``'s lists under its seed: its own shuffle
     order each epoch, its own eval list and its own early stop, after which
-    it leaves the stack. The tasks must satisfy ``can_stack``; one task of
-    any token counts is the one-model case. The stack steps in place through
-    one ``_Workspace``; stopped models are written back to ``params`` and
-    the rest copied into a new one. Each epoch, the macro and token F1 of
-    the whole stack come from one confusion count, accuracy from one hit
-    count, and exact match is scored per model. Returns each model's epoch
-    shuffle seeds and last eval score.
+    it leaves the stack. The tasks share one training length; one task of
+    any token counts is the one-model case, and empty training lists fit
+    for zero epochs. The stack steps in place through one ``_Workspace``;
+    stopped models are written back to ``params`` and the rest copied into
+    a new one. Each epoch scores the stack with ``_scores``. Returns each
+    model's epoch shuffle seeds and last eval score.
     """
     if any(not t.eval_examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
@@ -403,24 +400,6 @@ def _sgd(
         purpose=PURPOSE_SHUFFLE,
     )
     eval_x, eval_y, eval_totals, eval_bounds, eval_of = _pooled_evals(spec, tasks)
-
-    def scores(work: _Workspace, evals) -> list[float]:
-        x, y, totals, bounds = evals
-        preds = work.forward(x)[0].argmax(axis=-1)
-        if metric is MetricKind.ACCURACY:
-            # Exact hit counts over the real tokens, as no prediction equals
-            # the padding label -1: the same floats as np.mean.
-            return (np.count_nonzero(preds == y, axis=-1) / totals).tolist()
-        if metric is MetricKind.EXACT_MATCH:
-            return [
-                _score_predictions(spec, p[:t], g[:t], b, metric)
-                for p, g, t, b in zip(preds, y, totals, bounds)
-            ]
-        # One count of the whole stack; padded tokens are left out of it.
-        counts = confusion_counts(preds, y, spec.class_count)
-        if metric is MetricKind.MACRO_F1:
-            return macro_f1_from_counts(counts, range(spec.class_count)).tolist()
-        return token_f1_from_counts(counts).tolist()
 
     def gather(active: list[int]):
         # Each active model's eval rows, gathered once per stack shape; the
@@ -435,11 +414,11 @@ def _sgd(
     work = _Workspace(spec, params.copy())
     active = list(range(len(tasks)))
     evals = gather(active)
-    best = scores(work, evals)
+    best = _scores(work, evals, metric)
     last = list(best)
     plateau = [0] * len(tasks)
     epochs = [0] * len(tasks)
-    for epoch in range(spec.max_epochs):
+    for epoch in range(spec.max_epochs if n else 0):
         offset = epoch % SHUFFLE_BLOCK
         if offset == 0:
             block = shuffle_seeds[active, epoch : epoch + SHUFFLE_BLOCK]
@@ -448,7 +427,7 @@ def _sgd(
         for x, gold, real in batches(active, [pending[k][offset] for k in active]):
             work.step(x, gold, real)
         kept = []
-        for row, (k, current) in enumerate(zip(active, scores(work, evals))):
+        for row, (k, current) in enumerate(zip(active, _scores(work, evals, metric))):
             epochs[k] = epoch + 1
             last[k] = current
             # Significant improvement means beating the best score so far
@@ -493,23 +472,6 @@ class StackedFit:
         )
 
 
-def _fit(spec: LearnerSpec, tasks: Sequence[FitTask], metric: MetricKind) -> StackedFit:
-    """One model per ``can_stack`` task, from its base or from the init its
-    seed derives; its score is its last epoch's eval score."""
-    rows, starts = [], []
-    for task in tasks:
-        if task.base is None:
-            init_seed = derive_seed(task.seed, purpose=PURPOSE_INIT)
-            rows.append(_init_params(spec, init_seed))
-            starts.append([init_seed])
-        else:
-            rows.append(task.base.parameters)
-            starts.append(list(task.base.seed_lineage))
-    params = np.array(rows)
-    runs, last = _sgd(spec, params, tasks, metric)
-    return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], last)
-
-
 def train(
     spec: LearnerSpec,
     labeled: Sequence[Example],
@@ -522,11 +484,10 @@ def train(
 
     An empty labeled set returns the initialized, untrained model.
     """
-    _check_examples(spec, labeled)
-    _check_examples(spec, eval_examples)
-    if len(labeled) == 0:
+    if not labeled and not eval_examples:
         return initialize(spec, seed)
-    return _fit(spec, [FitTask(None, [], labeled, eval_examples, seed)], metric).model(0)
+    tasks = [FitTask(None, [], labeled, eval_examples, seed)]
+    return fit_stacked(spec, tasks, metric=metric).model(0)
 
 
 def fine_tune(
@@ -540,9 +501,8 @@ def fine_tune(
     """Continue SGD from ``base.parameters`` on ``examples``; base unchanged."""
     if len(examples) == 0:
         raise EmptyFineTuneError("fine_tune needs at least one example")
-    _check_examples(base.spec, examples)
-    _check_examples(base.spec, eval_examples)
-    return _fit(base.spec, [FitTask(base, [], examples, eval_examples, seed)], metric).model(0)
+    tasks = [FitTask(base, [], examples, eval_examples, seed)]
+    return fit_stacked(base.spec, tasks, metric=metric).model(0)
 
 
 def fit_stacked(
@@ -552,34 +512,45 @@ def fit_stacked(
     metric: MetricKind = MetricKind.ACCURACY,
     loss_based: bool = False,
 ) -> StackedFit:
-    """Fit one model per task, as one SGD run.
+    """Fit one model per task, as one SGD run: from its base, or from the
+    init its seed derives.
 
-    Model k equals ``fine_tune(base, shared + extra, eval_examples, seed)``
-    of ``tasks[k]``, or without a base ``train(spec, ...)``, bit for bit.
-    Its score is its last epoch's eval score, which ``evaluate`` would
-    give, or with ``loss_based`` its negated eval loss. Each distinct list
-    is validated once. Needs ``can_stack(tasks)``: examples of different
-    token counts are zero-padded to the widest, and eval lists of
-    different token totals to the largest, which changes no output bit.
-    The stack's forward pass and gradient are the code of ``evaluate`` and
-    ``gradient`` with K models in place of one, writing in place.
+    Every fit of the lab goes through here; ``train`` and ``fine_tune`` are
+    the one-task case. Model k's score is its last epoch's eval score,
+    which ``evaluate`` would give, or with ``loss_based`` its negated eval
+    loss. Each distinct list is validated once. The tasks need one
+    ``shared + extra`` length; at length 0 every model is its init or base,
+    unchanged. Examples of different token counts are zero-padded to the
+    widest, and eval lists of different token totals to the largest, which
+    changes no output bit. The stack's forward pass and gradient are the
+    code of ``evaluate`` and ``gradient`` with K models in place of one,
+    writing in place.
     """
-    if not can_stack(tasks):
-        raise SpecMismatchError("fit_stacked needs training lists of one non-zero length")
+    if len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
+        raise SpecMismatchError("fit_stacked needs training lists of one length")
     if any(t.base is not None and t.base.spec != spec for t in tasks):
         raise SpecMismatchError("a base model has another spec")
     lists = [t.shared for t in tasks] + [t.extra for t in tasks]
     for examples in _distinct(lists + [t.eval_examples for t in tasks]):
         _check_examples(spec, examples)
-    fit = _fit(spec, tasks, metric)
-    if not loss_based:
-        return fit
-    eval_x, eval_y, totals, _, eval_of = _pooled_evals(spec, tasks)
-    losses = [
-        _mean_loss(spec, p, eval_x[e, : totals[e]], eval_y[e, : totals[e]])
-        for p, e in zip(fit.parameters, eval_of)
-    ]
-    return StackedFit(spec, fit.parameters, fit.lineages, [-value for value in losses])
+    rows, starts = [], []
+    for task in tasks:
+        if task.base is None:
+            init_seed = derive_seed(task.seed, purpose=PURPOSE_INIT)
+            rows.append(_init_params(spec, init_seed))
+            starts.append([init_seed])
+        else:
+            rows.append(task.base.parameters)
+            starts.append(list(task.base.seed_lineage))
+    params = np.array(rows)
+    runs, scores = _sgd(spec, params, tasks, metric)
+    if loss_based:
+        eval_x, eval_y, totals, _, eval_of = _pooled_evals(spec, tasks)
+        scores = [
+            -_mean_loss(spec, p, eval_x[e, : totals[e]], eval_y[e, : totals[e]])
+            for p, e in zip(params, eval_of)
+        ]
+    return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], scores)
 
 
 def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
@@ -592,13 +563,14 @@ def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
 def evaluate(
     model: ModelState, examples: Sequence[Example], metric: MetricKind
 ) -> float:
-    """Score argmax predictions on ``examples`` with the named metric."""
+    """Score argmax predictions on ``examples`` with the named metric: the
+    one-model case of the scores that stop every fit."""
     if len(examples) == 0:
         raise EmptyEvalError("evaluate needs at least one example")
     _check_examples(model.spec, examples)
     x, y, bounds = _pool_tokens(examples)
-    preds = _Workspace(model.spec, model.parameters).forward(x)[0].argmax(axis=-1)
-    return _score_predictions(model.spec, preds, y, bounds, metric)
+    work = _Workspace(model.spec, model.parameters[None])
+    return _scores(work, (x, y[None], [len(y)], [bounds]), metric)[0]
 
 
 def loss(model: ModelState, examples: Sequence[Example]) -> float:

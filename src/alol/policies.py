@@ -5,12 +5,12 @@ the per-candidate scores it computed (if any), and which branch an
 epsilon-greedy draw took. Score-based policies always choose the lowest
 argmax index, so ties are deterministic and order-stable.
 
-The oracle's candidate fits come from ``candidate_fits`` and are scored
-by ``score_fits``; the simulation engine and the optimization-consistency
-probe both go through them, so they see byte-identical candidate models
-for the same seeds. An oracle choice is the ``lowest_argmax`` of those
-scores, and ``epsilon_explore`` decides whether an epsilon-greedy step
-explores instead.
+The oracle's candidate fits come from ``candidate_fits`` and are fit and
+scored as one ``fit_stacked`` run; the simulation engine and the
+optimization-consistency probe both go through them, so they see
+byte-identical candidate models for the same seeds. An oracle choice is
+the ``lowest_argmax`` of those scores, and ``epsilon_explore`` decides
+whether an epsilon-greedy step explores instead.
 """
 
 from __future__ import annotations
@@ -22,18 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NanScoreError, SpecMismatchError, StaleCandidateError
-from .learners import (
-    FitTask,
-    LearnerSpec,
-    ModelState,
-    can_stack,
-    evaluate,
-    fine_tune,
-    fit_stacked,
-    loss,
-    predict_distribution,
-    train,
-)
+from .learners import FitTask, LearnerSpec, ModelState, fit_stacked, predict_distribution
+from .learners import evaluate, fine_tune, train  # noqa: F401  (bench/tracing.py wraps these names)
 from .metrics import MetricKind, mean_entropy
 from .pool import CandidateSet, Dataset, Example, PoolState
 from .rng import PURPOSE_POLICY, SplitMix64, derive_seed
@@ -157,31 +147,6 @@ def candidate_fits(
     ]
 
 
-def score_fits(
-    spec: LearnerSpec, tasks: Sequence[FitTask], metric: MetricKind, loss_based: bool = False
-) -> list[float]:
-    """Each task's model score: its eval ``metric``, or with ``loss_based``
-    its negated eval cross-entropy.
-
-    Tasks that ``can_stack`` accepts are fit as one stacked SGD run, others
-    one at a time; both give the same bytes.
-    """
-    if can_stack(tasks):
-        return fit_stacked(spec, tasks, metric=metric, loss_based=loss_based).scores
-    out = []
-    for task in tasks:
-        examples = [*task.shared, *task.extra]
-        if task.base is None:
-            model = train(spec, examples, task.eval_examples, task.seed, metric=metric)
-        else:
-            model = fine_tune(task.base, examples, task.eval_examples, task.seed, metric=metric)
-        if loss_based:
-            out.append(-loss(model, task.eval_examples))
-        else:
-            out.append(evaluate(model, task.eval_examples, metric))
-    return out
-
-
 def oracle_candidate_scores(
     base: ModelState | None,
     pool: PoolState,
@@ -199,7 +164,7 @@ def oracle_candidate_scores(
 ) -> tuple[float, ...]:
     """Score every candidate set by simulating its commitment.
 
-    The fits are those of ``candidate_fits``, scored by ``score_fits``.
+    The fits are those of ``candidate_fits``, as one ``fit_stacked`` run.
     ``scorer`` short-circuits the model building for stubbed tests.
     ``loss_based`` scores by negated cross-entropy instead of the metric.
     """
@@ -213,7 +178,7 @@ def oracle_candidate_scores(
     elif mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
         raise SpecMismatchError(f"{mode.value} needs a base model")
     tasks = candidate_fits(base, candidates, dataset, labeled_examples, eval_examples, mode, seed)
-    return tuple(score_fits(spec, tasks, metric, loss_based))
+    return tuple(fit_stacked(spec, tasks, metric=metric, loss_based=loss_based).scores)
 
 
 def epsilon_explore(epsilon: float, candidate_count: int, seed: int) -> SelectionOutcome | None:

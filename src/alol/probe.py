@@ -17,14 +17,13 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import PoolExhaustedError, SpecMismatchError
-from .learners import LearnerSpec, ModelState, train
+from .learners import LearnerSpec, ModelState, fit_stacked, train
 from .metrics import MetricKind
 from .policies import (
     TrainingMode,
     candidate_fits,
     lowest_argmax,
     oracle_candidate_scores,
-    score_fits,
 )
 from .pool import CandidateSet, Dataset, commit_selection, sample_candidates, split_dataset
 from .rng import derive_seed
@@ -156,7 +155,7 @@ def run_mrr_probe(
                     scope,
                 )
             ]
-            scores = score_fits(config.learner, tasks, config.selection_metric)
+            scores = fit_stacked(config.learner, tasks, metric=config.selection_metric).scores
             reference_scores, second_scores = scores[: len(candidates)], scores[len(candidates) :]
         else:
             reference_scores, second_scores = (

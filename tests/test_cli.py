@@ -436,6 +436,22 @@ def test_report_non_integer_labeled_size_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["policy", "baseline"])
+def test_report_non_finite_metric_exits_2(tmp_path, capsys, cell, where):
+    baseline = tmp_path / "random.csv"
+    policy = tmp_path / "oracle.csv"
+    curves = {"policy": [(5, 52.9), (6, 53.1)], "baseline": [(5, 48.3), (6, 49.0)]}
+    curves[where][1] = (6, cell)
+    curve_csv(baseline, curves["baseline"], policy="random")
+    curve_csv(policy, curves["policy"], policy="oracle")
+    out = tmp_path / "report.csv"
+    code = main(["report", str(policy), "--baseline", str(baseline), "--out", str(out)])
+    assert code == 2
+    assert ".csv:3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_non_integer_repeats_exits_2(tmp_path):
     config = sim_config(tmp_path, repeats="x")
     out = tmp_path / "o"
@@ -518,10 +534,9 @@ def test_dataset_line_without_id_or_label_exits_1(tmp_path, key):
 
 def test_nan_scores_exit_1(tmp_path, monkeypatch):
     from alol import engine
+    from test_engine import nan_scores
 
-    monkeypatch.setattr(
-        engine, "score_fits", lambda spec, tasks, *args: [float("nan")] * len(tasks)
-    )
+    monkeypatch.setattr(engine, "fit_stacked", nan_scores(engine.fit_stacked))
     config = sim_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 

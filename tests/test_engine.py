@@ -428,9 +428,16 @@ def test_lockstep_fits_each_phase_of_ragged_repeats_as_one_stack(monkeypatch):
     assert phase_sizes(monkeypatch, config, tagging_dataset()) == [3] + [3, 12] * 3 + [3]
 
 
+def nan_scores(fit):
+    """``fit_stacked`` whose models score NaN."""
+
+    def wrapper(spec, tasks, **kwargs):
+        return replace(fit(spec, tasks, **kwargs), scores=[float("nan")] * len(tasks))
+
+    return wrapper
+
+
 def test_nan_score_stops_the_run(monkeypatch):
-    monkeypatch.setattr(
-        engine, "score_fits", lambda spec, tasks, *args: [float("nan")] * len(tasks)
-    )
+    monkeypatch.setattr(engine, "fit_stacked", nan_scores(engine.fit_stacked))
     with pytest.raises(NanScoreError):
         run_simulation(make_config(PolicySpec(name=PolicyName.ORACLE)), small_dataset())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import EmptyEvalError, EmptyFineTuneError, SpecMismatchError
 from alol.learners import (
     BATCH_SIZE,
@@ -14,7 +15,6 @@ from alol.learners import (
     LearnerFamily,
     LearnerSpec,
     ModelState,
-    can_stack,
     evaluate,
     fine_tune,
     fit_stacked,
@@ -26,7 +26,7 @@ from alol.learners import (
     train,
 )
 from alol.learners import _init_params, _Workspace
-from alol.metrics import MetricKind
+from alol.metrics import MetricKind, score
 from alol.pool import Example
 from alol.rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed
 
@@ -454,33 +454,88 @@ def test_stacked_fit_needs_one_nonzero_length():
         evals = evals or [eval_set] * len(extras)
         return [FitTask(None, shared, e, ev, k) for k, (e, ev) in enumerate(zip(extras, evals))]
 
+    def fits(stack):
+        fit = fit_stacked(LINEAR, stack)
+        assert fit.parameters.shape == (len(stack), parameter_count(LINEAR))
+
     uniform = [[tokens(i, rng, 2)] for i in range(3)]
-    assert can_stack(tasks([], uniform))
-    assert can_stack(tasks([tokens(9, rng, 2)], uniform))
-    assert not can_stack([])
-    assert not can_stack(tasks([], [[], []]))
+    fits(tasks([], uniform))
+    fits(tasks([tokens(9, rng, 2)], uniform))
     # Token counts may differ: examples are zero-padded to the widest.
-    assert can_stack(tasks([tokens(9, rng, 3)], uniform))
-    assert not can_stack(tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
+    fits(tasks([tokens(9, rng, 3)], uniform))
     # One length over all, split at another point per model.
     pair = [[tokens(5, rng, 2)], [tokens(6, rng, 2), tokens(7, rng, 2)]]
-    assert can_stack(
-        [FitTask(None, pair[0], uniform[0], eval_set, 1), FitTask(None, [], pair[1], eval_set, 2)]
-    )
+    fits([FitTask(None, pair[0], uniform[0], eval_set, 1), FitTask(None, [], pair[1], eval_set, 2)])
     # Eval lists may hold different token totals: they are padded at the end.
-    assert can_stack(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
-    assert can_stack(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
+    fits(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
+    fits(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
     ragged = [[tokens(i, rng, 1 + i)] for i in range(3)]
-    fit = fit_stacked(LINEAR, tasks([], ragged, [eval_set, blobs(5, 2.0, 1), eval_set]))
-    assert fit.parameters.shape == (3, parameter_count(LINEAR))
+    fits(tasks([], ragged, [eval_set, blobs(5, 2.0, 1), eval_set]))
+    # Empty training lists fit for zero epochs.
+    fit = fit_stacked(LINEAR, tasks([], [[], []]))
+    assert fit.lineages == [[derive_seed(k, purpose=PURPOSE_INIT)] for k in range(2)]
+    with pytest.raises(SpecMismatchError):
+        fit_stacked(LINEAR, [])
     with pytest.raises(SpecMismatchError):
         fit_stacked(LINEAR, tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
-    with pytest.raises(SpecMismatchError):
-        fit_stacked(LINEAR, tasks([], [[], []]))
     with pytest.raises(EmptyEvalError):
         fit_stacked(LINEAR, [FitTask(None, [], blobs(2, 2.0, 0), [], 1)])
+    with pytest.raises(EmptyEvalError):
+        fit_stacked(LINEAR, [FitTask(None, [], [], [], 1)])
     with pytest.raises(SpecMismatchError):
         fit_stacked(LINEAR, [FitTask(initialize(MLP, 1), [], blobs(2, 2.0, 0), eval_set, 1)])
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_zero_epoch_fit_is_the_init_or_base_bit_for_bit(spec):
+    eval_set = blobs(6, 2.0, 4)
+    base = train(spec, blobs(8, 2.0, 5), eval_set, seed=9)
+    fit = fit_stacked(
+        spec, [FitTask(None, [], [], eval_set, 21), FitTask(base, [], [], eval_set, 22)]
+    )
+    init = initialize(spec, 21)
+    assert fit.parameters[0].tobytes() == init.parameters.tobytes()
+    assert fit.model(0).seed_lineage == (derive_seed(21, purpose=PURPOSE_INIT),)
+    assert fit.model(0) == init
+    assert fit.model(1) == base
+    assert fit.scores == [evaluate(m, eval_set, MetricKind.ACCURACY) for m in (init, base)]
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_train_without_examples_is_initialize_and_fine_tune_refuses(spec):
+    eval_set = blobs(6, 2.0, 4)
+    for evals in (eval_set, []):
+        model = train(spec, [], evals, seed=33)
+        assert model == initialize(spec, 33)
+        assert model.parameters.tobytes() == initialize(spec, 33).parameters.tobytes()
+        with pytest.raises(EmptyFineTuneError):
+            fine_tune(model, [], evals, seed=34)
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_evaluate_equals_metrics_score_on_ragged_sequences(spec):
+    dataset, _ = generate(
+        GenSpec(
+            kind=GenKind.TOKEN_TAGGING,
+            n=60,
+            input_dim=4,
+            class_count=3,
+            cluster_separation=3.0,
+            noise_fraction=0.2,
+            seed=8,
+            seq_len_range=(2, 8),
+        )
+    )
+    spec = replace(spec, input_dim=4, class_count=3, max_epochs=15)
+    examples = list(dataset.examples)
+    models = [initialize(spec, 1), train(spec, examples[:30], examples[30:45], seed=2)]
+    for model in models:
+        # Per-example predictions scored by metrics.score are the reference.
+        preds = [predict_distribution(model, ex).argmax(axis=-1) for ex in examples]
+        golds = [ex.labels for ex in examples]
+        for metric in MetricKind:
+            expected = score(preds, golds, metric, class_count=spec.class_count)
+            assert evaluate(model, examples, metric) == expected
 
 
 def reference_train(spec, examples, eval_set, seed, metric):

@@ -10,6 +10,7 @@ from alol.policies import (
     PolicySpec,
     PolicyName,
     TrainingMode,
+    candidate_fits,
     epsilon_explore,
     lowest_argmax,
     oracle_candidate_scores,
@@ -19,6 +20,8 @@ from alol.policies import (
 )
 from alol.pool import CandidateSet, Dataset, Example, PoolState, sample_candidates
 from alol.rng import SplitMix64, derive_seed
+
+from test_learners import fit_alone
 
 
 def seq_example(example_id, length, label=0, dim=2):
@@ -421,26 +424,26 @@ def test_oracle_finds_informative_examples_on_rigged_data():
     assert informative_hits / decided >= 0.8
 
 
+def one_at_a_time(spec, tasks, metric, loss_based=False):
+    """Each task's score from its own ``train`` or ``fine_tune`` fit, then
+    ``evaluate`` or the negated ``loss``."""
+    fits = (
+        fit_alone(spec, t.base, [*t.shared, *t.extra], t.eval_examples, t.seed, metric, loss_based)
+        for t in tasks
+    )
+    return tuple(value for _, value in fits)
+
+
 @pytest.mark.parametrize("mode", list(TrainingMode))
 @pytest.mark.parametrize("loss_based", [False, True])
-def test_stacked_scoring_matches_one_candidate_at_a_time(monkeypatch, mode, loss_based):
+def test_stacked_scoring_matches_one_candidate_at_a_time(mode, loss_based):
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 5, 2, seed=6)
-    args = (
-        base,
-        pool,
-        candidates,
-        dataset,
-        dataset.subset(pool.labeled),
-        dataset.subset(pool.eval),
-        mode,
-        MetricKind.ACCURACY,
-        13,
-    )
+    labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
+    args = (base, pool, candidates, dataset, labeled, eval_set, mode, MetricKind.ACCURACY, 13)
     stacked = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
-    monkeypatch.setattr(policies, "can_stack", lambda tasks: False)
-    alone = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
-    assert stacked == alone
+    tasks = candidate_fits(base, candidates, dataset, labeled, eval_set, mode, 13)
+    assert stacked == one_at_a_time(linear_spec(), tasks, MetricKind.ACCURACY, loss_based)
 
 
 def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
@@ -459,7 +462,8 @@ def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
         labeled=(0, 1, 2), unlabeled=tuple(range(3, 30)), eval=tuple(range(30, 40)), report=()
     )
     learner = linear_spec(dim=3, classes=3)
-    base = train(learner, dataset.subset(pool.labeled), dataset.subset(pool.eval), seed=1)
+    labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
+    base = train(learner, labeled, eval_set, seed=1)
     sizes = []
 
     def counting(spec, tasks, **kwargs):
@@ -467,24 +471,15 @@ def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
         return fit_stacked(spec, tasks, **kwargs)
 
     monkeypatch.setattr(policies, "fit_stacked", counting)
+    candidates = sample_candidates(pool, 4, 1, seed=2)
     for metric in MetricKind:
-        args = (
-            base,
-            pool,
-            sample_candidates(pool, 4, 1, seed=2),
-            dataset,
-            dataset.subset(pool.labeled),
-            dataset.subset(pool.eval),
-            TrainingMode.FINE_TUNE_UNION,
-            metric,
-            5,
-        )
-        scores = oracle_candidate_scores(*args)
+        args = (base, pool, candidates, dataset, labeled, eval_set)
+        scores = oracle_candidate_scores(*args, TrainingMode.FINE_TUNE_UNION, metric, 5)
         assert len(scores) == 4
         assert sizes == [4]
         # The same scores as fitting each candidate alone through fine_tune.
-        with monkeypatch.context() as alone:
-            alone.setattr(policies, "can_stack", lambda tasks: False)
-            assert oracle_candidate_scores(*args) == scores
-        assert sizes == [4]
+        tasks = candidate_fits(
+            base, candidates, dataset, labeled, eval_set, TrainingMode.FINE_TUNE_UNION, 5
+        )
+        assert one_at_a_time(learner, tasks, metric) == scores
         sizes.clear()

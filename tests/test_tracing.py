@@ -9,7 +9,7 @@ from pathlib import Path
 
 from alol import cli, learners, pool
 
-from test_cli import sim_config
+from test_cli import probe_config, sim_config
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -49,6 +49,22 @@ def test_traced_simulate_writes_the_untraced_bytes(tmp_path):
     tracer.install()
     try:
         assert cli.main(["simulate", "--config", str(config), "--out", str(traced)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["trace.spans"] > 0
+    for path in sorted(plain.iterdir()):
+        assert (traced / path.name).read_bytes() == path.read_bytes()
+
+
+def test_traced_probe_writes_the_untraced_bytes(tmp_path):
+    tracing = load_tracing()
+    config = probe_config(tmp_path, seed_pair=[31, 37])
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert cli.main(["probe-mrr", "--config", str(config), "--out", str(plain)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["probe-mrr", "--config", str(config), "--out", str(traced)]) == 0
     finally:
         tracer.uninstall()
     assert tracer.summary()["trace.spans"] > 0
