@@ -177,7 +177,7 @@ def cmd_simulate(args) -> int:
     _refuse_overwrite(outputs, args.force)
     dataset = load_dataset(Path(args.config).parent / keys.dataset)
     seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
-    logs = engine.run_simulations(config, dataset, seeds, jobs=args.jobs)
+    logs = engine.run_simulations(config, dataset, seeds)
     curves = [engine.learning_curve(log) for log in logs]
     # The mean curve is checked before any file is written, so misaligned
     # repeats leave no partial output behind.

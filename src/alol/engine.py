@@ -5,17 +5,16 @@ one, commits it to the labeled pool, and periodically trains a fresh
 checkpoint model on the current labeled set to measure a report metric on
 the held-out report partition. The run is a pure function of
 (config, dataset): every stochastic call draws from a stream derived off
-the master seed with the iteration/candidate/run coordinates, so thread
-count, scheduling and the number of runs fit side by side cannot change
-a byte of the output.
+the master seed with the iteration/candidate/run coordinates, so the
+number of runs fit side by side cannot change a byte of the output.
 
 Seed scoping used by the driver (ops mix in their purpose tags themselves):
 
 * dataset split:            master seed
 * iteration i scope:        derive(master, iteration=i)  (sampling, base
                             model, policy draws)
-* candidate j fine-tune:    derived inside the policy from the iteration
-                            scope with candidate=j+1
+* candidate j fine-tune:    derived in ``candidate_fits`` from the
+                            iteration scope with candidate=j+1
 * checkpoint after iter i:  derive(master, iteration=i, run=1); the
                             pre-loop checkpoint uses iteration=0
 """
@@ -144,7 +143,9 @@ class _Run:
 
 @dataclass(eq=False)
 class _Step:
-    """One run's iteration between sampling and commit."""
+    """One run's iteration between sampling and commit. The candidates also
+    fit under each of ``extra_scopes`` in the same stack; their scores go to
+    ``extra_scores``, one candidate set's worth per scope in order."""
 
     run: _Run
     scope: int
@@ -153,6 +154,8 @@ class _Step:
     outcome: SelectionOutcome | None
     base: ModelState | None = None
     scores: tuple[float, ...] | None = None
+    extra_scopes: tuple[int, ...] = ()
+    extra_scores: tuple[float, ...] = ()
 
 
 def _train_all(spec: LearnerSpec, tasks: list[FitTask], metric: MetricKind) -> list[ModelState]:
@@ -201,8 +204,95 @@ def _preset(
 _ORACLE_BRANCH = {PolicyName.EPSILON_GREEDY: "exploit", PolicyName.ORACLE_SWITCH: "oracle"}
 
 
+def _start(config: SimulationConfig, dataset: Dataset, master: int) -> _Run:
+    """A run's split of ``dataset`` at ``master``, before its first iteration."""
+    if config.learner.input_dim != dataset.feature_dim:
+        raise SpecMismatchError(
+            f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
+        )
+    pool = split_dataset(dataset, config.partition_sizes, master)
+    return _Run(master, pool, dataset.subset(pool.eval), dataset.subset(pool.report), pool.labeled)
+
+
+def _sample(config: SimulationConfig, dataset: Dataset, i: int, live: list[_Run]) -> list[_Step]:
+    """Iteration i's candidates and preset choice of each live run; a run
+    whose unlabeled pool is too small is marked truncated and left out."""
+    steps = []
+    for run in live:
+        scope = derive_seed(run.master, iteration=i)
+        try:
+            candidates = sample_candidates(run.pool, config.candidate_count, config.set_size, scope)
+        except PoolExhaustedError:
+            run.truncated = True
+            continue
+        outcome = _preset(config, i, scope, candidates, dataset)
+        steps.append(_Step(run, scope, candidates, dataset.subset(run.pool.labeled), outcome))
+    return steps
+
+
+def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> None:
+    """Fit the base models of the steps that need one as one stack, then
+    the candidates of every scored step, under its scope and each extra
+    scope, as another."""
+    name, mode = config.policy.name, config.policy.training_mode
+    # A run needs oracle scores when its policy chooses by them, or when
+    # it logs them beside a choice that came without scores; it needs a
+    # base model for uncertainty or to fine-tune candidates.
+    scored = [
+        s
+        for s in steps
+        if (s.outcome is None and name is not PolicyName.UNCERTAINTY)
+        or (config.log_oracle_scores and s.outcome is not None and s.outcome.scores is None)
+    ]
+    needs_base = [
+        s
+        for s in steps
+        if (s.outcome is None and name is PolicyName.UNCERTAINTY)
+        or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
+    ]
+    base_tasks = [FitTask(None, s.labeled, [], s.run.eval_examples, s.scope) for s in needs_base]
+    bases = _train_all(config.learner, base_tasks, config.selection_metric)
+    for s, model in zip(needs_base, bases):
+        s.base = model
+    tasks = [
+        task
+        for s in scored
+        for scope in (s.scope, *s.extra_scopes)
+        for task in candidate_fits(
+            s.base, s.candidates, dataset, s.labeled, s.run.eval_examples, mode, scope
+        )
+    ]
+    if not tasks:
+        return
+    values = fit_stacked(
+        config.learner,
+        tasks,
+        metric=config.selection_metric,
+        loss_based=name is PolicyName.LOSS_ORACLE,
+    ).scores
+    start = 0
+    for s in scored:
+        k, width = len(s.candidates), len(s.candidates) * (1 + len(s.extra_scopes))
+        s.scores = tuple(values[start : start + k])
+        s.extra_scores = tuple(values[start + k : start + width])
+        start += width
+
+
+def _commit(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> None:
+    """Choose each step's candidate and commit it to its run's pool."""
+    name = config.policy.name
+    for s in steps:
+        if s.outcome is None and name is PolicyName.UNCERTAINTY:
+            s.outcome = select_uncertainty(s.base, s.candidates, dataset)
+        elif s.outcome is None:
+            s.outcome = SelectionOutcome(
+                lowest_argmax(s.scores), s.scores, _ORACLE_BRANCH.get(name)
+            )
+        s.run.pool = commit_selection(s.run.pool, s.candidates[s.outcome.chosen_index])
+
+
 def run_simulations(
-    config: SimulationConfig, dataset: Dataset, seeds: Sequence[int], *, jobs: int = 1
+    config: SimulationConfig, dataset: Dataset, seeds: Sequence[int]
 ) -> list[RunLog]:
     """Run ``config`` once per master seed in ``seeds``, all in lockstep.
 
@@ -210,91 +300,20 @@ def run_simulations(
     ``seeds[r]``, byte for byte: the runs advance one iteration at a time,
     and each phase of an iteration fits the base models, the oracle's
     candidate models and the checkpoint models of every live run side by
-    side, as one stacked SGD run. ``jobs`` must be >= 1 and changes
-    nothing.
+    side, as one stacked SGD run.
     """
-    if jobs < 1:
-        raise SpecMismatchError(f"jobs={jobs} must be >= 1")
-    if config.learner.input_dim != dataset.feature_dim:
-        raise SpecMismatchError(
-            f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
-        )
     if config.partition_sizes[2] == 0 or config.partition_sizes[3] == 0:
         raise SpecMismatchError("eval and report partitions must be non-empty")
-    runs = []
-    for master in seeds:
-        pool = split_dataset(dataset, config.partition_sizes, master)
-        runs.append(
-            _Run(master, pool, dataset.subset(pool.eval), dataset.subset(pool.report), pool.labeled)
-        )
+    runs = [_start(config, dataset, master) for master in seeds]
     initial = _checkpoints(config, dataset, [(run, 0) for run in runs])
     for run, (value, fingerprint) in zip(runs, initial):
         run.initial_checkpoint, run.final_fingerprint = value, fingerprint
 
-    name, mode = config.policy.name, config.policy.training_mode
     live = list(runs)
     for i in range(1, config.iterations + 1):
-        steps: list[_Step] = []
-        for run in live:
-            scope = derive_seed(run.master, iteration=i)
-            try:
-                candidates = sample_candidates(
-                    run.pool, config.candidate_count, config.set_size, scope
-                )
-            except PoolExhaustedError:
-                run.truncated = True
-                continue
-            labeled = dataset.subset(run.pool.labeled)
-            outcome = _preset(config, i, scope, candidates, dataset)
-            steps.append(_Step(run, scope, candidates, labeled, outcome))
-
-        # A run needs oracle scores when its policy chooses by them, or
-        # when it logs them beside a choice that came without scores; it
-        # needs a base model for uncertainty or to fine-tune candidates.
-        scored = [
-            s
-            for s in steps
-            if (s.outcome is None and name is not PolicyName.UNCERTAINTY)
-            or (config.log_oracle_scores and s.outcome is not None and s.outcome.scores is None)
-        ]
-        needs_base = [
-            s
-            for s in steps
-            if (s.outcome is None and name is PolicyName.UNCERTAINTY)
-            or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
-        ]
-        base_tasks = [
-            FitTask(None, s.labeled, [], s.run.eval_examples, s.scope) for s in needs_base
-        ]
-        bases = _train_all(config.learner, base_tasks, config.selection_metric)
-        for s, model in zip(needs_base, bases):
-            s.base = model
-        tasks = [
-            task
-            for s in scored
-            for task in candidate_fits(
-                s.base, s.candidates, dataset, s.labeled, s.run.eval_examples, mode, s.scope
-            )
-        ]
-        if tasks:
-            values = fit_stacked(
-                config.learner,
-                tasks,
-                metric=config.selection_metric,
-                loss_based=name is PolicyName.LOSS_ORACLE,
-            ).scores
-            for n, s in enumerate(scored):
-                k = len(s.candidates)
-                s.scores = tuple(values[n * k : (n + 1) * k])
-
-        for s in steps:
-            if s.outcome is None and name is PolicyName.UNCERTAINTY:
-                s.outcome = select_uncertainty(s.base, s.candidates, dataset)
-            elif s.outcome is None:
-                s.outcome = SelectionOutcome(
-                    lowest_argmax(s.scores), s.scores, _ORACLE_BRANCH.get(name)
-                )
-            s.run.pool = commit_selection(s.run.pool, s.candidates[s.outcome.chosen_index])
+        steps = _sample(config, dataset, i, live)
+        _score(config, dataset, steps)
+        _commit(config, dataset, steps)
 
         # A run that ran out of candidates gets a checkpoint at its last
         # iteration, if that iteration had none.
@@ -344,7 +363,9 @@ def run_simulations(
 
 def run_simulation(config: SimulationConfig, dataset: Dataset, *, jobs: int = 1) -> RunLog:
     """Run the selection loop for the configured number of iterations."""
-    (log,) = run_simulations(config, dataset, [config.master_seed], jobs=jobs)
+    if jobs < 1:
+        raise SpecMismatchError(f"jobs={jobs} must be >= 1")
+    (log,) = run_simulations(config, dataset, [config.master_seed])
     return log
 
 

@@ -5,9 +5,9 @@ the per-candidate scores it computed (if any), and which branch an
 epsilon-greedy draw took. Score-based policies always choose the lowest
 argmax index, so ties are deterministic and order-stable.
 
-The oracle's candidate fits come from ``candidate_fits`` and are fit and
-scored as one ``fit_stacked`` run; the simulation engine and the
-optimization-consistency probe both go through them, so they see
+The oracle's candidate fits come from ``candidate_fits``; the simulation
+engine fits and scores them as one ``fit_stacked`` run, and the
+optimization-consistency probe runs the engine's steps, so both see
 byte-identical candidate models for the same seeds. An oracle choice is
 the ``lowest_argmax`` of those scores, and ``epsilon_explore`` decides
 whether an epsilon-greedy step explores instead.
@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NanScoreError, SpecMismatchError, StaleCandidateError
-from .learners import FitTask, LearnerSpec, ModelState, fit_stacked, predict_distribution
+from .learners import FitTask, ModelState, predict_distribution
 from .learners import evaluate, fine_tune, train  # noqa: F401  (bench/tracing.py wraps these names)
-from .metrics import MetricKind, mean_entropy
+from .metrics import mean_entropy
 from .pool import CandidateSet, Dataset, Example, PoolState
 from .rng import PURPOSE_POLICY, SplitMix64, derive_seed
 
@@ -109,16 +109,6 @@ def select_uncertainty(
     return SelectionOutcome(chosen_index=lowest_argmax(scores), scores=scores)
 
 
-def _check_fresh(pool: PoolState, candidates: Sequence[CandidateSet]) -> None:
-    unlabeled = set(pool.unlabeled)
-    for c in candidates:
-        for i in c.ids:
-            if i not in unlabeled:
-                raise StaleCandidateError(
-                    f"candidate {c.candidate_index} references id {i} outside the unlabeled pool"
-                )
-
-
 def candidate_fits(
     base: ModelState | None,
     candidates: Sequence[CandidateSet],
@@ -131,7 +121,9 @@ def candidate_fits(
     """The fit that scores each candidate set: candidate j trains under the
     seed derived from ``seed`` with ``candidate=j+1``, so scores are
     independent of evaluation order. ``base`` is ignored when ``mode``
-    trains from scratch."""
+    trains from scratch, and required otherwise."""
+    if base is None and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
+        raise SpecMismatchError(f"{mode.value} needs a base model")
     shared = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else labeled_examples
     if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH:
         base = None
@@ -148,37 +140,18 @@ def candidate_fits(
 
 
 def oracle_candidate_scores(
-    base: ModelState | None,
-    pool: PoolState,
-    candidates: Sequence[CandidateSet],
-    dataset: Dataset,
-    labeled_examples: Sequence[Example],
-    eval_examples: Sequence[Example],
-    mode: TrainingMode,
-    metric: MetricKind,
-    seed: int,
-    *,
-    scorer: Callable[[CandidateSet], float] | None = None,
-    spec: LearnerSpec | None = None,
-    loss_based: bool = False,
+    pool: PoolState, candidates: Sequence[CandidateSet], scorer: Callable[[CandidateSet], float]
 ) -> tuple[float, ...]:
-    """Score every candidate set by simulating its commitment.
-
-    The fits are those of ``candidate_fits``, as one ``fit_stacked`` run.
-    ``scorer`` short-circuits the model building for stubbed tests.
-    ``loss_based`` scores by negated cross-entropy instead of the metric.
-    """
-    _check_fresh(pool, candidates)
-    if scorer is not None:
-        return tuple(float(scorer(c)) for c in candidates)
-    if base is not None and (spec is None or mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH):
-        spec = base.spec
-    elif spec is None:
-        raise SpecMismatchError("need a base model or an explicit learner spec")
-    elif mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
-        raise SpecMismatchError(f"{mode.value} needs a base model")
-    tasks = candidate_fits(base, candidates, dataset, labeled_examples, eval_examples, mode, seed)
-    return tuple(fit_stacked(spec, tasks, metric=metric, loss_based=loss_based).scores)
+    """Each candidate set's ``scorer`` value, for stubbed oracle tests; the
+    sets must still be unlabeled."""
+    unlabeled = set(pool.unlabeled)
+    for c in candidates:
+        for i in c.ids:
+            if i not in unlabeled:
+                raise StaleCandidateError(
+                    f"candidate {c.candidate_index} references id {i} outside the unlabeled pool"
+                )
+    return tuple(float(scorer(c)) for c in candidates)
 
 
 def epsilon_explore(epsilon: float, candidate_count: int, seed: int) -> SelectionOutcome | None:

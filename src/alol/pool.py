@@ -7,8 +7,7 @@ The pool owns four pairwise-disjoint id sets over one dataset:
 * ``eval``, the evaluation set policies use to score candidates,
 * ``report``, a held-out set used only for learning-curve checkpoints.
 
-PoolState is an immutable value; every operation returns a new state, so
-states can be shared read-only across parallel candidate evaluations.
+PoolState is an immutable value; every operation returns a new state.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ def sample_candidates(
 
     Sets may overlap each other; ids within one set are distinct. Each set
     has its own derived stream, so the draw is independent of evaluation
-    order and thread count.
+    order.
     """
     if candidate_count < 1 or set_size < 1:
         raise AlolError(f"need K >= 1 and L >= 1, got K={candidate_count}, L={set_size}")

@@ -2,12 +2,13 @@
 
 The probe replays each iteration's candidate scoring twice, under two
 master seeds that differ only in the fine-tuning randomness (the base
-model and the candidate sets are shared). The reference run's choice
-advances the pool exactly like a normal oracle simulation; the second
-run only re-ranks. Mean reciprocal rank of the reference choice under the
-second run's scores measures how much the selection depends on optimizer
-noise: a convex learner should pin it near 1, a non-convex one should
-drift toward the uniform-rank baseline H_K/K.
+model and the candidate sets are shared). The reference run is the
+oracle simulation's own iteration step, so its choice advances the pool
+exactly as in ``simulate``; the second run only re-ranks. Mean
+reciprocal rank of the reference choice under the second run's scores
+measures how much the selection depends on optimizer noise: a convex
+learner should pin it near 1, a non-convex one should drift toward the
+uniform-rank baseline H_K/K.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .engine import SimulationConfig, _commit, _sample, _score, _start
 from .errors import PoolExhaustedError, SpecMismatchError
-from .learners import LearnerSpec, ModelState, fit_stacked, train
+from .learners import LearnerSpec
+from .learners import train  # noqa: F401  (bench/tracing.py wraps this name)
 from .metrics import MetricKind
-from .policies import (
-    TrainingMode,
-    candidate_fits,
-    lowest_argmax,
-    oracle_candidate_scores,
-)
-from .pool import CandidateSet, Dataset, commit_selection, sample_candidates, split_dataset
+from .policies import PolicyName, PolicySpec, TrainingMode, oracle_candidate_scores
+from .pool import CandidateSet, Dataset
+from .pool import commit_selection, sample_candidates  # noqa: F401  (bench/tracing.py wraps these)
 from .rng import derive_seed
 
 
@@ -99,84 +98,48 @@ def run_mrr_probe(
 ) -> MrrReport:
     """Score every iteration's candidates under both seeds and rank.
 
-    ``scorer_factory(run, iteration)`` can inject a synthetic scorer per
-    pass (run 0 = reference, run 1 = second) in place of model building,
-    for statistical checks of the ranking machinery.
+    The reference pass is the oracle simulation's iteration step at
+    ``seed_pair[0]``, without checkpoints; the second pass fits the same
+    candidates on the same base under the iteration scope of
+    ``seed_pair[1]``, in the same stack. ``scorer_factory(run, iteration)``
+    can inject a synthetic scorer per pass (run 0 = reference, run 1 =
+    second) in place of model building, for statistical checks of the
+    ranking machinery.
     """
-    if config.learner.input_dim != dataset.feature_dim:
-        raise SpecMismatchError(
-            f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
-        )
     if jobs < 1:
         raise SpecMismatchError(f"jobs={jobs} must be >= 1")
     seed_ref, seed_alt = config.seed_pair
-    pool = split_dataset(dataset, config.partition_sizes, seed_ref)
-    eval_examples = dataset.subset(pool.eval)
-    if not eval_examples:
+    oracle = SimulationConfig(
+        iterations=config.iterations,
+        candidate_count=config.candidate_count,
+        set_size=config.set_size,
+        policy=PolicySpec(PolicyName.ORACLE, training_mode=config.training_mode),
+        learner=config.learner,
+        selection_metric=config.selection_metric,
+        report_metric=config.selection_metric,
+        master_seed=seed_ref,
+        partition_sizes=config.partition_sizes,
+    )
+    run = _start(oracle, dataset, seed_ref)
+    if not run.eval_examples:
         raise SpecMismatchError("eval partition must be non-empty")
-    independent = config.training_mode is TrainingMode.INDEPENDENT_FROM_SCRATCH
 
     ranks: list[int] = []
-    truncated = False
     for i in range(1, config.iterations + 1):
-        scope_ref = derive_seed(seed_ref, iteration=i)
-        scope_alt = derive_seed(seed_alt, iteration=i)
-        try:
-            candidates = sample_candidates(
-                pool, config.candidate_count, config.set_size, scope_ref
-            )
-        except PoolExhaustedError:
-            truncated = True
+        steps = _sample(oracle, dataset, i, [run])
+        if not steps:
             break
-        labeled_examples = dataset.subset(pool.labeled)
-        base: ModelState | None = None
-        if scorer_factory is None and not independent:
-            # Shared between both passes: only the fine-tuning seeds differ.
-            base = train(
-                config.learner,
-                labeled_examples,
-                eval_examples,
-                scope_ref,
-                metric=config.selection_metric,
-            )
-
+        (step,) = steps
         if scorer_factory is None:
-            # Both passes as one stack of 2K fits; only their seeds differ.
-            tasks = [
-                task
-                for scope in (scope_ref, scope_alt)
-                for task in candidate_fits(
-                    base,
-                    candidates,
-                    dataset,
-                    labeled_examples,
-                    eval_examples,
-                    config.training_mode,
-                    scope,
-                )
-            ]
-            scores = fit_stacked(config.learner, tasks, metric=config.selection_metric).scores
-            reference_scores, second_scores = scores[: len(candidates)], scores[len(candidates) :]
+            step.extra_scopes = (derive_seed(seed_alt, iteration=i),)
+            _score(oracle, dataset, steps)
         else:
-            reference_scores, second_scores = (
-                oracle_candidate_scores(
-                    base,
-                    pool,
-                    candidates,
-                    dataset,
-                    labeled_examples,
-                    eval_examples,
-                    config.training_mode,
-                    config.selection_metric,
-                    scope,
-                    scorer=scorer_factory(run, i),
-                    spec=config.learner,
-                )
-                for run, scope in enumerate((scope_ref, scope_alt))
+            step.scores, step.extra_scores = (
+                oracle_candidate_scores(run.pool, step.candidates, scorer_factory(n, i))
+                for n in (0, 1)
             )
-        chosen_index = lowest_argmax(reference_scores)
-        ranks.append(rank_of(chosen_index, second_scores))
-        pool = commit_selection(pool, candidates[chosen_index])
+        _commit(oracle, dataset, steps)
+        ranks.append(rank_of(step.outcome.chosen_index, step.extra_scores))
 
     if not ranks:
         raise PoolExhaustedError("pool exhausted before the first probe iteration")
@@ -196,5 +159,5 @@ def run_mrr_probe(
         overall_mrr=sum(reciprocal) / len(reciprocal),
         ranks=tuple(ranks),
         baseline=random_mrr_baseline(config.candidate_count),
-        truncated=truncated,
+        truncated=run.truncated,
     )

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alol import engine, policies
+from alol import engine
 from alol.datagen import GenKind, GenSpec, generate
 from alol.engine import (
     IterationRecord,
@@ -23,14 +25,14 @@ from alol.errors import (
     SpecMismatchError,
     UndefinedPointError,
 )
-from alol.learners import LearnerFamily, LearnerSpec, train
+from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, train
 from alol.metrics import MetricKind
 from alol.policies import (
     PolicyName,
     PolicySpec,
     TrainingMode,
+    candidate_fits,
     lowest_argmax,
-    oracle_candidate_scores,
     select_random,
 )
 from alol.pool import commit_selection, sample_candidates, split_dataset
@@ -135,11 +137,10 @@ def test_oracle_run_matches_manual_replay():
             metric=config.selection_metric,
         )
         assert record.base_model_fingerprint == base.fingerprint()
-        scores = oracle_candidate_scores(
-            base, pool, candidates, dataset, labeled, eval_examples,
-            TrainingMode.FINE_TUNE_UNION, config.selection_metric, scope,
-            spec=config.learner,
+        tasks = candidate_fits(
+            base, candidates, dataset, labeled, eval_examples, TrainingMode.FINE_TUNE_UNION, scope
         )
+        scores = fit_stacked(config.learner, tasks, metric=config.selection_metric).scores
         assert record.scores == tuple(scores)
         assert record.chosen_index == lowest_argmax(scores)
         pool = commit_selection(pool, candidates[record.chosen_index])
@@ -396,19 +397,47 @@ def test_lockstep_repeat_equals_its_single_run(case):
         assert all(log.truncated and log.records[-1].checkpoint is not None for log in logs)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_repeat_of_a_lockstep_run_equals_its_single_run(data):
+    iterations = data.draw(st.integers(1, 3))
+    policy = PolicySpec(
+        name=data.draw(st.sampled_from(list(PolicyName))),
+        epsilon=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        switch_after=data.draw(st.integers(0, iterations)),
+        training_mode=data.draw(st.sampled_from(list(TrainingMode))),
+    )
+    tagging = data.draw(st.booleans())
+    config = make_config(
+        policy,
+        iterations=iterations,
+        candidate_count=data.draw(st.integers(1, 4)),
+        set_size=data.draw(st.integers(1, 2)),
+        selection_metric=MetricKind.MACRO_F1 if tagging else MetricKind.ACCURACY,
+        master_seed=data.draw(st.integers(0, 2**63)),
+        # Three unlabeled ids run out within three iterations of two.
+        partition_sizes=(data.draw(st.integers(0, 6)), data.draw(st.sampled_from([3, 44])), 8, 6),
+        checkpoint_every=data.draw(st.integers(1, 3)),
+        log_oracle_scores=data.draw(st.booleans()),
+    )
+    dataset = tagging_dataset() if tagging else small_dataset()
+    seeds = [repeat_seed(config.master_seed, r) for r in range(data.draw(st.integers(1, 3)))]
+    logs = run_simulations(config, dataset, seeds)
+    assert len(logs) == len(seeds)
+    for seed, log in zip(seeds, logs):
+        alone = run_simulation(replace(config, master_seed=seed), dataset)
+        assert to_json(log) == to_json(alone)
+
+
 def phase_sizes(monkeypatch, config, dataset):
     """The number of models in each ``fit_stacked`` call of a 3-repeat run."""
     sizes = []
 
-    def counting(fit):
-        def wrapper(spec, tasks, **kwargs):
-            sizes.append(len(tasks))
-            return fit(spec, tasks, **kwargs)
+    def counting(spec, tasks, **kwargs):
+        sizes.append(len(tasks))
+        return fit_stacked(spec, tasks, **kwargs)
 
-        return wrapper
-
-    for module in (engine, policies):
-        monkeypatch.setattr(module, "fit_stacked", counting(module.fit_stacked))
+    monkeypatch.setattr(engine, "fit_stacked", counting)
     run_simulations(config, dataset, [1, 2, 3])
     return sizes
 

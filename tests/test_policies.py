@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from alol import policies
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import NanScoreError, SpecMismatchError, StaleCandidateError
 from alol.learners import LearnerFamily, LearnerSpec, ModelState, fit_stacked, initialize, train
@@ -219,33 +218,11 @@ def test_select_oracle_with_stub_scores():
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 3, 1, seed=1)
     stub = {0: 0.3, 1: 0.7, 2: 0.5}
-    scores = oracle_candidate_scores(
-        base,
-        pool,
-        candidates,
-        dataset,
-        [],
-        dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION,
-        MetricKind.ACCURACY,
-        seed=0,
-        scorer=lambda c: stub[c.candidate_index],
-    )
+    scores = oracle_candidate_scores(pool, candidates, lambda c: stub[c.candidate_index])
     assert scores == (0.3, 0.7, 0.5)
     assert lowest_argmax(scores) == 1
 
-    tie = oracle_candidate_scores(
-        base,
-        pool,
-        candidates[:2],
-        dataset,
-        [],
-        dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION,
-        MetricKind.ACCURACY,
-        seed=0,
-        scorer=lambda c: 0.5,
-    )
+    tie = oracle_candidate_scores(pool, candidates[:2], lambda c: 0.5)
     assert lowest_argmax(tie) == 0
 
 
@@ -253,17 +230,7 @@ def test_select_oracle_rejects_stale_candidates():
     dataset, pool, base = oracle_fixture()
     stale = [CandidateSet(ids=(0,), candidate_index=0)]  # id 0 is labeled
     with pytest.raises(StaleCandidateError):
-        oracle_candidate_scores(
-            base,
-            pool,
-            stale,
-            dataset,
-            [],
-            dataset.subset(pool.eval),
-            TrainingMode.FINE_TUNE_UNION,
-            MetricKind.ACCURACY,
-            seed=0,
-        )
+        oracle_candidate_scores(pool, stale, lambda c: 0.5)
 
 
 def test_oracle_modes_build_different_models():
@@ -271,59 +238,35 @@ def test_oracle_modes_build_different_models():
     candidates = sample_candidates(pool, 3, 1, seed=4)
     labeled = dataset.subset(pool.labeled)
     eval_set = dataset.subset(pool.eval)
-    union = oracle_candidate_scores(
-        base, pool, candidates, dataset, labeled, eval_set,
-        TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 7,
-    )
-    cand_only = oracle_candidate_scores(
-        base, pool, candidates, dataset, labeled, eval_set,
-        TrainingMode.FINE_TUNE_CANDIDATE_ONLY, MetricKind.ACCURACY, 7,
-    )
-    independent = oracle_candidate_scores(
-        None, pool, candidates, dataset, labeled, eval_set,
-        TrainingMode.INDEPENDENT_FROM_SCRATCH, MetricKind.ACCURACY, 7,
-        spec=linear_spec(),
-    )
+
+    def scores(model, mode):
+        tasks = candidate_fits(model, candidates, dataset, labeled, eval_set, mode, 7)
+        return fit_stacked(linear_spec(), tasks, metric=MetricKind.ACCURACY).scores
+
+    union = scores(base, TrainingMode.FINE_TUNE_UNION)
+    cand_only = scores(base, TrainingMode.FINE_TUNE_CANDIDATE_ONLY)
+    independent = scores(None, TrainingMode.INDEPENDENT_FROM_SCRATCH)
     assert len(union) == len(cand_only) == len(independent) == 3
     assert all(0.0 <= s <= 1.0 for s in union + cand_only + independent)
-
-
-def test_independent_mode_requires_spec_when_no_base():
-    dataset, pool, _ = oracle_fixture()
-    candidates = sample_candidates(pool, 2, 1, seed=5)
-    with pytest.raises(SpecMismatchError):
-        oracle_candidate_scores(
-            None, pool, candidates, dataset, [], dataset.subset(pool.eval),
-            TrainingMode.INDEPENDENT_FROM_SCRATCH, MetricKind.ACCURACY, 0,
-        )
+    # From scratch, the base is ignored.
+    assert scores(base, TrainingMode.INDEPENDENT_FROM_SCRATCH) == independent
 
 
 def test_fine_tune_modes_require_base():
     dataset, pool, _ = oracle_fixture()
     candidates = sample_candidates(pool, 2, 1, seed=5)
-    with pytest.raises(SpecMismatchError):
-        oracle_candidate_scores(
-            None, pool, candidates, dataset, [], dataset.subset(pool.eval),
-            TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-            spec=linear_spec(),
-        )
+    for mode in (TrainingMode.FINE_TUNE_UNION, TrainingMode.FINE_TUNE_CANDIDATE_ONLY):
+        with pytest.raises(SpecMismatchError):
+            candidate_fits(None, candidates, dataset, [], dataset.subset(pool.eval), mode, 0)
 
 
 def test_loss_oracle_minimizes_stub_loss():
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 3, 1, seed=6)
     losses = {0: 0.9, 1: 0.2, 2: 0.4}
-    scores = oracle_candidate_scores(
-        base, pool, candidates, dataset, [], dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: -losses[c.candidate_index], loss_based=True,
-    )
+    scores = oracle_candidate_scores(pool, candidates, lambda c: -losses[c.candidate_index])
     assert lowest_argmax(scores) == 1
-    equal = oracle_candidate_scores(
-        base, pool, candidates, dataset, [], dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: -0.5, loss_based=True,
-    )
+    equal = oracle_candidate_scores(pool, candidates, lambda c: -0.5)
     assert lowest_argmax(equal) == 0
 
 
@@ -331,15 +274,9 @@ def test_loss_oracle_agrees_with_oracle_under_calibrated_stub():
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 4, 1, seed=8)
     metric_stub = {0: 0.2, 1: 0.9, 2: 0.4, 3: 0.6}
-    by_metric = oracle_candidate_scores(
-        base, pool, candidates, dataset, [], dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: metric_stub[c.candidate_index],
-    )
+    by_metric = oracle_candidate_scores(pool, candidates, lambda c: metric_stub[c.candidate_index])
     by_loss = oracle_candidate_scores(
-        base, pool, candidates, dataset, [], dataset.subset(pool.eval),
-        TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, 0,
-        scorer=lambda c: -(1.0 - metric_stub[c.candidate_index]), loss_based=True,
+        pool, candidates, lambda c: -(1.0 - metric_stub[c.candidate_index])
     )
     assert lowest_argmax(by_metric) == lowest_argmax(by_loss)
 
@@ -409,12 +346,10 @@ def test_oracle_finds_informative_examples_on_rigged_data():
             candidates = sample_candidates(pool, 5, 1, scope)
             labeled = dataset.subset(pool.labeled)
             base = train(spec, labeled, eval_set, scope)
-            chosen = lowest_argmax(
-                oracle_candidate_scores(
-                    base, pool, candidates, dataset, labeled, eval_set,
-                    TrainingMode.FINE_TUNE_UNION, MetricKind.ACCURACY, scope,
-                )
+            tasks = candidate_fits(
+                base, candidates, dataset, labeled, eval_set, TrainingMode.FINE_TUNE_UNION, scope
             )
+            chosen = lowest_argmax(fit_stacked(spec, tasks, metric=MetricKind.ACCURACY).scores)
             kinds = {informative[c.ids[0]] for c in candidates}
             if len(kinds) == 2:
                 decided += 1
@@ -440,13 +375,14 @@ def test_stacked_scoring_matches_one_candidate_at_a_time(mode, loss_based):
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 5, 2, seed=6)
     labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
-    args = (base, pool, candidates, dataset, labeled, eval_set, mode, MetricKind.ACCURACY, 13)
-    stacked = oracle_candidate_scores(*args, spec=linear_spec(), loss_based=loss_based)
     tasks = candidate_fits(base, candidates, dataset, labeled, eval_set, mode, 13)
-    assert stacked == one_at_a_time(linear_spec(), tasks, MetricKind.ACCURACY, loss_based)
+    stacked = fit_stacked(linear_spec(), tasks, metric=MetricKind.ACCURACY, loss_based=loss_based)
+    assert tuple(stacked.scores) == one_at_a_time(
+        linear_spec(), tasks, MetricKind.ACCURACY, loss_based
+    )
 
 
-def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
+def test_ragged_candidates_are_scored_as_one_stack():
     spec = GenSpec(
         kind=GenKind.TOKEN_TAGGING,
         n=40,
@@ -464,22 +400,13 @@ def test_ragged_candidates_are_scored_as_one_stack(monkeypatch):
     learner = linear_spec(dim=3, classes=3)
     labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
     base = train(learner, labeled, eval_set, seed=1)
-    sizes = []
-
-    def counting(spec, tasks, **kwargs):
-        sizes.append(len(tasks))
-        return fit_stacked(spec, tasks, **kwargs)
-
-    monkeypatch.setattr(policies, "fit_stacked", counting)
     candidates = sample_candidates(pool, 4, 1, seed=2)
+    tasks = candidate_fits(
+        base, candidates, dataset, labeled, eval_set, TrainingMode.FINE_TUNE_UNION, 5
+    )
     for metric in MetricKind:
-        args = (base, pool, candidates, dataset, labeled, eval_set)
-        scores = oracle_candidate_scores(*args, TrainingMode.FINE_TUNE_UNION, metric, 5)
+        # One stack of all four, with the scores of fitting each candidate
+        # alone through fine_tune.
+        scores = fit_stacked(learner, tasks, metric=metric).scores
         assert len(scores) == 4
-        assert sizes == [4]
-        # The same scores as fitting each candidate alone through fine_tune.
-        tasks = candidate_fits(
-            base, candidates, dataset, labeled, eval_set, TrainingMode.FINE_TUNE_UNION, 5
-        )
-        assert one_at_a_time(learner, tasks, metric) == scores
-        sizes.clear()
+        assert one_at_a_time(learner, tasks, metric) == tuple(scores)

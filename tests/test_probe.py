@@ -2,9 +2,10 @@ import pytest
 
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import PoolExhaustedError, SpecMismatchError
-from alol.learners import LearnerFamily, LearnerSpec, train
+from alol import engine
+from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, train
 from alol.metrics import MetricKind
-from alol.policies import TrainingMode, lowest_argmax, oracle_candidate_scores
+from alol.policies import TrainingMode, candidate_fits, lowest_argmax
 from alol.pool import commit_selection, sample_candidates, split_dataset
 from alol.probe import (
     MrrConfig,
@@ -238,13 +239,31 @@ def test_one_stack_of_both_passes_matches_two_scoring_passes(mode):
         if mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
             base = train(learner, labeled, eval_examples, scope_ref)
         ref, alt = (
-            oracle_candidate_scores(
-                base, pool, candidates, dataset, labeled, eval_examples, mode,
-                MetricKind.ACCURACY, scope, spec=learner,
-            )
+            fit_stacked(
+                learner,
+                candidate_fits(base, candidates, dataset, labeled, eval_examples, mode, scope),
+            ).scores
             for scope in (scope_ref, derive_seed(seed_alt, iteration=i))
         )
         chosen = lowest_argmax(ref)
         ranks.append(rank_of(chosen, alt))
         pool = commit_selection(pool, candidates[chosen])
     assert report.ranks == tuple(ranks)
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+def test_probe_fits_one_base_and_one_candidate_stack_per_iteration(monkeypatch, mode):
+    # The probe runs the engine's step: a base stack of one model, then
+    # both passes' candidates as one stack of 2K.
+    sizes = []
+
+    def counting(spec, tasks, **kwargs):
+        sizes.append(len(tasks))
+        return fit_stacked(spec, tasks, **kwargs)
+
+    monkeypatch.setattr(engine, "fit_stacked", counting)
+    config = make_config(iterations=3, training_mode=mode)
+    report = run_mrr_probe(config, cluster_dataset())
+    assert len(report.ranks) == 3
+    per_iteration = [8] if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH else [1, 8]
+    assert sizes == per_iteration * 3
