@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import AlolError, GenerationError, SchemaError
 from .pool import Dataset, Example
 from .rng import PURPOSE_SAMPLE, SplitMix64, derive_seed
+from .schema import from_json
 
 
 class GenKind(enum.Enum):
@@ -137,12 +138,27 @@ def save_provenance(informative: dict[int, bool], path) -> None:
             handle.write(json.dumps(line, separators=(",", ":")) + "\n")
 
 
+@dataclass(frozen=True)
+class ProvenanceRecord:
+    """One sidecar line."""
+
+    id: int
+    informative: bool
+
+
 def load_provenance(path) -> dict[int, bool]:
+    """Read the sidecar. Each line is decoded by ``schema.from_json`` as a
+    ``ProvenanceRecord``; a line that is not one raises ``AlolError``
+    naming it."""
     out: dict[int, bool] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                record = json.loads(line)
-                out[int(record["id"])] = bool(record["informative"])
+            if not line:
+                continue
+            try:
+                record = from_json(ProvenanceRecord, json.loads(line))
+            except (json.JSONDecodeError, SchemaError) as exc:
+                raise AlolError(f"{path}:{lineno}: {exc}") from None
+            out[record.id] = record.informative
     return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -157,14 +158,38 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _affine(layers: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the transposed weight and the bias-row views of the
+    ``_unpack`` views ``layers``."""
+    return [(w.swapaxes(-1, -2), b[..., None, :]) for w, b in layers]
+
+
+def _forward(affine, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Logits for (tokens, dim) rows; also the hidden activations for mlp.
+    Under ``_affine`` views of a stack with leading axes L, the logits are
+    ``(*L, tokens, classes)``, for shared rows or for rows with a leading
+    model axis that broadcasts against L, each slice bit-equal to one
+    model's."""
+    (w_t, b), *out_layer = affine
+    z = np.matmul(x, w_t)
+    z += b
+    if not out_layer:
+        return z, None
+    hidden = np.tanh(z, out=z)
+    (w_t, b), = out_layer
+    z = np.matmul(hidden, w_t)
+    z += b
+    return z, hidden
+
+
 class _Workspace:
     """A ``(P,)`` vector or ``(K, P)`` stack of parameters with its layer
     views, taken once, and a gradient buffer of the same shape and views.
 
     Steps write through the views in place, so a stack that loses models
-    takes a new workspace from ``keep``. Every float operation and matmul
-    operand layout is that of the plain expressions: only destinations
-    differ, which leaves every bit the same.
+    takes a new workspace from ``keep``, on its last rows. Every float
+    operation and matmul operand layout is that of the plain expressions:
+    only destinations differ, which leaves every bit the same.
     """
 
     def __init__(self, spec: LearnerSpec, params: np.ndarray) -> None:
@@ -172,26 +197,15 @@ class _Workspace:
         self.params = params
         self.grad = np.empty_like(params)
         self.layers = _unpack(spec, params)
-        self.affine = [(w.swapaxes(-1, -2), b[..., None, :]) for w, b in self.layers]
+        self.affine = _affine(self.layers)
         self.grads = _unpack(spec, self.grad)
 
     def keep(self, rows: list[int]) -> _Workspace:
-        return _Workspace(self.spec, self.params[rows])
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Logits for (tokens, dim) rows; also the hidden activations for mlp.
-        A stack gives ``(K, tokens, classes)`` logits, for shared rows or
-        per-model ``(K, tokens, dim)`` rows, each slice bit-equal to one model's."""
-        (w_t, b), *out_layer = self.affine
-        z = np.matmul(x, w_t)
-        z += b
-        if not out_layer:
-            return z, None
-        hidden = np.tanh(z, out=z)
-        (w_t, b), = out_layer
-        z = np.matmul(hidden, w_t)
-        z += b
-        return z, hidden
+        """The workspace of the models at ``rows``, moved in place to the
+        last rows of this one's stack."""
+        kept = self.params[len(self.params) - len(rows) :]
+        kept[...] = self.params[rows]
+        return _Workspace(self.spec, kept)
 
     def gradient(self, x: np.ndarray, one_hot: np.ndarray, real: np.ndarray | None) -> np.ndarray:
         """Gradient of the mean token cross-entropy, written into ``grad``.
@@ -201,7 +215,7 @@ class _Workspace:
         hold tokens when the others are zero padding: each model's mean is
         then over its real rows, and padded rows add exact zeros to the sums.
         """
-        z, hidden = self.forward(x)
+        z, hidden = _forward(self.affine, x)
         delta = np.exp(_log_softmax(z), out=z)
         # Subtracting False (0.0) leaves every non-gold entry unchanged.
         delta -= one_hot
@@ -240,24 +254,30 @@ def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
     return y[..., None] == np.arange(spec.class_count)
 
 
-def _scores(work: _Workspace, evals, metric: MetricKind) -> list[float]:
+def _scores(spec: LearnerSpec, affine, evals, metric: MetricKind) -> list[list[float]]:
     """Each model's ``metric`` on its eval tokens, scored from its argmax
-    predictions. ``evals`` holds the shared ``(m, dim)`` or per-model
-    ``(K, m, dim)`` rows, the ``(K, m)`` labels, padded at the end with -1,
-    and each model's token total and example bounds."""
+    predictions, for every snapshot of a ``(W, K, P)`` stack, given by its
+    ``_affine`` views: W copies of the K models, one per epoch of a window.
+    ``evals`` holds the shared ``(m, dim)`` or per-model ``(K, m, dim)``
+    rows, the ``(K, m)`` labels, padded at the end with -1, and each
+    model's token total and example bounds. Returns W lists of K scores,
+    each that of one model alone."""
     x, y, totals, bounds = evals
-    preds = work.forward(x)[0].argmax(axis=-1)
+    preds = _forward(affine, x)[0].argmax(axis=-1)
     if metric is MetricKind.ACCURACY:
         # Exact hit counts over the real tokens, as no prediction equals
         # the padding label -1: the same floats as np.mean.
         return (np.count_nonzero(preds == y, axis=-1) / totals).tolist()
     if metric is MetricKind.EXACT_MATCH:
         return [
-            score(np.split(p[:t], b[:-1]), np.split(g[:t], b[:-1]), metric)
-            for p, g, t, b in zip(preds, y, totals, bounds)
+            [
+                score(np.split(p[:t], b[:-1]), np.split(g[:t], b[:-1]), metric)
+                for p, g, t, b in zip(snapshot, y, totals, bounds)
+            ]
+            for snapshot in preds
         ]
-    # One count of the whole stack; padded tokens are left out of it.
-    classes = work.spec.class_count
+    # One count of every snapshot; padded tokens are left out of it.
+    classes = spec.class_count
     counts = confusion_counts(preds, y, classes)
     if metric is MetricKind.MACRO_F1:
         return macro_f1_from_counts(counts, range(classes)).tolist()
@@ -265,7 +285,7 @@ def _scores(work: _Workspace, evals, metric: MetricKind) -> list[float]:
 
 
 def _mean_loss(spec: LearnerSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    logp = _log_softmax(_Workspace(spec, params).forward(x)[0])
+    logp = _log_softmax(_forward(_affine(_unpack(spec, params)), x)[0])
     return float(-logp[np.arange(x.shape[0]), y].mean())
 
 
@@ -317,9 +337,12 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
 
     Model k's ``shared + extra`` sit in row k of one ``(K, n, width, dim)``
     array, each example padded to the widest token count with zero rows of
-    label -1; each epoch gathers the active models' shuffled rows from it
-    once. Batches yield ``(x, gold, real)``, where ``real`` marks the token
-    rows, or is None when no example needed padding.
+    label -1. A window gathers the active models' shuffled rows of all its
+    epochs from it at once, laid out ``(W, A, n * width, dim)`` so that
+    each epoch's block is contiguous, and yields each epoch's batches
+    ``(x, gold, real)``, where ``real`` marks the token rows, or is None
+    when no example needed padding. Returns the floats that one model's
+    epoch gathers, and the window source.
     """
     lists = _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
     width = max((ex.token_count for examples in lists for ex in examples), default=0)
@@ -335,18 +358,24 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     gold_all = _one_hot(spec, y_all)
     real_all = y_all >= 0
     padded = not real_all.all()
-    step = BATCH_SIZE * width
+    slices = [slice(i * width, (i + BATCH_SIZE) * width) for i in range(0, n, BATCH_SIZE)]
 
-    def batches(active: list[int], orders: list[list[int]]):
-        picked = (np.array(active)[:, None], np.array(orders))
-        x = x_all[picked].reshape(len(active), -1, spec.input_dim)
-        gold = gold_all[picked].reshape(len(active), -1, spec.class_count)
-        real = real_all[picked].reshape(len(active), -1) if padded else None
-        for start in range(0, x.shape[1], step):
-            rows = slice(start, start + step)
-            yield x[:, rows], gold[:, rows], None if real is None else real[:, rows]
+    def window(active: np.ndarray, orders: np.ndarray) -> list:
+        # orders[w, a]: the shuffle order of active model a in epoch w.
+        picked = (active[:, None], orders)
+        shape = (*orders.shape[:2], -1)
+        x = x_all[picked].reshape(*shape, spec.input_dim)
+        gold = gold_all[picked].reshape(*shape, spec.class_count)
+        real = real_all[picked].reshape(shape) if padded else None
+        return [
+            [
+                (x[w, :, rows], gold[w, :, rows], None if real is None else real[w, :, rows])
+                for rows in slices
+            ]
+            for w in range(len(orders))
+        ]
 
-    return batches
+    return n * width * (spec.input_dim + 1), window
 
 
 def _pooled_evals(spec: LearnerSpec, tasks: Sequence[FitTask]):
@@ -368,9 +397,11 @@ def _pooled_evals(spec: LearnerSpec, tasks: Sequence[FitTask]):
     return x, y, totals, [bounds for _, _, bounds in pooled], of
 
 
-# Epochs whose shuffle orders are drawn together; a model that stops
-# within a block wastes the rest of its orders there.
-SHUFFLE_BLOCK = 8
+# Floats a window may hold in each of its arrays: the activations and
+# argmax of the eval tokens it scores, over every snapshot, and the
+# training rows it gathers, over every epoch. The scoring pass's
+# temporaries set the peak memory.
+WINDOW_FLOATS = 2**16
 
 
 def _sgd(
@@ -385,14 +416,27 @@ def _sgd(
     order each epoch, its own eval list and its own early stop, after which
     it leaves the stack. The tasks share one training length; one task of
     any token counts is the one-model case, and empty training lists fit
-    for zero epochs. The stack steps in place through one ``_Workspace``;
-    stopped models are written back to ``params`` and the rest copied into
-    a new one. Each epoch scores the stack with ``_scores``. Returns each
-    model's epoch shuffle seeds and last eval score.
+    for zero epochs.
+
+    The stack runs in windows of epochs in which no model can stop. A
+    model at plateau p stops no sooner than ``patience - p`` epochs on, as
+    its plateau rises by at most one per epoch, so a window lasts the least
+    of these over the A active models, cut to ``max_epochs`` and to
+    ``WINDOW_FLOATS``. It gathers the batch rows of all its epochs at once
+    and steps the stack in place through one ``_Workspace``, whose
+    parameters are the last A rows of a buffer of snapshots: after each
+    epoch but the last it copies them into the rows before, so that the
+    window's last W·A rows are its ``(W, A, P)`` stack of snapshots, which
+    one ``_scores`` pass scores. The plateau and best score are then
+    replayed epoch by epoch, as a loop scoring each epoch would. Models
+    that stop, all at the window's end, are written back to ``params`` and
+    the workspace keeps the rest. Each model's shuffle orders are drawn as
+    far as it surely runs, when they cannot cover the window, so none go
+    unused. Returns each model's epoch shuffle seeds and last eval score.
     """
     if any(not t.eval_examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
-    batches = _stacked_batches(spec, tasks)
+    train_floats, window_batches = _stacked_batches(spec, tasks)
     n = len(tasks[0].shared) + len(tasks[0].extra)
     shuffle_seeds = derive_seeds(
         np.array([t.seed & MASK64 for t in tasks], dtype=np.uint64)[:, None],
@@ -411,34 +455,81 @@ def _sgd(
             x, y = eval_x[picked], eval_y[picked]
         return x, y, eval_totals[picked], [eval_bounds[e] for e in picked]
 
-    work = _Workspace(spec, params.copy())
+    # Model-epochs per window: each gathers its training rows and scores
+    # its eval rows, of hidden and class activations and an argmax.
+    eval_floats = eval_y.shape[1] * (spec.hidden_dim + spec.class_count + 1)
+    room = max(1, WINDOW_FLOATS // max(train_floats, eval_floats))
+    # Rows for the W·A snapshots of the largest window; the workspace
+    # steps the last A rows in place.
+    longest = min(spec.patience, spec.max_epochs)
+    snapshots = np.empty((max(len(tasks), min(room, len(tasks) * longest)), params.shape[1]))
+    work = _Workspace(spec, snapshots[len(snapshots) - len(tasks) :])
+    work.params[...] = params
+    stacks: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
+
+    def stack(window: int):
+        # The (W, A, P) view of the last W·A snapshot rows, and its _affine views.
+        shape = (window, len(active))
+        if shape not in stacks:
+            view = snapshots[len(snapshots) - window * len(active) :].reshape(*shape, -1)
+            stacks[shape] = view, _affine(_unpack(spec, view))
+        return stacks[shape]
+
+    def train(window: int, orders: np.ndarray) -> list:
+        # Steps the window's epochs; returns the _affine views of its
+        # snapshots, once its gathered rows are freed.
+        view, affine = stack(window)
+        for w, batches in enumerate(window_batches(np.array(active), orders)):
+            for x, gold, real in batches:
+                work.step(x, gold, real)
+            if w < window - 1:
+                view[w] = work.params
+        return affine
+
     active = list(range(len(tasks)))
     evals = gather(active)
-    best = _scores(work, evals, metric)
+    best = _scores(spec, stack(1)[1], evals, metric)[0]
     last = list(best)
-    plateau = [0] * len(tasks)
     epochs = [0] * len(tasks)
-    for epoch in range(spec.max_epochs if n else 0):
-        offset = epoch % SHUFFLE_BLOCK
-        if offset == 0:
-            block = shuffle_seeds[active, epoch : epoch + SHUFFLE_BLOCK]
-            drawn = iter(shuffled_ranges(block.ravel().tolist(), n))
-            pending = {k: [next(drawn) for _ in range(block.shape[1])] for k in active}
-        for x, gold, real in batches(active, [pending[k][offset] for k in active]):
-            work.step(x, gold, real)
-        kept = []
-        for row, (k, current) in enumerate(zip(active, _scores(work, evals, metric))):
-            epochs[k] = epoch + 1
+    # Per active row: its plateau, best score and the shuffle orders drawn
+    # for its next epochs.
+    plateau = [0] * len(tasks)
+    queued: list[list[list[int]]] = [[] for _ in tasks]
+    epoch, end = 0, spec.max_epochs if n else 0
+    while epoch < end:
+        window = max(1, min(spec.patience - max(plateau), end - epoch, room // len(active)))
+        if min(map(len, queued)) < window:
+            # Each model draws as far as it surely runs.
+            lives = [min(spec.patience - p, end - epoch) for p in plateau]
+            seeds = [
+                seed
+                for k, queue, life in zip(active, queued, lives)
+                for seed in shuffle_seeds[k, epoch + len(queue) : epoch + life].tolist()
+            ]
+            drawn = iter(shuffled_ranges(seeds, n))
+            for queue, life in zip(queued, lives):
+                queue += islice(drawn, life - len(queue))
+        orders = np.array([queue[:window] for queue in queued]).swapaxes(0, 1)
+        for queue in queued:
+            del queue[:window]
+        scored = _scores(spec, train(window, orders), evals, metric)
+        for row in scored:
+            for r, current in enumerate(row):
+                # Significant improvement means beating the best score so
+                # far by at least stop_epsilon; patience counts consecutive
+                # misses.
+                plateau[r] = 0 if current - best[r] >= spec.stop_epsilon else plateau[r] + 1
+                best[r] = max(best[r], current)
+        epoch += window
+        for k, current in zip(active, scored[-1]):
+            epochs[k] = epoch
             last[k] = current
-            # Significant improvement means beating the best score so far
-            # by at least stop_epsilon; patience counts consecutive misses.
-            plateau[k] = 0 if current - best[k] >= spec.stop_epsilon else plateau[k] + 1
-            best[k] = max(best[k], current)
-            if plateau[k] < spec.patience:
-                kept.append(row)
+        kept = [r for r, p in enumerate(plateau) if p < spec.patience]
         if len(kept) < len(active):
             params[active] = work.params
-            active = [active[row] for row in kept]
+            active, plateau, best, queued = (
+                [state[r] for r in kept] for state in (active, plateau, best, queued)
+            )
             work = work.keep(kept)
             if not active:
                 break
@@ -556,7 +647,7 @@ def fit_stacked(
 def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
     """Per-token softmax distributions, shape (token_count, class_count)."""
     _check_examples(model.spec, [example])
-    z, _ = _Workspace(model.spec, model.parameters).forward(example.features)
+    z, _ = _forward(_affine(_unpack(model.spec, model.parameters)), example.features)
     return np.exp(_log_softmax(z), out=z)
 
 
@@ -569,8 +660,8 @@ def evaluate(
         raise EmptyEvalError("evaluate needs at least one example")
     _check_examples(model.spec, examples)
     x, y, bounds = _pool_tokens(examples)
-    work = _Workspace(model.spec, model.parameters[None])
-    return _scores(work, (x, y[None], [len(y)], [bounds]), metric)[0]
+    affine = _affine(_unpack(model.spec, model.parameters[None, None]))
+    return _scores(model.spec, affine, (x, y[None], [len(y)], [bounds]), metric)[0][0]
 
 
 def loss(model: ModelState, examples: Sequence[Example]) -> float:

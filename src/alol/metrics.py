@@ -51,14 +51,19 @@ def confusion_counts(predictions: np.ndarray, golds: np.ndarray, size: int) -> n
     """Token counts by gold and predicted label, ``[..., gold, predicted]``.
 
     ``predictions`` and ``golds`` are ``(..., n)`` arrays of labels in
-    ``[0, size)``, one count table per leading index. Tokens whose gold
-    label is -1 are padding and are not counted.
+    ``[0, size)`` that broadcast together, one count table per leading
+    index. Tokens whose gold label is -1 are padding and are not counted.
     """
-    lead = golds.shape[:-1]
+    lead = np.broadcast_shapes(predictions.shape, golds.shape)[:-1]
     tables = int(np.prod(lead, dtype=np.int64))
-    cells = (np.arange(tables).reshape(lead + (1,)) * size + golds) * size + predictions
-    counts = np.bincount(cells[golds >= 0], minlength=tables * size * size)
-    return counts.reshape(lead + (size, size))
+    # Each table counts gold -1 too, in a row before gold 0 that is then
+    # dropped, so no mask is needed: the cell indices are the only
+    # temporary of the broadcast shape, built in place.
+    cells = np.arange(0, tables * (size + 1) * size, (size + 1) * size).reshape(lead + (1,))
+    cells = cells + predictions
+    cells += (golds + 1) * size
+    counts = np.bincount(cells.ravel(), minlength=tables * (size + 1) * size)
+    return counts.reshape(lead + (size + 1, size))[..., 1:, :]
 
 
 def macro_f1_from_counts(counts: np.ndarray, classes: Sequence[int]) -> np.ndarray:

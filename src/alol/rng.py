@@ -43,10 +43,14 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """``_mix`` over uint64 arrays, whose arithmetic wraps modulo 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """``_mix`` over a uint64 array, whose arithmetic wraps modulo 2**64,
+    in place in ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_draws(seeds: Sequence[int], count: int) -> np.ndarray:
@@ -67,16 +71,17 @@ def draws_below(seeds: Sequence[int], bounds: Sequence[int]) -> list[list[int]]:
     rejected draw is drawn again by the scalar stream.
     """
     bound = np.asarray(bounds, dtype=np.uint64)
-    if np.any(bound == 0):
+    if not bound.all():
         raise ValueError("bounds must be positive")
     draws = stream_draws(seeds, bound.size)
-    # next_below accepts draws below 2**64 - 2**64 % bound, that is up to
+    # next_below rejects draws from 2**64 - 2**64 % bound on, that is above
     # ~(2**64 % bound) in uint64, where (0 - bound) % bound is 2**64 % bound.
-    accepted = (draws <= ~((np.uint64(0) - bound) % bound)).all(axis=1)
+    rejected = draws > ~((np.uint64(0) - bound) % bound)
     rows = (draws % bound).tolist()
-    for index in np.flatnonzero(~accepted).tolist():
-        stream = SplitMix64(seeds[index])
-        rows[index] = [stream.next_below(int(b)) for b in bound.tolist()]
+    if rejected.any():
+        for index in np.flatnonzero(rejected.any(axis=1)).tolist():
+            stream = SplitMix64(seeds[index])
+            rows[index] = [stream.next_below(int(b)) for b in bound.tolist()]
     return rows
 
 

@@ -11,7 +11,7 @@ from alol.datagen import (
     load_provenance,
     save_provenance,
 )
-from alol.errors import GenerationError
+from alol.errors import AlolError, GenerationError
 from alol.pool import load_dataset, save_dataset
 
 
@@ -188,6 +188,31 @@ def test_provenance_bytes_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     lines = first.read_text().splitlines()
     assert json.loads(lines[0]) == {"id": 0, "informative": True}
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ('{"id": 2, "informative": "false"}', "informative"),
+        ('{"id": 2.5, "informative": false}', "id"),
+        ('{"id": 2}', "informative"),
+        ('{"id": 2, "informative": false, "extra": 1}', "extra"),
+        ('[2, false]', "JSON object"),
+        ('{"id": 2, "informative": fals', "Expecting"),
+    ],
+)
+def test_provenance_bad_line_raises_naming_it(tmp_path, bad, key):
+    # These used to read as informative, as id 2, or raise KeyError.
+    path = tmp_path / "prov.jsonl"
+    path.write_text('{"id": 0, "informative": true}\n\n' + bad + "\n")
+    with pytest.raises(AlolError, match=rf"prov\.jsonl:3: .*{key}"):
+        load_provenance(path)
+
+
+def test_provenance_reads_integral_ids(tmp_path):
+    path = tmp_path / "prov.jsonl"
+    path.write_text('{"id": 4.0, "informative": false}\n')
+    assert load_provenance(path) == {4: False}
 
 
 def test_generated_dataset_survives_jsonl_round_trip(tmp_path):

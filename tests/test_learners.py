@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from alol.learners import (
     predict_distribution,
     train,
 )
+from alol import learners
 from alol.learners import _init_params, _Workspace
 from alol.metrics import MetricKind, score
 from alol.pool import Example
-from alol.rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed
+from alol.rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed, shuffled_ranges
 
 LINEAR = LearnerSpec(
     family=LearnerFamily.LINEAR_SOFTMAX, input_dim=2, class_count=2, learning_rate=0.5
@@ -573,6 +575,78 @@ def test_train_matches_plain_reference_loop(spec, ragged):
         assert model == reference_train(spec, examples, eval_set, 17, metric)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_windowed_fits_equal_the_plain_loop(data):
+    # Windows are cut by patience, by max_epochs and, with a small
+    # WINDOW_FLOATS, by the floats they may hold; each stacked model must
+    # still be the plain one-epoch-at-a-time loop's, bit for bit.
+    spec = replace(
+        data.draw(st.sampled_from([LINEAR, MLP])),
+        patience=data.draw(st.integers(1, 5)),
+        max_epochs=data.draw(st.integers(1, 12)),
+        stop_epsilon=data.draw(st.sampled_from([1e-4, 0.02, 0.1, 0.5])),
+    )
+    metric = data.draw(st.sampled_from(list(MetricKind)))
+    loss_based = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    ragged = data.draw(st.booleans())
+    ids = iter(range(10**6))
+
+    def example_list(count):
+        # Ragged examples hold 2-4 tokens. A one-token batch or eval list
+        # alone takes another BLAS kernel than the same row padded in a
+        # stack, which can change the last bits of an MLP (CHANGES.md).
+        widths = rng.integers(2, 5, size=count) if ragged else [2] * count
+        return [tokens(next(ids), rng, int(w)) for w in widths]
+
+    n = data.draw(st.integers(1, 12))
+    # One eval list for every model, or a few of different token totals.
+    lists = data.draw(st.integers(1, 3))
+    evals = [example_list(data.draw(st.integers(1, 8))) for _ in range(lists)]
+    tasks = [
+        FitTask(None, [], example_list(n), evals[data.draw(st.integers(0, lists - 1))], k)
+        for k in range(data.draw(st.integers(1, 6)))
+    ]
+    floats = data.draw(st.sampled_from([1, 200, 2000, learners.WINDOW_FLOATS]))
+    with mock.patch.object(learners, "WINDOW_FLOATS", floats):
+        fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
+    for k, task in enumerate(tasks):
+        plain = reference_train(spec, task.extra, task.eval_examples, task.seed, metric)
+        value = -loss(plain, task.eval_examples) if loss_based else evaluate(
+            plain, task.eval_examples, metric
+        )
+        assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
+        assert fit.lineages[k] == list(plain.seed_lineage)
+        assert fit.scores[k] == value
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_every_drawn_shuffle_order_is_used(spec, monkeypatch):
+    # Orders are drawn as far as each model surely runs, so the orders
+    # passed through shuffled_ranges are exactly the epochs the models ran.
+    drawn = []
+
+    def counting(seeds, n):
+        drawn.extend(seeds)
+        return shuffled_ranges(seeds, n)
+
+    monkeypatch.setattr(learners, "shuffled_ranges", counting)
+    rng = np.random.default_rng(3)
+    eval_set = [tokens(100 + i, rng, 1 + i % 3) for i in range(10)]
+    for patience, epsilon in ((2, 1e-4), (5, 0.05), (40, 1e-4)):
+        spec = replace(spec, patience=patience, stop_epsilon=epsilon, max_epochs=60)
+        tasks = [
+            FitTask(None, [], [tokens(10 * k + i, rng, 2) for i in range(9)], eval_set, k)
+            for k in range(6)
+        ]
+        drawn.clear()
+        fit = fit_stacked(spec, tasks, metric=MetricKind.TOKEN_F1)
+        ran = [seed for lineage in fit.lineages for seed in lineage[1:]]
+        assert sorted(drawn) == sorted(ran)
+        assert len({len(lineage) for lineage in fit.lineages}) > 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
@@ -742,17 +816,19 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
         work.step(x, gold, real)
         assert work.params.tobytes() == stack.tobytes()
-    # After models leave, steps must update the kept copy, not the old stack.
+    # After models leave, the kept models move to the last rows of the
+    # stack, and steps update them there.
     kept = [0, 2, 5, 6] if models == 7 else [0]
     old = work.params
-    before = old.copy()
     work, stack = work.keep(kept), stack[kept]
+    assert np.shares_memory(work.params, old)
+    assert work.params.tobytes() == stack.tobytes()
     for _ in range(2):
         x, gold, real = batch(len(kept), BATCH_SIZE)
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
         work.step(x, gold, real)
         assert work.params.tobytes() == stack.tobytes()
-    assert old.tobytes() == before.tobytes()
+    assert old[len(old) - len(kept) :].tobytes() == stack.tobytes()
     # The public gradient is the one-model case of the same code.
     if not padded:
         model = ModelState(spec=spec, parameters=stack[0], seed_lineage=())
