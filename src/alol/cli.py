@@ -69,7 +69,7 @@ def _parse(path: str, command: str, cls, own=None) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _CliFailure(2, f"{path}: malformed JSON ({exc})") from None
     if not isinstance(data, dict):
         raise _CliFailure(2, f"{path}: top level must be a JSON object")
@@ -112,8 +112,11 @@ def _curve_csv(curve, policy_label: str, seed: int) -> str:
 
 
 def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(2, f"{path}: not UTF-8 text ({exc})") from None
     if not lines or lines[0] != "labeled_size,metric,policy,seed":
         raise _CliFailure(2, f"{path}: expected header 'labeled_size,metric,policy,seed'")
     label = Path(path).stem
@@ -154,8 +157,18 @@ def cmd_gen_data(args) -> int:
     _refuse_overwrite([out, sidecar], args.force)
     dataset, informative = datagen.generate(spec)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(dataset, out)
-    datagen.save_provenance(informative, sidecar)
+    # Both files are written under temporary names beside their targets,
+    # then moved into place, the sidecar first: a crash leaves no
+    # half-written file and no dataset without its sidecar.
+    temporary = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (out, sidecar)}
+    try:
+        save_dataset(dataset, temporary[out])
+        datagen.save_provenance(informative, temporary[sidecar])
+        os.replace(temporary[sidecar], sidecar)
+        os.replace(temporary[out], out)
+    finally:
+        for path in temporary.values():
+            path.unlink(missing_ok=True)
     return 0
 
 

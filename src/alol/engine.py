@@ -32,7 +32,15 @@ from .errors import (
     SpecMismatchError,
     UndefinedPointError,
 )
-from .learners import FitTask, LearnerSpec, ModelState, evaluate, fit_stacked
+from .learners import (
+    FitTask,
+    LearnerSpec,
+    ModelState,
+    TokenRows,
+    evaluate,
+    fit_stacked,
+    token_rows,
+)
 from .learners import train  # noqa: F401  (bench/tracing.py wraps this name)
 from .metrics import MetricKind
 from .policies import (
@@ -128,11 +136,12 @@ class RunLog:
 
 @dataclass(eq=False)
 class _Run:
-    """One run's state while the lockstep loop advances it."""
+    """One run's state while the lockstep loop advances it. Every fit of
+    the run stops on ``eval_rows``, its eval partition pooled once."""
 
     master: int
     pool: PoolState
-    eval_examples: list[Example]
+    eval_rows: TokenRows
     report_examples: list[Example]
     initial_labeled_ids: tuple[int, ...]
     initial_checkpoint: float = 0.0
@@ -174,7 +183,7 @@ def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Ru
             None,
             dataset.subset(run.pool.labeled),
             [],
-            run.eval_examples,
+            run.eval_rows,
             derive_seed(run.master, iteration=i, run=RUN_CHECKPOINT),
         )
         for run, i in due
@@ -205,13 +214,15 @@ _ORACLE_BRANCH = {PolicyName.EPSILON_GREEDY: "exploit", PolicyName.ORACLE_SWITCH
 
 
 def _start(config: SimulationConfig, dataset: Dataset, master: int) -> _Run:
-    """A run's split of ``dataset`` at ``master``, before its first iteration."""
+    """A run's split of ``dataset`` at ``master``, before its first
+    iteration, with its eval rows pooled and checked against the learner."""
     if config.learner.input_dim != dataset.feature_dim:
         raise SpecMismatchError(
             f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
         )
     pool = split_dataset(dataset, config.partition_sizes, master)
-    return _Run(master, pool, dataset.subset(pool.eval), dataset.subset(pool.report), pool.labeled)
+    eval_rows = token_rows(config.learner, dataset.subset(pool.eval))
+    return _Run(master, pool, eval_rows, dataset.subset(pool.report), pool.labeled)
 
 
 def _sample(config: SimulationConfig, dataset: Dataset, i: int, live: list[_Run]) -> list[_Step]:
@@ -250,7 +261,7 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
         if (s.outcome is None and name is PolicyName.UNCERTAINTY)
         or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
     ]
-    base_tasks = [FitTask(None, s.labeled, [], s.run.eval_examples, s.scope) for s in needs_base]
+    base_tasks = [FitTask(None, s.labeled, [], s.run.eval_rows, s.scope) for s in needs_base]
     bases = _train_all(config.learner, base_tasks, config.selection_metric)
     for s, model in zip(needs_base, bases):
         s.base = model
@@ -259,7 +270,7 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
         for s in scored
         for scope in (s.scope, *s.extra_scopes)
         for task in candidate_fits(
-            s.base, s.candidates, dataset, s.labeled, s.run.eval_examples, mode, scope
+            s.base, s.candidates, dataset, s.labeled, s.run.eval_rows, mode, scope
         )
     ]
     if not tasks:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +124,8 @@ class ModelState:
 
 
 def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
+    """Raise ``SpecMismatchError`` naming the first example that does not
+    fit ``spec``."""
     for ex in examples:
         if ex.features.shape[1] != spec.input_dim:
             raise SpecMismatchError(
@@ -135,6 +136,41 @@ def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
         raise SpecMismatchError(
             f"example {ex.id}: label {int(ex.labels.max())} >= class_count {spec.class_count}"
         )
+
+
+def _check_rows(spec: LearnerSpec, examples, x: np.ndarray, y: np.ndarray) -> None:
+    """``_check_examples`` of ``examples`` from their pooled or padded
+    feature rows ``x`` and labels ``y`` (padding labels are -1): two array
+    checks, and the per-example loop only to name the one that fails."""
+    if y.size and (x.shape[-1] != spec.input_dim or y.max() >= spec.class_count):
+        _check_examples(spec, examples)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenRows:
+    """The tokens of ``examples`` pooled once: ``(m, dim)`` feature rows,
+    ``(m,)`` labels and each example's end bound in them."""
+
+    examples: Sequence[Example]
+    x: np.ndarray
+    y: np.ndarray
+    bounds: np.ndarray
+
+
+def token_rows(spec: LearnerSpec, examples: Sequence[Example]) -> TokenRows:
+    """``examples`` pooled and checked against ``spec``: what a fit stops
+    on, and what ``evaluate``, ``loss`` and ``gradient`` take their rows
+    from. A run pools its eval list once for all its fits."""
+    if examples:
+        x = np.concatenate([ex.features for ex in examples], axis=0)
+        y = np.concatenate([ex.labels for ex in examples])
+    else:
+        x, y = np.empty((0, spec.input_dim)), np.empty(0, dtype=np.int64)
+    _check_rows(spec, examples, x, y)
+    # Every fit of a run reads these rows; none may write them.
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return TokenRows(examples, x, y, np.cumsum([ex.token_count for ex in examples]))
 
 
 def _unpack(spec: LearnerSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -152,9 +188,10 @@ def _unpack(spec: LearnerSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in place in ``z``."""
-    z -= z.max(axis=-1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, in place in ``z``. The reductions are
+    those of ``z.max`` and ``z.sum``, called without their wrappers."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
     return z
 
 
@@ -207,13 +244,15 @@ class _Workspace:
         kept[...] = self.params[rows]
         return _Workspace(self.spec, kept)
 
-    def gradient(self, x: np.ndarray, one_hot: np.ndarray, real: np.ndarray | None) -> np.ndarray:
+    def gradient(self, x: np.ndarray, one_hot: np.ndarray, real) -> np.ndarray:
         """Gradient of the mean token cross-entropy, written into ``grad``.
 
         ``one_hot`` holds the ``_one_hot`` gold labels of the rows of ``x``;
-        a stack takes ``(K, rows, dim)`` rows. ``real`` marks the rows that
-        hold tokens when the others are zero padding: each model's mean is
-        then over its real rows, and padded rows add exact zeros to the sums.
+        a stack takes ``(K, rows, dim)`` rows. When the rows other than the
+        tokens are zero padding, ``real`` is the pair of a mask of the token
+        rows and each model's count of them, else None: each model's mean
+        is then over its real rows, and padded rows add exact zeros to the
+        sums.
         """
         z, hidden = _forward(self.affine, x)
         delta = np.exp(_log_softmax(z), out=z)
@@ -222,8 +261,9 @@ class _Workspace:
         if real is None:
             delta /= x.shape[-2]
         else:
-            delta /= np.count_nonzero(real, axis=-1)[..., None, None]
-            delta *= real[..., None]
+            mask, tokens = real
+            delta /= tokens[..., None, None]
+            delta *= mask[..., None]
         (g_w, g_b), *out_layer = self.grads
         if out_layer:
             (g_w2, g_b2), = out_layer
@@ -236,18 +276,11 @@ class _Workspace:
         np.add.reduce(delta, axis=-2, out=g_b)
         return self.grad
 
-    def step(self, x: np.ndarray, one_hot: np.ndarray, real: np.ndarray | None) -> None:
+    def step(self, x: np.ndarray, one_hot: np.ndarray, real) -> None:
         """One SGD step of every model on its batch rows, in place."""
         grad = self.gradient(x, one_hot, real)
         grad *= self.spec.learning_rate
         self.params -= grad
-
-
-def _pool_tokens(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.concatenate([ex.features for ex in examples], axis=0)
-    y = np.concatenate([ex.labels for ex in examples])
-    bounds = np.cumsum([ex.token_count for ex in examples])
-    return x, y, bounds
 
 
 def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
@@ -299,18 +332,19 @@ def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FitTask:
     """One model to fit: SGD on ``shared + extra`` from ``base``, or without
-    a base from the init ``seed`` derives, early-stopped on ``eval_examples``.
+    a base from the init ``seed`` derives, early-stopped on ``eval_rows``.
 
     Tasks fit side by side need one ``shared + extra`` length; their
-    examples may have any token counts and their eval lists any token
-    totals. They may share list objects; each distinct list is stacked,
-    pooled and validated once per fit.
+    examples may have any token counts and their eval rows any token
+    totals. They may share list and row objects: each distinct training
+    list is stacked and checked once per fit, and eval rows, pooled by
+    ``token_rows`` once, are checked as arrays.
     """
 
     base: ModelState | None
     shared: Sequence[Example]
     extra: Sequence[Example]
-    eval_examples: Sequence[Example]
+    eval_rows: TokenRows
     seed: int
 
 
@@ -340,8 +374,9 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     label -1. A window gathers the active models' shuffled rows of all its
     epochs from it at once, laid out ``(W, A, n * width, dim)`` so that
     each epoch's block is contiguous, and yields each epoch's batches
-    ``(x, gold, real)``, where ``real`` marks the token rows, or is None
-    when no example needed padding. Returns the floats that one model's
+    ``(x, gold, real)``, where ``real`` is None when no example needed
+    padding, else the mask of the token rows and each model's count of
+    them, counted once per window. Returns the floats that one model's
     epoch gathers, and the window source.
     """
     lists = _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
@@ -349,7 +384,11 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     n = len(tasks[0].shared) + len(tasks[0].extra)
     x_all = np.empty((len(tasks), n, width, spec.input_dim))
     y_all = np.empty(x_all.shape[:3], dtype=np.int64)
-    stacked = {id(examples): _padded(examples, width) for examples in lists if examples}
+    stacked = {}
+    for examples in lists:
+        if examples:
+            stacked[id(examples)] = _padded(examples, width)
+            _check_rows(spec, examples, *stacked[id(examples)])
     for k, task in enumerate(tasks):
         split = len(task.shared)
         for where, examples in ((slice(0, split), task.shared), (slice(split, n), task.extra)):
@@ -359,6 +398,7 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     real_all = y_all >= 0
     padded = not real_all.all()
     slices = [slice(i * width, (i + BATCH_SIZE) * width) for i in range(0, n, BATCH_SIZE)]
+    starts = [rows.start for rows in slices]
 
     def window(active: np.ndarray, orders: np.ndarray) -> list:
         # orders[w, a]: the shuffle order of active model a in epoch w.
@@ -366,35 +406,35 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
         shape = (*orders.shape[:2], -1)
         x = x_all[picked].reshape(*shape, spec.input_dim)
         gold = gold_all[picked].reshape(*shape, spec.class_count)
-        real = real_all[picked].reshape(shape) if padded else None
-        return [
-            [
-                (x[w, :, rows], gold[w, :, rows], None if real is None else real[w, :, rows])
-                for rows in slices
+        if not padded:
+            return [
+                [(xw[:, rows], gw[:, rows], None) for rows in slices] for xw, gw in zip(x, gold)
             ]
-            for w in range(len(orders))
+        real = real_all[picked].reshape(shape)
+        # Each model's token rows per batch of each epoch, counted at once.
+        tokens = np.add.reduceat(real, starts, axis=-1)
+        return [
+            [(xw[:, rows], gw[:, rows], (rw[:, rows], tw[:, b])) for b, rows in enumerate(slices)]
+            for xw, gw, rw, tw in zip(x, gold, real, tokens)
         ]
 
     return n * width * (spec.input_dim + 1), window
 
 
-def _pooled_evals(spec: LearnerSpec, tasks: Sequence[FitTask]):
-    """Each distinct eval list's pooled tokens, padded at the end to the
-    largest token total with zero rows of label -1 and stacked into
-    ``(E, m, dim)`` rows and ``(E, m)`` labels; with the E token totals, the
-    E bounds and each task's list index."""
-    index: dict[int, int] = {}
-    pooled = []
-    for examples in _distinct(t.eval_examples for t in tasks):
-        index[id(examples)] = len(pooled)
-        pooled.append(_pool_tokens(examples))
-    totals = np.array([len(y) for _, y, _ in pooled])
+def _eval_stack(spec: LearnerSpec, tasks: Sequence[FitTask]):
+    """Each distinct eval rows' tokens, padded at the end to the largest
+    token total with zero rows of label -1 and stacked into ``(E, m, dim)``
+    rows and ``(E, m)`` labels; with the E token totals, the E bounds and
+    each task's index into them."""
+    pooled = _distinct(t.eval_rows for t in tasks)
+    index = {id(rows): e for e, rows in enumerate(pooled)}
+    totals = np.array([len(rows.y) for rows in pooled])
     x = np.zeros((len(pooled), totals.max(), spec.input_dim))
     y = np.full(x.shape[:2], -1, dtype=np.int64)
-    for e, (px, py, _) in enumerate(pooled):
-        x[e, : totals[e]], y[e, : totals[e]] = px, py
-    of = np.array([index[id(t.eval_examples)] for t in tasks])
-    return x, y, totals, [bounds for _, _, bounds in pooled], of
+    for e, rows in enumerate(pooled):
+        x[e, : totals[e]], y[e, : totals[e]] = rows.x, rows.y
+    of = np.array([index[id(t.eval_rows)] for t in tasks])
+    return x, y, totals, [rows.bounds for rows in pooled], of
 
 
 # Floats a window may hold in each of its arrays: the activations and
@@ -432,9 +472,12 @@ def _sgd(
     that stop, all at the window's end, are written back to ``params`` and
     the workspace keeps the rest. Each model's shuffle orders are drawn as
     far as it surely runs, when they cannot cover the window, so none go
-    unused. Returns each model's epoch shuffle seeds and last eval score.
+    unused; the active rows' orders sit in one ``(A, epochs, n)`` queue
+    with one head, as every row takes a window's orders, so a window's
+    orders are one slice of it. Returns each model's epoch shuffle seeds
+    and last eval score.
     """
-    if any(not t.eval_examples for t in tasks):
+    if any(not t.eval_rows.examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
     train_floats, window_batches = _stacked_batches(spec, tasks)
     n = len(tasks[0].shared) + len(tasks[0].extra)
@@ -443,7 +486,7 @@ def _sgd(
         iteration=np.arange(spec.max_epochs),
         purpose=PURPOSE_SHUFFLE,
     )
-    eval_x, eval_y, eval_totals, eval_bounds, eval_of = _pooled_evals(spec, tasks)
+    eval_x, eval_y, eval_totals, eval_bounds, eval_of = _eval_stack(spec, tasks)
 
     def gather(active: list[int]):
         # Each active model's eval rows, gathered once per stack shape; the
@@ -491,27 +534,29 @@ def _sgd(
     best = _scores(spec, stack(1)[1], evals, metric)[0]
     last = list(best)
     epochs = [0] * len(tasks)
-    # Per active row: its plateau, best score and the shuffle orders drawn
-    # for its next epochs.
+    # Per active row: its plateau and best score. Row r's shuffle orders
+    # for epochs epoch, epoch + 1, ... are queue[r, head:ends[r]].
     plateau = [0] * len(tasks)
-    queued: list[list[list[int]]] = [[] for _ in tasks]
+    queue = np.empty((len(tasks), 0, n), dtype=np.int64)
+    head, ends = 0, np.zeros(len(tasks), dtype=np.intp)
     epoch, end = 0, spec.max_epochs if n else 0
     while epoch < end:
         window = max(1, min(spec.patience - max(plateau), end - epoch, room // len(active)))
-        if min(map(len, queued)) < window:
-            # Each model draws as far as it surely runs.
-            lives = [min(spec.patience - p, end - epoch) for p in plateau]
-            seeds = [
-                seed
-                for k, queue, life in zip(active, queued, lives)
-                for seed in shuffle_seeds[k, epoch + len(queue) : epoch + life].tolist()
-            ]
-            drawn = iter(shuffled_ranges(seeds, n))
-            for queue, life in zip(queued, lives):
-                queue += islice(drawn, life - len(queue))
-        orders = np.array([queue[:window] for queue in queued]).swapaxes(0, 1)
-        for queue in queued:
-            del queue[:window]
+        ahead = ends - head
+        if ahead.min() < window:
+            # Each row draws as far as it surely runs, after the orders it
+            # holds, which never reach past that.
+            lives = np.minimum(spec.patience - np.array(plateau), end - epoch)
+            span = np.arange(lives.max())
+            fresh = (span >= ahead[:, None]) & (span < lives[:, None])
+            seeds = shuffle_seeds[np.array(active)[:, None], epoch + span][fresh]
+            refill = np.empty((len(active), len(span), n), dtype=np.int64)
+            held = ahead.max()
+            refill[:, :held] = queue[:, head : head + held]
+            refill[fresh] = shuffled_ranges(seeds, n)
+            queue, head, ends = refill, 0, lives
+        orders = queue[:, head : head + window].swapaxes(0, 1)
+        head += window
         scored = _scores(spec, train(window, orders), evals, metric)
         for row in scored:
             for r, current in enumerate(row):
@@ -527,9 +572,8 @@ def _sgd(
         kept = [r for r, p in enumerate(plateau) if p < spec.patience]
         if len(kept) < len(active):
             params[active] = work.params
-            active, plateau, best, queued = (
-                [state[r] for r in kept] for state in (active, plateau, best, queued)
-            )
+            active, plateau, best = ([state[r] for r in kept] for state in (active, plateau, best))
+            queue, ends = queue[kept], ends[kept]
             work = work.keep(kept)
             if not active:
                 break
@@ -577,7 +621,7 @@ def train(
     """
     if not labeled and not eval_examples:
         return initialize(spec, seed)
-    tasks = [FitTask(None, [], labeled, eval_examples, seed)]
+    tasks = [FitTask(None, [], labeled, token_rows(spec, eval_examples), seed)]
     return fit_stacked(spec, tasks, metric=metric).model(0)
 
 
@@ -592,7 +636,7 @@ def fine_tune(
     """Continue SGD from ``base.parameters`` on ``examples``; base unchanged."""
     if len(examples) == 0:
         raise EmptyFineTuneError("fine_tune needs at least one example")
-    tasks = [FitTask(base, [], examples, eval_examples, seed)]
+    tasks = [FitTask(base, [], examples, token_rows(base.spec, eval_examples), seed)]
     return fit_stacked(base.spec, tasks, metric=metric).model(0)
 
 
@@ -609,21 +653,24 @@ def fit_stacked(
     Every fit of the lab goes through here; ``train`` and ``fine_tune`` are
     the one-task case. Model k's score is its last epoch's eval score,
     which ``evaluate`` would give, or with ``loss_based`` its negated eval
-    loss. Each distinct list is validated once. The tasks need one
-    ``shared + extra`` length; at length 0 every model is its init or base,
-    unchanged. Examples of different token counts are zero-padded to the
-    widest, and eval lists of different token totals to the largest, which
-    changes no output bit. The stack's forward pass and gradient are the
-    code of ``evaluate`` and ``gradient`` with K models in place of one,
-    writing in place.
+    loss. Each distinct training list and eval rows object is checked
+    against ``spec`` once, as arrays. The tasks need one ``shared + extra``
+    length; at length 0 every model is its init or base, unchanged.
+    Examples of different token counts are zero-padded to the widest, and
+    eval rows of different token totals to the largest. That changes no
+    output bit, with one exception for either learner: a model whose
+    batch or eval list is a single token row can differ in the last bits
+    once padded, as the padded row meets another BLAS kernel than the row
+    alone. The stack's forward pass and gradient are the code of
+    ``evaluate`` and ``gradient`` with K models in place of one, writing
+    in place.
     """
     if len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
         raise SpecMismatchError("fit_stacked needs training lists of one length")
     if any(t.base is not None and t.base.spec != spec for t in tasks):
         raise SpecMismatchError("a base model has another spec")
-    lists = [t.shared for t in tasks] + [t.extra for t in tasks]
-    for examples in _distinct(lists + [t.eval_examples for t in tasks]):
-        _check_examples(spec, examples)
+    for pooled in _distinct(t.eval_rows for t in tasks):
+        _check_rows(spec, pooled.examples, pooled.x, pooled.y)
     rows, starts = [], []
     for task in tasks:
         if task.base is None:
@@ -636,11 +683,7 @@ def fit_stacked(
     params = np.array(rows)
     runs, scores = _sgd(spec, params, tasks, metric)
     if loss_based:
-        eval_x, eval_y, totals, _, eval_of = _pooled_evals(spec, tasks)
-        scores = [
-            -_mean_loss(spec, p, eval_x[e, : totals[e]], eval_y[e, : totals[e]])
-            for p, e in zip(params, eval_of)
-        ]
+        scores = [-_mean_loss(spec, p, t.eval_rows.x, t.eval_rows.y) for p, t in zip(params, tasks)]
     return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], scores)
 
 
@@ -658,25 +701,24 @@ def evaluate(
     one-model case of the scores that stop every fit."""
     if len(examples) == 0:
         raise EmptyEvalError("evaluate needs at least one example")
-    _check_examples(model.spec, examples)
-    x, y, bounds = _pool_tokens(examples)
+    rows = token_rows(model.spec, examples)
     affine = _affine(_unpack(model.spec, model.parameters[None, None]))
-    return _scores(model.spec, affine, (x, y[None], [len(y)], [bounds]), metric)[0][0]
+    evals = (rows.x, rows.y[None], [len(rows.y)], [rows.bounds])
+    return _scores(model.spec, affine, evals, metric)[0][0]
 
 
 def loss(model: ModelState, examples: Sequence[Example]) -> float:
     """Mean token cross-entropy of the gold labels."""
     if len(examples) == 0:
         raise EmptyEvalError("loss needs at least one example")
-    _check_examples(model.spec, examples)
-    x, y, _ = _pool_tokens(examples)
-    return _mean_loss(model.spec, model.parameters, x, y)
+    rows = token_rows(model.spec, examples)
+    return _mean_loss(model.spec, model.parameters, rows.x, rows.y)
 
 
 def gradient(model: ModelState, examples: Sequence[Example]) -> np.ndarray:
     """Analytic gradient of ``loss`` at the model's parameters."""
     if len(examples) == 0:
         raise EmptyEvalError("gradient needs at least one example")
-    _check_examples(model.spec, examples)
-    x, y, _ = _pool_tokens(examples)
-    return _Workspace(model.spec, model.parameters).gradient(x, _one_hot(model.spec, y), None)
+    rows = token_rows(model.spec, examples)
+    work = _Workspace(model.spec, model.parameters)
+    return work.gradient(rows.x, _one_hot(model.spec, rows.y), None)

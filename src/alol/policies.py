@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NanScoreError, SpecMismatchError, StaleCandidateError
-from .learners import FitTask, ModelState, predict_distribution
+from .learners import FitTask, ModelState, TokenRows, predict_distribution
 from .learners import evaluate, fine_tune, train  # noqa: F401  (bench/tracing.py wraps these names)
 from .metrics import mean_entropy
 from .pool import CandidateSet, Dataset, Example, PoolState
@@ -114,14 +114,14 @@ def candidate_fits(
     candidates: Sequence[CandidateSet],
     dataset: Dataset,
     labeled_examples: Sequence[Example],
-    eval_examples: Sequence[Example],
+    eval_rows: TokenRows,
     mode: TrainingMode,
     seed: int,
 ) -> list[FitTask]:
     """The fit that scores each candidate set: candidate j trains under the
     seed derived from ``seed`` with ``candidate=j+1``, so scores are
-    independent of evaluation order. ``base`` is ignored when ``mode``
-    trains from scratch, and required otherwise."""
+    independent of evaluation order, and stops on ``eval_rows``. ``base``
+    is ignored when ``mode`` trains from scratch, and required otherwise."""
     if base is None and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
         raise SpecMismatchError(f"{mode.value} needs a base model")
     shared = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else labeled_examples
@@ -132,7 +132,7 @@ def candidate_fits(
             base,
             shared,
             dataset.subset(c.ids),
-            eval_examples,
+            eval_rows,
             derive_seed(seed, candidate=c.candidate_index + 1),
         )
         for c in candidates

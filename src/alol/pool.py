@@ -247,7 +247,11 @@ def load_dataset(path) -> Dataset:
     examples: list[Example] = []
     kind: str | None = None
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise AlolError(f"{path}: not UTF-8 text ({exc})") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

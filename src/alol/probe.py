@@ -121,7 +121,7 @@ def run_mrr_probe(
         partition_sizes=config.partition_sizes,
     )
     run = _start(oracle, dataset, seed_ref)
-    if not run.eval_examples:
+    if not run.pool.eval:
         raise SpecMismatchError("eval partition must be non-empty")
 
     ranks: list[int] = []

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from alol import datagen
 from alol.cli import main
 from alol.datagen import GenKind, GenSpec, generate, load_provenance
 from alol.pool import load_dataset, save_dataset
@@ -135,6 +142,21 @@ def test_gen_data_refuses_overwrite(tmp_path):
     )
 
 
+def test_gen_data_crash_leaves_no_file(tmp_path, monkeypatch):
+    # The sidecar write fails half way, after the dataset is written: no
+    # file, final or temporary, may be left behind.
+    def failing(informative, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"id":0,')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(datagen, "save_provenance", failing)
+    config = gen_config(tmp_path)
+    out = tmp_path / "out" / "data.jsonl"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 1
+    assert list(out.parent.iterdir()) == []
+
+
 @pytest.mark.parametrize("mutation", ["extra", "missing", "wrong_command"])
 def test_gen_data_schema_violations(tmp_path, mutation):
     data = {
@@ -163,6 +185,8 @@ def test_gen_data_schema_violations(tmp_path, mutation):
 def test_malformed_json_reports_schema_error(tmp_path):
     path = tmp_path / "gen.json"
     path.write_text("{not json", encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.jsonl")]) == 2
+    path.write_bytes(b'{"command": "gen-data\x80"}')
     assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.jsonl")]) == 2
 
 
@@ -602,3 +626,125 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert f": {key}=" in capsys.readouterr().err
     assert not any(path.exists() for path in written)
+
+
+# Fuzzing through main: whatever the dataset lines or curve rows, a run
+# ends with a documented exit code and no traceback.
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def dataset_lines(draw):
+    """The lines of a dataset file: valid 2-feature examples, up to two of
+    them replaced by arbitrary text or bytes, or with one key set to an
+    arbitrary JSON value."""
+    records = [
+        {"id": i, "features": [0.5 * i, (-1.0) ** i], "label": i % 2}
+        for i in range(draw(st.integers(4, 12)))
+    ]
+    lines = [json.dumps(record).encode("utf-8") for record in records]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["key", "text", "bytes"]))
+        if kind == "key":
+            record = records[at] if at < len(records) else {"id": at, "label": 0}
+            key = draw(st.sampled_from(["id", "features", "tokens", "label", "x"]))
+            line = json.dumps({**record, key: draw(JSON_VALUES)}).encode("utf-8")
+        elif kind == "text":
+            line = draw(st.text(max_size=30)).encode("utf-8", "surrogatepass")
+        else:
+            line = draw(st.binary(max_size=30))
+        lines[at:at + 1] = [line]
+    return lines
+
+
+def run_main_quietly(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    return code
+
+
+@FUZZ
+@given(lines=dataset_lines())
+def test_arbitrary_dataset_lines_exit_with_a_documented_code(lines):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "data.jsonl").write_bytes(b"\n".join(lines))
+        config = {
+            "command": "simulate",
+            "dataset": "data.jsonl",
+            "iterations": 2,
+            "candidate_count": 2,
+            "set_size": 1,
+            "policy": {"name": "oracle"},
+            "learner": {
+                "family": "linear_softmax",
+                "input_dim": 2,
+                "class_count": 2,
+                "max_epochs": 3,
+            },
+            "selection_metric": "accuracy",
+            "report_metric": "accuracy",
+            "master_seed": 5,
+            "partition_sizes": [1, 3, 1, 1],
+        }
+        write_json(root / "sim.json", config)
+        argv = ["simulate", "--config", str(root / "sim.json")]
+        run_main_quietly(argv + ["--out", str(root / "out")])
+
+
+CSV_CELLS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e3", " 4", "policy"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def curve_files(draw):
+    """Two curve CSVs on one grid of labeled sizes, with up to two cells of
+    each replaced by arbitrary ones, a row cut short, a header that is not
+    the curve header, or a last line of arbitrary bytes."""
+    sizes = draw(st.lists(st.integers(0, 50), max_size=5))
+    files = []
+    for _ in range(2):
+        rows = [[str(size), repr(draw(st.floats(0, 1))), "policy", "1"] for size in sizes]
+        header = draw(st.sampled_from(["labeled_size,metric,policy,seed"] * 3 + ["size,metric"]))
+        for _ in range(draw(st.integers(0, 2)) if rows else 0):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if row and draw(st.booleans()):
+                row[draw(st.integers(0, len(row) - 1))] = draw(CSV_CELLS)
+            else:
+                del row[draw(st.integers(0, len(row))) :]
+        lines = [header] + [",".join(row) for row in rows]
+        text = "\n".join(lines).encode("utf-8", "surrogatepass") + b"\n"
+        files.append(text + draw(st.one_of(*[st.just(b"")] * 3, st.binary(max_size=8))))
+    return files
+
+
+@FUZZ
+@given(files=curve_files())
+def test_arbitrary_report_rows_exit_with_a_documented_code(files):
+    policy, baseline = files
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "policy.csv").write_bytes(policy)
+        (root / "random.csv").write_bytes(baseline)
+        argv = ["report", str(root / "policy.csv"), "--baseline", str(root / "random.csv")]
+        run_main_quietly(argv + ["--out", str(root / "improvement.csv")])

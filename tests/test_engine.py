@@ -25,7 +25,7 @@ from alol.errors import (
     SpecMismatchError,
     UndefinedPointError,
 )
-from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, train
+from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, token_rows, train
 from alol.metrics import MetricKind
 from alol.policies import (
     PolicyName,
@@ -127,6 +127,7 @@ def test_oracle_run_matches_manual_replay():
     pool = split_dataset(dataset, config.partition_sizes, config.master_seed)
     assert log.initial_labeled_ids == pool.labeled
     eval_examples = dataset.subset(pool.eval)
+    eval_rows = token_rows(config.learner, eval_examples)
     for record in log.records:
         scope = derive_seed(config.master_seed, iteration=record.iteration)
         candidates = sample_candidates(pool, 3, 1, scope)
@@ -138,7 +139,7 @@ def test_oracle_run_matches_manual_replay():
         )
         assert record.base_model_fingerprint == base.fingerprint()
         tasks = candidate_fits(
-            base, candidates, dataset, labeled, eval_examples, TrainingMode.FINE_TUNE_UNION, scope
+            base, candidates, dataset, labeled, eval_rows, TrainingMode.FINE_TUNE_UNION, scope
         )
         scores = fit_stacked(config.learner, tasks, metric=config.selection_metric).scores
         assert record.scores == tuple(scores)

@@ -24,6 +24,7 @@ from alol.learners import (
     loss,
     parameter_count,
     predict_distribution,
+    token_rows,
     train,
 )
 from alol import learners
@@ -413,6 +414,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
         None if mode == "from_scratch" else train(spec, labeled[r], evals[r], seed=4 + r)
         for r in range(2)
     ]
+    eval_rows = [token_rows(spec, e) for e in evals]
     stops = {}
     for runs in (1, 2):
         # Model k belongs to run k % runs.
@@ -421,7 +423,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
                 bases[k % runs],
                 [] if mode == "candidate_only" else labeled[k % runs],
                 extras[k],
-                evals[k % runs],
+                eval_rows[k % runs],
                 seeds[k],
             )
             for k in range(6)
@@ -435,7 +437,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
                         spec,
                         task.base,
                         [*task.shared, *task.extra],
-                        task.eval_examples,
+                        task.eval_rows.examples,
                         task.seed,
                         metric,
                         loss_based,
@@ -453,7 +455,7 @@ def test_stacked_fit_needs_one_nonzero_length():
     eval_set = blobs(4, 2.0, 0)
 
     def tasks(shared, extras, evals=None):
-        evals = evals or [eval_set] * len(extras)
+        evals = [token_rows(LINEAR, ev) for ev in evals or [eval_set] * len(extras)]
         return [FitTask(None, shared, e, ev, k) for k, (e, ev) in enumerate(zip(extras, evals))]
 
     def fits(stack):
@@ -467,7 +469,8 @@ def test_stacked_fit_needs_one_nonzero_length():
     fits(tasks([tokens(9, rng, 3)], uniform))
     # One length over all, split at another point per model.
     pair = [[tokens(5, rng, 2)], [tokens(6, rng, 2), tokens(7, rng, 2)]]
-    fits([FitTask(None, pair[0], uniform[0], eval_set, 1), FitTask(None, [], pair[1], eval_set, 2)])
+    rows = token_rows(LINEAR, eval_set)
+    fits([FitTask(None, pair[0], uniform[0], rows, 1), FitTask(None, [], pair[1], rows, 2)])
     # Eval lists may hold different token totals: they are padded at the end.
     fits(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
     fits(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
@@ -481,20 +484,19 @@ def test_stacked_fit_needs_one_nonzero_length():
     with pytest.raises(SpecMismatchError):
         fit_stacked(LINEAR, tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
     with pytest.raises(EmptyEvalError):
-        fit_stacked(LINEAR, [FitTask(None, [], blobs(2, 2.0, 0), [], 1)])
+        fit_stacked(LINEAR, [FitTask(None, [], blobs(2, 2.0, 0), token_rows(LINEAR, []), 1)])
     with pytest.raises(EmptyEvalError):
-        fit_stacked(LINEAR, [FitTask(None, [], [], [], 1)])
+        fit_stacked(LINEAR, [FitTask(None, [], [], token_rows(LINEAR, []), 1)])
     with pytest.raises(SpecMismatchError):
-        fit_stacked(LINEAR, [FitTask(initialize(MLP, 1), [], blobs(2, 2.0, 0), eval_set, 1)])
+        fit_stacked(LINEAR, [FitTask(initialize(MLP, 1), [], blobs(2, 2.0, 0), rows, 1)])
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
 def test_zero_epoch_fit_is_the_init_or_base_bit_for_bit(spec):
     eval_set = blobs(6, 2.0, 4)
     base = train(spec, blobs(8, 2.0, 5), eval_set, seed=9)
-    fit = fit_stacked(
-        spec, [FitTask(None, [], [], eval_set, 21), FitTask(base, [], [], eval_set, 22)]
-    )
+    rows = token_rows(spec, eval_set)
+    fit = fit_stacked(spec, [FitTask(None, [], [], rows, 21), FitTask(base, [], [], rows, 22)])
     init = initialize(spec, 21)
     assert fit.parameters[0].tobytes() == init.parameters.tobytes()
     assert fit.model(0).seed_lineage == (derive_seed(21, purpose=PURPOSE_INIT),)
@@ -596,14 +598,14 @@ def test_windowed_fits_equal_the_plain_loop(data):
     def example_list(count):
         # Ragged examples hold 2-4 tokens. A one-token batch or eval list
         # alone takes another BLAS kernel than the same row padded in a
-        # stack, which can change the last bits of an MLP (CHANGES.md).
+        # stack, which can change the last bits of either learner.
         widths = rng.integers(2, 5, size=count) if ragged else [2] * count
         return [tokens(next(ids), rng, int(w)) for w in widths]
 
     n = data.draw(st.integers(1, 12))
     # One eval list for every model, or a few of different token totals.
     lists = data.draw(st.integers(1, 3))
-    evals = [example_list(data.draw(st.integers(1, 8))) for _ in range(lists)]
+    evals = [token_rows(spec, example_list(data.draw(st.integers(1, 8)))) for _ in range(lists)]
     tasks = [
         FitTask(None, [], example_list(n), evals[data.draw(st.integers(0, lists - 1))], k)
         for k in range(data.draw(st.integers(1, 6)))
@@ -612,10 +614,9 @@ def test_windowed_fits_equal_the_plain_loop(data):
     with mock.patch.object(learners, "WINDOW_FLOATS", floats):
         fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
     for k, task in enumerate(tasks):
-        plain = reference_train(spec, task.extra, task.eval_examples, task.seed, metric)
-        value = -loss(plain, task.eval_examples) if loss_based else evaluate(
-            plain, task.eval_examples, metric
-        )
+        eval_set = task.eval_rows.examples
+        plain = reference_train(spec, task.extra, eval_set, task.seed, metric)
+        value = -loss(plain, eval_set) if loss_based else evaluate(plain, eval_set, metric)
         assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
         assert fit.lineages[k] == list(plain.seed_lineage)
         assert fit.scores[k] == value
@@ -633,7 +634,7 @@ def test_every_drawn_shuffle_order_is_used(spec, monkeypatch):
 
     monkeypatch.setattr(learners, "shuffled_ranges", counting)
     rng = np.random.default_rng(3)
-    eval_set = [tokens(100 + i, rng, 1 + i % 3) for i in range(10)]
+    eval_set = token_rows(spec, [tokens(100 + i, rng, 1 + i % 3) for i in range(10)])
     for patience, epsilon in ((2, 1e-4), (5, 0.05), (40, 1e-4)):
         spec = replace(spec, patience=patience, stop_epsilon=epsilon, max_epochs=60)
         tasks = [
@@ -668,7 +669,7 @@ def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
     # as the engine's tasks share the labeled list.
     n = data.draw(st.integers(1, 10))
     shared = {}
-    evals = [example_list(data.draw(st.integers(1, 6))) for _ in range(3)]
+    evals = [token_rows(spec, example_list(data.draw(st.integers(1, 6)))) for _ in range(3)]
     tasks = []
     for k in range(data.draw(st.integers(1, 6))):
         split = data.draw(st.integers(0, n))
@@ -686,7 +687,7 @@ def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
             spec,
             task.base,
             [*task.shared, *task.extra],
-            task.eval_examples,
+            task.eval_rows.examples,
             task.seed,
             metric,
             loss_based,
@@ -814,7 +815,7 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
     for examples in (BATCH_SIZE, 2):
         x, gold, real = batch(models, examples)
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
-        work.step(x, gold, real)
+        work.step(x, gold, None if real is None else (real, np.count_nonzero(real, axis=-1)))
         assert work.params.tobytes() == stack.tobytes()
     # After models leave, the kept models move to the last rows of the
     # stack, and steps update them there.
@@ -826,7 +827,7 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
     for _ in range(2):
         x, gold, real = batch(len(kept), BATCH_SIZE)
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
-        work.step(x, gold, real)
+        work.step(x, gold, None if real is None else (real, np.count_nonzero(real, axis=-1)))
         assert work.params.tobytes() == stack.tobytes()
     assert old[len(old) - len(kept) :].tobytes() == stack.tobytes()
     # The public gradient is the one-model case of the same code.

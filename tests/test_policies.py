@@ -3,7 +3,15 @@ import pytest
 
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import NanScoreError, SpecMismatchError, StaleCandidateError
-from alol.learners import LearnerFamily, LearnerSpec, ModelState, fit_stacked, initialize, train
+from alol.learners import (
+    LearnerFamily,
+    LearnerSpec,
+    ModelState,
+    fit_stacked,
+    initialize,
+    token_rows,
+    train,
+)
 from alol.metrics import MetricKind, mean_entropy
 from alol.policies import (
     PolicySpec,
@@ -240,7 +248,8 @@ def test_oracle_modes_build_different_models():
     eval_set = dataset.subset(pool.eval)
 
     def scores(model, mode):
-        tasks = candidate_fits(model, candidates, dataset, labeled, eval_set, mode, 7)
+        rows = token_rows(linear_spec(), eval_set)
+        tasks = candidate_fits(model, candidates, dataset, labeled, rows, mode, 7)
         return fit_stacked(linear_spec(), tasks, metric=MetricKind.ACCURACY).scores
 
     union = scores(base, TrainingMode.FINE_TUNE_UNION)
@@ -257,7 +266,8 @@ def test_fine_tune_modes_require_base():
     candidates = sample_candidates(pool, 2, 1, seed=5)
     for mode in (TrainingMode.FINE_TUNE_UNION, TrainingMode.FINE_TUNE_CANDIDATE_ONLY):
         with pytest.raises(SpecMismatchError):
-            candidate_fits(None, candidates, dataset, [], dataset.subset(pool.eval), mode, 0)
+            rows = token_rows(linear_spec(), dataset.subset(pool.eval))
+            candidate_fits(None, candidates, dataset, [], rows, mode, 0)
 
 
 def test_loss_oracle_minimizes_stub_loss():
@@ -346,8 +356,9 @@ def test_oracle_finds_informative_examples_on_rigged_data():
             candidates = sample_candidates(pool, 5, 1, scope)
             labeled = dataset.subset(pool.labeled)
             base = train(spec, labeled, eval_set, scope)
+            rows = token_rows(spec, eval_set)
             tasks = candidate_fits(
-                base, candidates, dataset, labeled, eval_set, TrainingMode.FINE_TUNE_UNION, scope
+                base, candidates, dataset, labeled, rows, TrainingMode.FINE_TUNE_UNION, scope
             )
             chosen = lowest_argmax(fit_stacked(spec, tasks, metric=MetricKind.ACCURACY).scores)
             kinds = {informative[c.ids[0]] for c in candidates}
@@ -363,7 +374,9 @@ def one_at_a_time(spec, tasks, metric, loss_based=False):
     """Each task's score from its own ``train`` or ``fine_tune`` fit, then
     ``evaluate`` or the negated ``loss``."""
     fits = (
-        fit_alone(spec, t.base, [*t.shared, *t.extra], t.eval_examples, t.seed, metric, loss_based)
+        fit_alone(
+            spec, t.base, [*t.shared, *t.extra], t.eval_rows.examples, t.seed, metric, loss_based
+        )
         for t in tasks
     )
     return tuple(value for _, value in fits)
@@ -375,7 +388,8 @@ def test_stacked_scoring_matches_one_candidate_at_a_time(mode, loss_based):
     dataset, pool, base = oracle_fixture()
     candidates = sample_candidates(pool, 5, 2, seed=6)
     labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
-    tasks = candidate_fits(base, candidates, dataset, labeled, eval_set, mode, 13)
+    rows = token_rows(linear_spec(), eval_set)
+    tasks = candidate_fits(base, candidates, dataset, labeled, rows, mode, 13)
     stacked = fit_stacked(linear_spec(), tasks, metric=MetricKind.ACCURACY, loss_based=loss_based)
     assert tuple(stacked.scores) == one_at_a_time(
         linear_spec(), tasks, MetricKind.ACCURACY, loss_based
@@ -401,9 +415,9 @@ def test_ragged_candidates_are_scored_as_one_stack():
     labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
     base = train(learner, labeled, eval_set, seed=1)
     candidates = sample_candidates(pool, 4, 1, seed=2)
-    tasks = candidate_fits(
-        base, candidates, dataset, labeled, eval_set, TrainingMode.FINE_TUNE_UNION, 5
-    )
+    rows = token_rows(learner, eval_set)
+    mode = TrainingMode.FINE_TUNE_UNION
+    tasks = candidate_fits(base, candidates, dataset, labeled, rows, mode, 5)
     for metric in MetricKind:
         # One stack of all four, with the scores of fitting each candidate
         # alone through fine_tune.

@@ -3,7 +3,7 @@ import pytest
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import PoolExhaustedError, SpecMismatchError
 from alol import engine
-from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, train
+from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, token_rows, train
 from alol.metrics import MetricKind
 from alol.policies import TrainingMode, candidate_fits, lowest_argmax
 from alol.pool import commit_selection, sample_candidates, split_dataset
@@ -230,6 +230,7 @@ def test_one_stack_of_both_passes_matches_two_scoring_passes(mode):
     seed_ref, seed_alt = config.seed_pair
     pool = split_dataset(dataset, config.partition_sizes, seed_ref)
     eval_examples = dataset.subset(pool.eval)
+    eval_rows = token_rows(learner, eval_examples)
     ranks = []
     for i in range(1, config.iterations + 1):
         scope_ref = derive_seed(seed_ref, iteration=i)
@@ -241,7 +242,7 @@ def test_one_stack_of_both_passes_matches_two_scoring_passes(mode):
         ref, alt = (
             fit_stacked(
                 learner,
-                candidate_fits(base, candidates, dataset, labeled, eval_examples, mode, scope),
+                candidate_fits(base, candidates, dataset, labeled, eval_rows, mode, scope),
             ).scores
             for scope in (scope_ref, derive_seed(seed_alt, iteration=i))
         )

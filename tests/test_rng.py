@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alol import rng
 from alol.rng import (
     MASK64,
     PURPOSE_INIT,
@@ -200,7 +204,8 @@ def test_draws_below_falls_back_to_the_stream_after_a_rejection():
     rejected = (stream_draws(seeds, len(bounds)).astype(object) >= limits).any(axis=1)
     assert 0 < rejected.sum() < len(seeds)
     rows = draws_below(seeds, bounds)
-    for seed, row in zip(seeds, rows):
+    assert rows.shape == (len(seeds), len(bounds)) and rows.dtype == np.uint64
+    for seed, row in zip(seeds, rows.tolist()):
         stream = SplitMix64(seed)
         assert row == [stream.next_below(b) for b in bounds]
     with pytest.raises(ValueError):
@@ -209,7 +214,27 @@ def test_draws_below_falls_back_to_the_stream_after_a_rejection():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 300])
 def test_shuffled_ranges_match_the_scalar_shuffle(n):
-    for seed, order in zip(SEEDS, shuffled_ranges(SEEDS, n)):
+    orders = shuffled_ranges(SEEDS, n)
+    assert orders.shape == (len(SEEDS), n) and orders.dtype == np.int64
+    for seed, order in zip(SEEDS, orders.tolist()):
+        expected = list(range(n))
+        SplitMix64(seed).shuffle(expected)
+        assert order == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seeds=st.lists(st.integers(0, MASK64), max_size=2 * rng.ROW_SWAPS_FROM),
+    n=st.integers(0, 90),
+    threshold=st.sampled_from([1, rng.ROW_SWAPS_FROM, 10**9]),
+)
+def test_both_shuffle_paths_equal_the_scalar_shuffle(seeds, n, threshold):
+    # The call draws on both sides of ROW_SWAPS_FROM, and a threshold of 1
+    # or 10**9 sends every call through the row swaps or the per-order loop.
+    with mock.patch.object(rng, "ROW_SWAPS_FROM", threshold):
+        orders = shuffled_ranges(seeds, n)
+    assert orders.shape == (len(seeds), n) and orders.dtype == np.int64
+    for seed, order in zip(seeds, orders.tolist()):
         expected = list(range(n))
         SplitMix64(seed).shuffle(expected)
         assert order == expected
