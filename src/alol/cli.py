@@ -18,6 +18,7 @@ All CSVs use LF line endings and 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -104,6 +105,31 @@ def _write_json(path: Path, data: dict) -> None:
     _write_text(path, json.dumps(data, indent=2) + "\n")
 
 
+@contextlib.contextmanager
+def _staged_writes():
+    """Yields ``stage``, which maps an output path to a temporary name
+    beside it for the caller to write. When the block ends without error,
+    each temporary that was written is moved into place with
+    ``os.replace``, in the order staged; on any exit every temporary is
+    removed. A failing write thus leaves no file, final or temporary, and
+    the last path staged is in place only when all the others are."""
+    staged = []
+
+    def stage(path: Path) -> Path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for temporary, path in staged:
+            if temporary.exists():
+                os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+
+
 def _curve_csv(curve, policy_label: str, seed: int) -> str:
     lines = ["labeled_size,metric,policy,seed"]
     for size, value in curve:
@@ -156,19 +182,10 @@ def cmd_gen_data(args) -> int:
     sidecar = Path(str(out).removesuffix(".jsonl") + ".provenance.jsonl")
     _refuse_overwrite([out, sidecar], args.force)
     dataset, informative = datagen.generate(spec)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # Both files are written under temporary names beside their targets,
-    # then moved into place, the sidecar first: a crash leaves no
-    # half-written file and no dataset without its sidecar.
-    temporary = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (out, sidecar)}
-    try:
-        save_dataset(dataset, temporary[out])
-        datagen.save_provenance(informative, temporary[sidecar])
-        os.replace(temporary[sidecar], sidecar)
-        os.replace(temporary[out], out)
-    finally:
-        for path in temporary.values():
-            path.unlink(missing_ok=True)
+    # The sidecar moves into place first: no dataset without its sidecar.
+    with _staged_writes() as stage:
+        datagen.save_provenance(informative, stage(sidecar))
+        save_dataset(dataset, stage(out))
     return 0
 
 
@@ -201,33 +218,30 @@ def cmd_simulate(args) -> int:
         if len(sizes) != 1:
             raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
         mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
-    for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
-        _write_json(out_dir / f"run_{r}.json", to_json(log))
-        _write_text(
-            out_dir / f"curve_{r}.csv",
-            _curve_csv(curve, config.policy.name.value, seed_r),
+    label = config.policy.name.value
+    # summary.json moves into place last: it marks a complete directory.
+    with _staged_writes() as stage:
+        for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
+            _write_json(stage(out_dir / f"run_{r}.json"), to_json(log))
+            _write_text(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
+            if dump_policy:
+                try:
+                    path = stage(out_dir / f"policy_examples_{r}.jsonl")
+                    engine.emit_policy_training_examples(log, path)
+                except MissingScoresError:
+                    pass
+        mean_csv = _curve_csv(mean_curve, label, config.master_seed)
+        _write_text(stage(out_dir / "mean_curve.csv"), mean_csv)
+        _write_json(
+            stage(out_dir / "summary.json"),
+            {
+                "config": to_json(config),
+                "repeats": repeats,
+                "seeds": seeds,
+                "truncated": [log.truncated for log in logs],
+                "checkpoints_in_mean_curve": common,
+            },
         )
-        if dump_policy:
-            try:
-                engine.emit_policy_training_examples(
-                    log, out_dir / f"policy_examples_{r}.jsonl"
-                )
-            except MissingScoresError:
-                pass
-    _write_text(
-        out_dir / "mean_curve.csv",
-        _curve_csv(mean_curve, config.policy.name.value, config.master_seed),
-    )
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "config": to_json(config),
-            "repeats": repeats,
-            "seeds": seeds,
-            "truncated": [log.truncated for log in logs],
-            "checkpoints_in_mean_curve": common,
-        },
-    )
     return 0
 
 
@@ -240,17 +254,19 @@ def cmd_probe_mrr(args) -> int:
     lines = ["window_start,window_end,mrr,baseline"]
     for w in report.windows:
         lines.append(f"{w.start},{w.end},{_fmt(w.mrr)},{_fmt(report.baseline)}")
-    _write_text(out_dir / "mrr.csv", "\n".join(lines) + "\n")
-    _write_json(
-        out_dir / "mrr_summary.json",
-        {
-            "config": to_json(config),
-            "overall_mrr": report.overall_mrr,
-            "baseline": report.baseline,
-            "ranks": list(report.ranks),
-            "truncated": report.truncated,
-        },
-    )
+    # mrr_summary.json moves into place last: it marks a complete directory.
+    with _staged_writes() as stage:
+        _write_text(stage(out_dir / "mrr.csv"), "\n".join(lines) + "\n")
+        _write_json(
+            stage(out_dir / "mrr_summary.json"),
+            {
+                "config": to_json(config),
+                "overall_mrr": report.overall_mrr,
+                "baseline": report.baseline,
+                "ranks": list(report.ranks),
+                "truncated": report.truncated,
+            },
+        )
     return 0
 
 

@@ -177,7 +177,7 @@ def _train_all(spec: LearnerSpec, tasks: list[FitTask], metric: MetricKind) -> l
 
 def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Run, int]]):
     """Train each due run's checkpoint model on its labeled set and score it
-    on its report partition; yields (value, fingerprint) per entry."""
+    on its report partition; returns (value, fingerprint) per entry."""
     tasks = [
         FitTask(
             None,
@@ -189,8 +189,10 @@ def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Ru
         for run, i in due
     ]
     models = _train_all(config.learner, tasks, config.report_metric)
-    for (run, _), model in zip(due, models):
-        yield evaluate(model, run.report_examples, config.report_metric), model.fingerprint()
+    return [
+        (evaluate(model, run.report_examples, config.report_metric), model.fingerprint())
+        for (run, _), model in zip(due, models)
+    ]
 
 
 def _preset(
@@ -326,22 +328,6 @@ def run_simulations(
         _score(config, dataset, steps)
         _commit(config, dataset, steps)
 
-        # A run that ran out of candidates gets a checkpoint at its last
-        # iteration, if that iteration had none.
-        due = [
-            (run, run.records[-1].iteration)
-            for run in live
-            if run.truncated and run.records and run.records[-1].checkpoint is None
-        ]
-        if i % config.checkpoint_every == 0 or i == config.iterations:
-            due += [(s.run, i) for s in steps]
-        checkpoints = {}
-        for (run, _), (value, fingerprint) in zip(due, _checkpoints(config, dataset, due)):
-            run.final_fingerprint = fingerprint
-            if run.truncated:
-                run.records[-1] = replace(run.records[-1], checkpoint=value)
-            else:
-                checkpoints[id(run)] = value
         for s in steps:
             s.run.records.append(
                 IterationRecord(
@@ -351,10 +337,22 @@ def run_simulations(
                     chosen_index=s.outcome.chosen_index,
                     branch=s.outcome.branch,
                     labeled_size_after=len(s.run.pool.labeled),
-                    checkpoint=checkpoints.get(id(s.run)),
+                    checkpoint=None,
                     base_model_fingerprint=None if s.base is None else s.base.fingerprint(),
                 )
             )
+        # A run's last iteration gets a checkpoint when it is scheduled, or
+        # when the run ran out of candidates and that iteration had none.
+        scheduled = i % config.checkpoint_every == 0 or i == config.iterations
+        due = [
+            run
+            for run in live
+            if run.records and run.records[-1].checkpoint is None and (scheduled or run.truncated)
+        ]
+        values = _checkpoints(config, dataset, [(run, run.records[-1].iteration) for run in due])
+        for run, (value, fingerprint) in zip(due, values):
+            run.final_fingerprint = fingerprint
+            run.records[-1] = replace(run.records[-1], checkpoint=value)
         live = [s.run for s in steps]
         if not live:
             break

@@ -224,9 +224,9 @@ class _Workspace:
     views, taken once, and a gradient buffer of the same shape and views.
 
     Steps write through the views in place, so a stack that loses models
-    takes a new workspace from ``keep``, on its last rows. Every float
-    operation and matmul operand layout is that of the plain expressions:
-    only destinations differ, which leaves every bit the same.
+    takes a new workspace of a gathered copy of the rows it keeps. Every
+    float operation and matmul operand layout is that of the plain
+    expressions: only destinations differ, which leaves every bit the same.
     """
 
     def __init__(self, spec: LearnerSpec, params: np.ndarray) -> None:
@@ -236,13 +236,6 @@ class _Workspace:
         self.layers = _unpack(spec, params)
         self.affine = _affine(self.layers)
         self.grads = _unpack(spec, self.grad)
-
-    def keep(self, rows: list[int]) -> _Workspace:
-        """The workspace of the models at ``rows``, moved in place to the
-        last rows of this one's stack."""
-        kept = self.params[len(self.params) - len(rows) :]
-        kept[...] = self.params[rows]
-        return _Workspace(self.spec, kept)
 
     def gradient(self, x: np.ndarray, one_hot: np.ndarray, real) -> np.ndarray:
         """Gradient of the mean token cross-entropy, written into ``grad``.
@@ -356,8 +349,6 @@ def _distinct(lists) -> list:
 def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.ndarray]:
     """``(n, width, dim)`` features and ``(n, width)`` labels of ``examples``,
     each padded at its end with zero rows of label -1."""
-    if all(ex.token_count == width for ex in examples):
-        return np.stack([ex.features for ex in examples]), np.stack([ex.labels for ex in examples])
     x = np.zeros((len(examples), width, examples[0].features.shape[1]))
     y = np.full((len(examples), width), -1, dtype=np.int64)
     for i, ex in enumerate(examples):
@@ -463,14 +454,14 @@ def _sgd(
     its plateau rises by at most one per epoch, so a window lasts the least
     of these over the A active models, cut to ``max_epochs`` and to
     ``WINDOW_FLOATS``. It gathers the batch rows of all its epochs at once
-    and steps the stack in place through one ``_Workspace``, whose
-    parameters are the last A rows of a buffer of snapshots: after each
-    epoch but the last it copies them into the rows before, so that the
-    window's last W·A rows are its ``(W, A, P)`` stack of snapshots, which
-    one ``_scores`` pass scores. The plateau and best score are then
-    replayed epoch by epoch, as a loop scoring each epoch would. Models
-    that stop, all at the window's end, are written back to ``params`` and
-    the workspace keeps the rest. Each model's shuffle orders are drawn as
+    and steps the active models in place through one ``_Workspace``,
+    copying their parameters after each epoch into the window's
+    ``(W, A, P)`` array of snapshots, which one ``_scores`` pass scores.
+    The plateau and best score are then replayed epoch by epoch, as a loop
+    scoring each epoch would. The workspace steps ``params`` itself until a
+    model stops; models that stop, all at a window's end, are written back
+    to ``params``, and the rest go on in a workspace of a gathered copy of
+    their rows. Each model's shuffle orders are drawn as
     far as it surely runs, when they cannot cover the window, so none go
     unused; the active rows' orders sit in one ``(A, epochs, n)`` queue
     with one head, as every row takes a window's orders, so a window's
@@ -502,36 +493,21 @@ def _sgd(
     # its eval rows, of hidden and class activations and an argmax.
     eval_floats = eval_y.shape[1] * (spec.hidden_dim + spec.class_count + 1)
     room = max(1, WINDOW_FLOATS // max(train_floats, eval_floats))
-    # Rows for the W·A snapshots of the largest window; the workspace
-    # steps the last A rows in place.
-    longest = min(spec.patience, spec.max_epochs)
-    snapshots = np.empty((max(len(tasks), min(room, len(tasks) * longest)), params.shape[1]))
-    work = _Workspace(spec, snapshots[len(snapshots) - len(tasks) :])
-    work.params[...] = params
-    stacks: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
+    work = _Workspace(spec, params)
 
-    def stack(window: int):
-        # The (W, A, P) view of the last W·A snapshot rows, and its _affine views.
-        shape = (window, len(active))
-        if shape not in stacks:
-            view = snapshots[len(snapshots) - window * len(active) :].reshape(*shape, -1)
-            stacks[shape] = view, _affine(_unpack(spec, view))
-        return stacks[shape]
-
-    def train(window: int, orders: np.ndarray) -> list:
-        # Steps the window's epochs; returns the _affine views of its
-        # snapshots, once its gathered rows are freed.
-        view, affine = stack(window)
-        for w, batches in enumerate(window_batches(np.array(active), orders)):
+    def train(orders: np.ndarray) -> np.ndarray:
+        # Steps the window's epochs; returns their (W, A, P) snapshots,
+        # once its gathered rows are freed.
+        snapshots = np.empty((*orders.shape[:2], params.shape[1]))
+        for snapshot, batches in zip(snapshots, window_batches(np.array(active), orders)):
             for x, gold, real in batches:
                 work.step(x, gold, real)
-            if w < window - 1:
-                view[w] = work.params
-        return affine
+            snapshot[...] = work.params
+        return snapshots
 
     active = list(range(len(tasks)))
     evals = gather(active)
-    best = _scores(spec, stack(1)[1], evals, metric)[0]
+    best = _scores(spec, _affine(_unpack(spec, work.params[None])), evals, metric)[0]
     last = list(best)
     epochs = [0] * len(tasks)
     # Per active row: its plateau and best score. Row r's shuffle orders
@@ -557,7 +533,7 @@ def _sgd(
             queue, head, ends = refill, 0, lives
         orders = queue[:, head : head + window].swapaxes(0, 1)
         head += window
-        scored = _scores(spec, train(window, orders), evals, metric)
+        scored = _scores(spec, _affine(_unpack(spec, train(orders))), evals, metric)
         for row in scored:
             for r, current in enumerate(row):
                 # Significant improvement means beating the best score so
@@ -574,7 +550,7 @@ def _sgd(
             params[active] = work.params
             active, plateau, best = ([state[r] for r in kept] for state in (active, plateau, best))
             queue, ends = queue[kept], ends[kept]
-            work = work.keep(kept)
+            work = _Workspace(spec, work.params[kept])
             if not active:
                 break
             evals = gather(active)

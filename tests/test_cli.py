@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alol import datagen
+from alol import cli, datagen
 from alol.cli import main
 from alol.datagen import GenKind, GenSpec, generate, load_provenance
 from alol.pool import load_dataset, save_dataset
@@ -207,6 +207,37 @@ def test_simulate_writes_expected_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["repeats"] == 1
     assert summary["truncated"] == [False]
+
+
+def test_simulate_crash_leaves_no_file(tmp_path, monkeypatch):
+    # The second repeat's run log fails half way, after the first repeat's
+    # files are written: no file, final or temporary, may be left behind.
+    write_text = cli._write_text
+
+    def failing(path, text):
+        if "run_1" in path.name:
+            path.write_text(text[:10], encoding="utf-8")
+            raise OSError("disk full")
+        write_text(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", failing)
+    config = sim_config(tmp_path, repeats=2)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_skips_policy_examples_without_scores(tmp_path):
+    # Every iteration explores, so the run log holds no oracle scores.
+    config = sim_config(tmp_path, policy={"name": "epsilon_greedy", "epsilon": 1.0})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve_0.csv",
+        "mean_curve.csv",
+        "run_0.json",
+        "summary.json",
+    ]
 
 
 def test_simulate_outputs_are_byte_identical_across_runs_and_jobs(tmp_path):

@@ -237,6 +237,32 @@ def test_truncation_fills_final_checkpoint():
     assert [size for size, _ in curve] == [4, 6]
 
 
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_pool_running_dry_after_a_checkpoint_keeps_it(monkeypatch, repeats):
+    # Two unlabeled ids run dry at iteration 3, one iteration after the
+    # checkpoint scheduled at iteration 2: that checkpoint is the last one.
+    config = make_config(
+        PolicySpec(name=PolicyName.RANDOM),
+        iterations=5,
+        partition_sizes=(4, 2, 6, 4),
+        checkpoint_every=2,
+    )
+    seen = []
+    checkpoints = engine._checkpoints
+
+    def counting(config, dataset, due):
+        seen.extend((run.master, i) for run, i in due)
+        return checkpoints(config, dataset, due)
+
+    monkeypatch.setattr(engine, "_checkpoints", counting)
+    seeds = [repeat_seed(3, r) for r in range(repeats)]
+    logs = run_simulations(config, small_dataset(n=16), seeds)
+    assert sorted(seen) == sorted((seed, i) for seed in seeds for i in (0, 2))
+    for log in logs:
+        assert log.truncated
+        assert [r.checkpoint is not None for r in log.records] == [False, True]
+
+
 def test_relative_improvement_example():
     gain = relative_improvement([(100, 52.9)], [(100, 48.3)])
     assert gain[0][0] == 100

@@ -817,19 +817,15 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
         work.step(x, gold, None if real is None else (real, np.count_nonzero(real, axis=-1)))
         assert work.params.tobytes() == stack.tobytes()
-    # After models leave, the kept models move to the last rows of the
-    # stack, and steps update them there.
+    # After models leave, the kept models step on in a workspace of their
+    # gathered rows.
     kept = [0, 2, 5, 6] if models == 7 else [0]
-    old = work.params
-    work, stack = work.keep(kept), stack[kept]
-    assert np.shares_memory(work.params, old)
-    assert work.params.tobytes() == stack.tobytes()
+    work, stack = _Workspace(spec, work.params[kept]), stack[kept]
     for _ in range(2):
         x, gold, real = batch(len(kept), BATCH_SIZE)
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
         work.step(x, gold, None if real is None else (real, np.count_nonzero(real, axis=-1)))
         assert work.params.tobytes() == stack.tobytes()
-    assert old[len(old) - len(kept) :].tobytes() == stack.tobytes()
     # The public gradient is the one-model case of the same code.
     if not padded:
         model = ModelState(spec=spec, parameters=stack[0], seed_lineage=())
