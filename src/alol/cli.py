@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -219,15 +220,18 @@ def cmd_simulate(args) -> int:
             raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
         mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
     label = config.policy.name.value
+    written: set[str] = set()
     # summary.json moves into place last: it marks a complete directory.
     with _staged_writes() as stage:
         for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
             _write_json(stage(out_dir / f"run_{r}.json"), to_json(log))
             _write_text(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
+            written.update({f"run_{r}.json", f"curve_{r}.csv"})
             if dump_policy:
                 try:
                     path = stage(out_dir / f"policy_examples_{r}.jsonl")
                     engine.emit_policy_training_examples(log, path)
+                    written.add(f"policy_examples_{r}.jsonl")
                 except MissingScoresError:
                     pass
         mean_csv = _curve_csv(mean_curve, label, config.master_seed)
@@ -242,7 +246,23 @@ def cmd_simulate(args) -> int:
                 "checkpoints_in_mean_curve": common,
             },
         )
+        if args.force:
+            _remove_stale_run_files(out_dir, written)
     return 0
+
+
+_RUN_FILE = re.compile(r"(run_\d+\.json|curve_\d+\.csv|policy_examples_\d+\.jsonl|summary\.json)")
+
+
+def _remove_stale_run_files(out_dir: Path, written: set[str]) -> None:
+    """Remove the per-repeat files of an earlier run in ``out_dir`` that are
+    not in ``written``, and its ``summary.json``. Called before the new
+    files move into place, so a run that fails while they move leaves no
+    completeness marker, and a run with fewer repeats or no policy
+    examples leaves none of the earlier run's beside its own."""
+    for path in out_dir.iterdir():
+        if _RUN_FILE.fullmatch(path.name) and path.name not in written:
+            path.unlink()
 
 
 def cmd_probe_mrr(args) -> int:

@@ -11,19 +11,40 @@ sidecar never enters the dataset file itself.
 Generation is a pure function of the spec: the payload stream uses the
 sampling purpose with run 0, the noise stratum (subset choice plus label
 re-draws) uses run 1.
+
+The payload stream is read example by example, as a scalar
+``SplitMix64`` would read it:
+
+* a token-tagging example takes one length draw,
+  ``next_below(max - min + 1)``, when ``seq_len_range`` spans more than
+  one length, then one ``next_below(class_count)`` label draw per token;
+  a cluster example takes no draw, its label is ``id % class_count``;
+* then ``tokens · input_dim`` normals, row by row, from ``next_normal``:
+  each Box–Muller pair takes two draws ``u1, u2`` and gives the cosine
+  normal first and keeps the sine as a spare for the next normal. The
+  spare carries across tokens, examples and the integer draws between
+  them, so the normals of the whole dataset are the pairs' cosines and
+  sines in pair order.
+
+``next_below`` rejects a draw from ``2**64 - 2**64 % bound`` on and takes
+the next one. ``generate`` walks a block of examples over a table of the
+stream's draws (``rng.stream_draws``) to place the integer draws and the
+pairs, then turns the block's pairs into normals in one array pass.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlolError, GenerationError, SchemaError
 from .pool import Dataset, Example
-from .rng import PURPOSE_SAMPLE, SplitMix64, derive_seed
+from .rng import PURPOSE_SAMPLE, SplitMix64, derive_seed, stream_draws
 from .schema import from_json
 
 
@@ -81,39 +102,119 @@ def _noise_plan(spec: GenSpec) -> tuple[list[int], SplitMix64]:
     return flips, stream
 
 
+# Examples per table walk. A block's draw table and its Box–Muller arrays
+# are the transient memory of ``generate``. At the benchmark's tagging spec
+# (n 600, dim 10, 2-8 tokens) blocks of 64 held about 0.2 MB at their
+# peak against 2.0 MB for one table of the whole dataset, and ran no
+# slower than larger blocks (see CHANGES.md).
+BLOCK = 64
+
+
+def _below(draws: Sequence[int], at: int, bound: int) -> tuple[int, int]:
+    """``next_below(bound)`` read from ``draws`` at ``at``: the value and
+    the index after the accepted draw."""
+    limit = (1 << 64) - (1 << 64) % bound
+    while draws[at] >= limit:
+        at += 1
+    return draws[at] % bound, at + 1
+
+
+def _walk(
+    spec: GenSpec, draws: Sequence[int], first: int, count: int, spare: int
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Place the payload draws of examples ``first``..``first + count - 1``.
+
+    ``draws`` are the stream's draws from the block's first on, and
+    ``spare`` is 1 when a sine from before the block waits to be used.
+    Returns each example's labels, the index in ``draws`` of each
+    Box–Muller pair's ``u1`` (its ``u2`` follows), the number of draws the
+    block takes, and the spare after it. Raises ``IndexError`` when
+    ``draws`` end before the block does.
+    """
+    lo, hi = spec.seq_len_range
+    tagging = spec.kind is GenKind.TOKEN_TAGGING
+    labels: list[list[int]] = []
+    pairs: list[int] = []
+    at = 0
+    for i in range(first, first + count):
+        if tagging:
+            length = lo
+            if hi > lo:
+                extra, at = _below(draws, at, hi - lo + 1)
+                length += extra
+            row = []
+            for _ in range(length):
+                label, at = _below(draws, at, spec.class_count)
+                row.append(label)
+        else:
+            row = [i % spec.class_count]
+        labels.append(row)
+        normals = len(row) * spec.input_dim - spare
+        pairs.extend(range(at, at + normals + normals % 2, 2))
+        at += normals + normals % 2
+        spare = normals % 2
+    if at > len(draws):
+        raise IndexError(f"the block takes {at} draws, the table holds {len(draws)}")
+    return labels, pairs, at, spare
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The normals ``SplitMix64.next_normal`` makes from the uint64 draw
+    pairs ``(u1[k], u2[k])``: cosine, sine, cosine, ... bit for bit.
+
+    Only IEEE-exact steps (``1 - u``, the 2**-53 scaling, products and
+    ``sqrt``) run in numpy; ``log``, ``cos`` and ``sin`` go through
+    ``math``, as numpy's SIMD loops may differ from libm in the last bit.
+    """
+    shift = np.uint64(11)
+    first = 1.0 - (u1 >> shift).astype(np.float64) * 2.0**-53
+    second = (u2 >> shift).astype(np.float64) * 2.0**-53
+    count = first.size
+    radius = np.fromiter(map(math.log, first.tolist()), np.float64, count)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = ((2.0 * math.pi) * second).tolist()
+    normals = np.empty(2 * count)
+    normals[0::2] = np.fromiter(map(math.cos, angle), np.float64, count)
+    normals[1::2] = np.fromiter(map(math.sin, angle), np.float64, count)
+    normals.reshape(count, 2)[...] *= radius[:, None]
+    return normals
+
+
 def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
     """Build the dataset plus an {id: informative} provenance map."""
     means = _class_means(spec)
-    points = SplitMix64(derive_seed(spec.seed, purpose=PURPOSE_SAMPLE))
+    seed = derive_seed(spec.seed, purpose=PURPOSE_SAMPLE)
+    sequence = spec.kind is GenKind.TOKEN_TAGGING
+    lo, hi = spec.seq_len_range
+    per_example = (hi > lo) + hi + hi * spec.input_dim if sequence else spec.input_dim
     examples: list[Example] = []
-
-    if spec.kind is GenKind.GAUSSIAN_CLUSTERS:
-        for i in range(spec.n):
-            label = i % spec.class_count
-            vector = means[label] + np.array(
-                [points.next_normal() for _ in range(spec.input_dim)]
-            )
+    # Draws taken so far, and the sine left from the last block (0 or 1 normals).
+    taken, spare = 0, np.empty(0)
+    for first in range(0, spec.n, BLOCK):
+        count = min(BLOCK, spec.n - first)
+        # Enough draws unless next_below rejects one; then the block is
+        # walked again over a table twice as long.
+        size = count * per_example + 1
+        while True:
+            table = stream_draws([seed], size, skip=taken)[0]
+            try:
+                labels, pairs, used, odd = _walk(spec, table.data, first, count, spare.size)
+                break
+            except IndexError:
+                size *= 2
+        taken += used
+        at = np.array(pairs, dtype=np.intp)
+        normals = np.concatenate([spare, _box_muller(table[at], table[at + 1])])
+        spare = normals[normals.size - odd :]
+        tokens = [len(row) for row in labels]
+        flat = [label for row in labels for label in row]
+        rows = normals[: normals.size - odd].reshape(-1, spec.input_dim) + means[flat]
+        ends = np.cumsum(tokens).tolist()
+        for i, (row, end, length) in enumerate(zip(labels, ends, tokens), start=first):
             examples.append(
-                Example(
-                    id=i,
-                    features=vector.reshape(1, -1),
-                    labels=np.array([label]),
-                    sequence=False,
-                )
+                Example(id=i, features=rows[end - length : end], labels=row, sequence=sequence)
             )
-    else:
-        lo, hi = spec.seq_len_range
-        for i in range(spec.n):
-            length = lo + (points.next_below(hi - lo + 1) if hi > lo else 0)
-            labels = np.array([points.next_below(spec.class_count) for _ in range(length)])
-            rows = np.stack(
-                [
-                    means[label]
-                    + np.array([points.next_normal() for _ in range(spec.input_dim)])
-                    for label in labels
-                ]
-            )
-            examples.append(Example(id=i, features=rows, labels=labels, sequence=True))
 
     flips, noise_stream = _noise_plan(spec)
     informative = {ex.id: True for ex in examples}

@@ -24,7 +24,7 @@ from .errors import (
     PoolExhaustedError,
     StaleCandidateError,
 )
-from .rng import PURPOSE_SAMPLE, PURPOSE_SPLIT, SplitMix64, derive_seed
+from .rng import PURPOSE_SAMPLE, PURPOSE_SPLIT, SplitMix64, derive_seed, shuffled_ranges
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +171,9 @@ def split_dataset(
         raise PartitionInfeasibleError(
             f"partition sizes {counts} need {sum(counts)} examples, dataset has {len(dataset)}"
         )
-    ids = list(dataset.ids)
-    stream = SplitMix64(derive_seed(seed, purpose=PURPOSE_SPLIT))
-    stream.shuffle(ids)
+    ids = dataset.ids
+    order = shuffled_ranges([derive_seed(seed, purpose=PURPOSE_SPLIT)], len(ids))[0]
+    ids = [ids[k] for k in order.tolist()]
     out: list[tuple[int, ...]] = []
     cursor = 0
     for c in counts:
@@ -309,13 +309,13 @@ def save_dataset(dataset: Dataset, path) -> None:
             if ex.sequence:
                 record = {
                     "id": ex.id,
-                    "tokens": [[float(v) for v in row] for row in ex.features],
-                    "label": [int(v) for v in ex.labels],
+                    "tokens": ex.features.tolist(),
+                    "label": ex.labels.tolist(),
                 }
             else:
                 record = {
                     "id": ex.id,
-                    "features": [float(v) for v in ex.features[0]],
+                    "features": ex.features[0].tolist(),
                     "label": int(ex.labels[0]),
                 }
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -54,13 +54,14 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_draws(seeds: Sequence[int], count: int) -> np.ndarray:
-    """Draws 1..``count`` of the stream of each seed, shape ``(len(seeds), count)``.
+def stream_draws(seeds: Sequence[int], count: int, skip: int = 0) -> np.ndarray:
+    """Draws ``skip + 1``..``skip + count`` of the stream of each seed,
+    shape ``(len(seeds), count)``.
 
     SplitMix64 is counter-based: draw k of the stream seeded with s is
     ``mix(s + k·GOLDEN)``, so a whole table is array arithmetic.
     """
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps = np.arange(skip + 1, skip + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return _mix_array(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import alol
 from alol import cli, datagen
 from alol.cli import main
 from alol.datagen import GenKind, GenSpec, generate, load_provenance
@@ -127,6 +131,23 @@ def test_gen_data_is_byte_stable(tmp_path):
     assert main(["gen-data", "--config", str(config), "--out", str(first)]) == 0
     assert main(["gen-data", "--config", str(config), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_python_dash_m_alol_runs_the_cli(tmp_path):
+    config = gen_config(tmp_path, kind="token_tagging", seq_len_range=[1, 4])
+    src = Path(alol.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "module" / "data.jsonl"
+    argv = ["gen-data", "--config", str(config), "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "alol", *argv], env=env, capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    direct = tmp_path / "direct" / "data.jsonl"
+    assert main(["gen-data", "--config", str(config), "--out", str(direct)]) == 0
+    for name in ("data.jsonl", "data.provenance.jsonl"):
+        assert (out.parent / name).read_bytes() == (direct.parent / name).read_bytes()
 
 
 def test_gen_data_refuses_overwrite(tmp_path):
@@ -326,6 +347,57 @@ def test_simulate_refuses_overwrite(tmp_path):
     assert (
         main(["simulate", "--config", str(config), "--out", str(out), "--force"]) == 0
     )
+
+
+def test_simulate_force_removes_repeats_the_new_run_does_not_write(tmp_path):
+    out = tmp_path / "out"
+    config = sim_config(tmp_path, repeats=3)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    config = sim_config(tmp_path, repeats=1)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve_0.csv",
+        "mean_curve.csv",
+        "notes.txt",
+        "policy_examples_0.jsonl",
+        "run_0.json",
+        "summary.json",
+    ]
+    assert json.loads((out / "summary.json").read_text())["repeats"] == 1
+
+
+def test_simulate_force_removes_policy_examples_of_an_earlier_oracle_run(tmp_path):
+    out = tmp_path / "out"
+    config = sim_config(tmp_path, repeats=2)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "policy_examples_1.jsonl").exists()
+    config = sim_config(tmp_path, repeats=2, policy={"name": "random"})
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--force"]) == 0
+    assert not list(out.glob("policy_examples_*"))
+    assert json.loads((out / "run_1.json").read_text())["config"]["policy"]["name"] == "random"
+
+
+def test_simulate_force_failing_move_leaves_no_earlier_summary(tmp_path, monkeypatch):
+    # The new files fail to move into place after the first one: the
+    # earlier run's summary.json must not mark the mixed directory complete.
+    out = tmp_path / "out"
+    config = sim_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    replace = os.replace
+    moves = []
+
+    def failing(source, target):
+        moves.append(target)
+        if len(moves) > 1:
+            raise OSError("disk full")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing)
+    config = sim_config(tmp_path, master_seed=78)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--force"]) == 1
+    assert not (out / "summary.json").exists()
+    assert not list(out.glob(".*.tmp"))
 
 
 def test_simulate_rejects_unknown_keys(tmp_path):

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from alol import datagen
 from alol.datagen import (
+    BLOCK,
     GenKind,
     GenSpec,
+    _box_muller,
+    _class_means,
+    _noise_plan,
+    _walk,
     generate,
     load_provenance,
     save_provenance,
 )
 from alol.errors import AlolError, GenerationError
-from alol.pool import load_dataset, save_dataset
+from alol.pool import Dataset, Example, load_dataset, save_dataset
+from alol.rng import MASK64, PURPOSE_SAMPLE, SplitMix64, derive_seed, stream_draws
 
 
 def cluster_spec(**overrides):
@@ -220,3 +227,125 @@ def test_generated_dataset_survives_jsonl_round_trip(tmp_path):
     path = tmp_path / "data.jsonl"
     save_dataset(dataset, path)
     assert load_dataset(path) == dataset
+
+
+def scalar_generate(spec, points=None):
+    """The generator as one scalar SplitMix64 call per draw: the reference
+    ``generate``'s draw tables must equal bit for bit."""
+    means = _class_means(spec)
+    if points is None:
+        points = SplitMix64(derive_seed(spec.seed, purpose=PURPOSE_SAMPLE))
+    examples = []
+    lo, hi = spec.seq_len_range
+    for i in range(spec.n):
+        if spec.kind is GenKind.GAUSSIAN_CLUSTERS:
+            labels = [i % spec.class_count]
+        else:
+            length = lo + (points.next_below(hi - lo + 1) if hi > lo else 0)
+            labels = [points.next_below(spec.class_count) for _ in range(length)]
+        rows = np.stack(
+            [
+                means[label] + np.array([points.next_normal() for _ in range(spec.input_dim)])
+                for label in labels
+            ]
+        )
+        sequence = spec.kind is GenKind.TOKEN_TAGGING
+        examples.append(Example(id=i, features=rows, labels=np.array(labels), sequence=sequence))
+    flips, noise_stream = _noise_plan(spec)
+    informative = {ex.id: True for ex in examples}
+    for idx in flips:
+        ex = examples[idx]
+        noisy = [noise_stream.next_below(spec.class_count) for _ in range(ex.token_count)]
+        examples[idx] = Example(id=ex.id, features=ex.features, labels=noisy, sequence=ex.sequence)
+        informative[ex.id] = False
+    return Dataset(examples=tuple(examples)), informative
+
+
+def assert_same_bits(got, expected):
+    (dataset, informative), (ref_dataset, ref_informative) = got, expected
+    assert informative == ref_informative
+    assert len(dataset) == len(ref_dataset)
+    for ex, ref in zip(dataset.examples, ref_dataset.examples):
+        assert (ex.id, ex.sequence, ex.labels.tolist()) == (ref.id, ref.sequence, ref.labels.tolist())
+        assert ex.features.shape == ref.features.shape
+        assert ex.features.tobytes() == ref.features.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cluster_spec(n=2 * BLOCK + 5, input_dim=5, noise_fraction=0.3),
+        cluster_spec(n=BLOCK, input_dim=4, class_count=4, noise_fraction=1.0),
+        cluster_spec(n=7, input_dim=3, noise_fraction=0.0, seed=1601),
+        tagging_spec(n=2 * BLOCK + 3, input_dim=7, seq_len_range=(1, 9), noise_fraction=0.4),
+        tagging_spec(n=BLOCK + 1, input_dim=5, seq_len_range=(3, 3), noise_fraction=1.0),
+        tagging_spec(n=BLOCK - 1, input_dim=4, class_count=4, seq_len_range=(2, 8)),
+        tagging_spec(n=30, input_dim=3, seq_len_range=(1, 1), seed=11),
+    ],
+    ids=lambda spec: f"{spec.kind.value}-n{spec.n}-dim{spec.input_dim}-len{spec.seq_len_range}",
+)
+def test_generate_equals_the_scalar_generator_bit_for_bit(spec):
+    assert_same_bits(generate(spec), scalar_generate(spec))
+
+
+def test_array_box_muller_equals_next_normal_draw_for_draw():
+    for seed in (0, 7, derive_seed(1601, purpose=PURPOSE_SAMPLE)):
+        draws = stream_draws([seed], 20_000)[0]
+        stream = SplitMix64(seed)
+        expected = np.array([stream.next_normal() for _ in range(draws.size)])
+        assert _box_muller(draws[0::2], draws[1::2]).tobytes() == expected.tobytes()
+
+
+class InjectedStream(SplitMix64):
+    """A stream whose draws at the 0-based ``positions`` read 2**64 - 1,
+    above every ``next_below`` ceiling of a bound that is no power of 2."""
+
+    def __init__(self, seed, positions):
+        super().__init__(seed)
+        self.taken = 0
+        self.positions = positions
+
+    def next_uint64(self):
+        draw = super().next_uint64()
+        self.taken += 1
+        return MASK64 if self.taken - 1 in self.positions else draw
+
+
+def test_walk_skips_a_draw_above_the_ceiling():
+    spec = tagging_spec(n=1, input_dim=3, class_count=3, seq_len_range=(2, 4))
+    # Length draw rejected, then 4 -> length 2 + 4 % 3 = 3; the second
+    # label draw is rejected too. Then 9 normals: 5 pairs from draw 6 on.
+    draws = [MASK64, 4, 5, MASK64, 6, 7] + list(range(10, 20))
+    labels, pairs, used, spare = _walk(spec, draws, 0, 1, 0)
+    assert labels == [[5 % 3, 6 % 3, 7 % 3]]
+    assert pairs == [6, 8, 10, 12, 14] and used == 16 and spare == 1
+    # With a sine waiting, the block needs 8 normals: 4 pairs.
+    assert _walk(spec, draws, 0, 1, 1)[1:] == ([6, 8, 10, 12], 14, 0)
+    with pytest.raises(IndexError):
+        _walk(spec, draws[:15], 0, 1, 0)
+
+
+def test_rejected_draws_push_a_block_onto_a_longer_table(monkeypatch):
+    # With one length per example a block's table holds one draw to spare,
+    # so two rejected label draws make the first block walk a second table.
+    # The first block then takes BLOCK·(3 labels + 9 normals) + 2 draws,
+    # and the next block's first label draw is rejected as well.
+    spec = tagging_spec(n=BLOCK + 4, input_dim=3, seq_len_range=(3, 3), noise_fraction=0.25)
+    seed = derive_seed(spec.seed, purpose=PURPOSE_SAMPLE)
+    positions = {0, 1, BLOCK * (3 + 9) + 2}
+    sizes = []
+
+    def injected(seeds, count, skip=0):
+        sizes.append((skip, count))
+        table = stream_draws(seeds, count, skip)
+        for k in positions:
+            if skip <= k < skip + count:
+                table[:, k - skip] = MASK64
+        return table
+
+    monkeypatch.setattr(datagen, "stream_draws", injected)
+    got = generate(spec)
+    assert [skip for skip, _ in sizes[:2]] == [0, 0] and sizes[1][1] == 2 * sizes[0][1]
+    expected = scalar_generate(spec, InjectedStream(seed, positions))
+    assert_same_bits(got, expected)
+    assert got[0] != scalar_generate(spec)[0]

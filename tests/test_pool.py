@@ -18,6 +18,7 @@ from alol.pool import (
     save_dataset,
     split_dataset,
 )
+from alol.rng import PURPOSE_SPLIT, SplitMix64, derive_seed
 
 
 def single(example_id, values, label):
@@ -87,6 +88,22 @@ def test_split_is_deterministic_and_seed_sensitive():
     c = split_dataset(dataset, (5, 15, 5, 5), 12)
     assert a == b
     assert a != c
+
+
+def test_split_orders_ids_as_the_scalar_shuffle_does():
+    # The split's order comes from rng.shuffled_ranges; it must stay the
+    # permutation SplitMix64.shuffle makes of the sorted ids.
+    dataset = Dataset(examples=tuple(single(3 * i + 1, [0.0], 0) for i in range(40)))
+    for seed in range(200):
+        ids = list(dataset.ids)
+        SplitMix64(derive_seed(seed, purpose=PURPOSE_SPLIT)).shuffle(ids)
+        expected = PoolState(
+            labeled=tuple(ids[:4]),
+            unlabeled=tuple(ids[4:24]),
+            eval=tuple(ids[24:34]),
+            report=tuple(ids[34:37]),
+        )
+        assert split_dataset(dataset, (4, 20, 10, 3), seed) == expected
 
 
 def test_split_leaves_leftovers_unassigned():

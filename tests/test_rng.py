@@ -193,6 +193,7 @@ def test_stream_draws_match_the_stream_draw_by_draw():
         stream = SplitMix64(seed)
         assert row == [stream.next_uint64() for _ in range(40)]
     assert stream_draws([0], 4).tolist() == [SEED0_OUTPUTS]
+    assert np.array_equal(stream_draws(SEEDS, 15, skip=25), table[:, 25:])
 
 
 def test_draws_below_falls_back_to_the_stream_after_a_rejection():
