@@ -97,7 +97,6 @@ def _refuse_overwrite(paths: list[Path], force: bool) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
@@ -107,13 +106,15 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 @contextlib.contextmanager
-def _staged_writes():
+def _staged_writes(stale=()):
     """Yields ``stage``, which maps an output path to a temporary name
     beside it for the caller to write. When the block ends without error,
-    each temporary that was written is moved into place with
-    ``os.replace``, in the order staged; on any exit every temporary is
-    removed. A failing write thus leaves no file, final or temporary, and
-    the last path staged is in place only when all the others are."""
+    every staged path and every path in ``stale`` is removed, and then each
+    temporary that was written is moved into place with ``os.replace``, in
+    the order staged; on any exit every temporary is removed. A failing
+    write thus leaves no file, final or temporary; a failing move leaves
+    no earlier output beside the new ones; and the last path staged is in
+    place only when all the others are."""
     staged = []
 
     def stage(path: Path) -> Path:
@@ -123,6 +124,8 @@ def _staged_writes():
 
     try:
         yield stage
+        for path in [*(path for _, path in staged), *stale]:
+            path.unlink(missing_ok=True)
         for temporary, path in staged:
             if temporary.exists():
                 os.replace(temporary, path)
@@ -190,6 +193,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+_RUN_FILE = re.compile(r"(run_\d+\.json|curve_\d+\.csv|policy_examples_\d+\.jsonl)")
+
+
 def cmd_simulate(args) -> int:
     config, keys = _parse(args.config, "simulate", engine.SimulationConfig, _SimulateKeys)
     override = _seed_override()
@@ -220,18 +226,18 @@ def cmd_simulate(args) -> int:
             raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
         mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
     label = config.policy.name.value
-    written: set[str] = set()
+    # Under --force the earlier run's files go too, so none of its repeats
+    # is left beside a new run with fewer.
+    stale = [p for p in out_dir.glob("*") if _RUN_FILE.fullmatch(p.name)] if args.force else []
     # summary.json moves into place last: it marks a complete directory.
-    with _staged_writes() as stage:
+    with _staged_writes(stale) as stage:
         for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
             _write_json(stage(out_dir / f"run_{r}.json"), to_json(log))
             _write_text(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
-            written.update({f"run_{r}.json", f"curve_{r}.csv"})
             if dump_policy:
                 try:
                     path = stage(out_dir / f"policy_examples_{r}.jsonl")
                     engine.emit_policy_training_examples(log, path)
-                    written.add(f"policy_examples_{r}.jsonl")
                 except MissingScoresError:
                     pass
         mean_csv = _curve_csv(mean_curve, label, config.master_seed)
@@ -246,23 +252,7 @@ def cmd_simulate(args) -> int:
                 "checkpoints_in_mean_curve": common,
             },
         )
-        if args.force:
-            _remove_stale_run_files(out_dir, written)
     return 0
-
-
-_RUN_FILE = re.compile(r"(run_\d+\.json|curve_\d+\.csv|policy_examples_\d+\.jsonl|summary\.json)")
-
-
-def _remove_stale_run_files(out_dir: Path, written: set[str]) -> None:
-    """Remove the per-repeat files of an earlier run in ``out_dir`` that are
-    not in ``written``, and its ``summary.json``. Called before the new
-    files move into place, so a run that fails while they move leaves no
-    completeness marker, and a run with fewer repeats or no policy
-    examples leaves none of the earlier run's beside its own."""
-    for path in out_dir.iterdir():
-        if _RUN_FILE.fullmatch(path.name) and path.name not in written:
-            path.unlink()
 
 
 def cmd_probe_mrr(args) -> int:
@@ -307,7 +297,8 @@ def cmd_report(args) -> int:
     for k, (size, _) in enumerate(baseline_curve):
         cells = [str(size)] + [_fmt(col[k][1]) for col in columns]
         lines.append(",".join(cells))
-    _write_text(out, "\n".join(lines) + "\n")
+    with _staged_writes() as stage:
+        _write_text(stage(out), "\n".join(lines) + "\n")
     return 0
 
 

@@ -188,7 +188,10 @@ def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
     sequence = spec.kind is GenKind.TOKEN_TAGGING
     lo, hi = spec.seq_len_range
     per_example = (hi > lo) + hi + hi * spec.input_dim if sequence else spec.input_dim
-    examples: list[Example] = []
+    # Each example's feature rows and labels; the Examples are built once
+    # the noise stratum's labels are drawn.
+    features: list[np.ndarray] = []
+    labels: list[list[int]] = []
     # Draws taken so far, and the sine left from the last block (0 or 1 normals).
     taken, spare = 0, np.empty(0)
     for first in range(0, spec.n, BLOCK):
@@ -199,7 +202,7 @@ def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
         while True:
             table = stream_draws([seed], size, skip=taken)[0]
             try:
-                labels, pairs, used, odd = _walk(spec, table.data, first, count, spare.size)
+                block, pairs, used, odd = _walk(spec, table.data, first, count, spare.size)
                 break
             except IndexError:
                 size *= 2
@@ -207,28 +210,21 @@ def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
         at = np.array(pairs, dtype=np.intp)
         normals = np.concatenate([spare, _box_muller(table[at], table[at + 1])])
         spare = normals[normals.size - odd :]
-        tokens = [len(row) for row in labels]
-        flat = [label for row in labels for label in row]
+        flat = [label for row in block for label in row]
         rows = normals[: normals.size - odd].reshape(-1, spec.input_dim) + means[flat]
-        ends = np.cumsum(tokens).tolist()
-        for i, (row, end, length) in enumerate(zip(labels, ends, tokens), start=first):
-            examples.append(
-                Example(id=i, features=rows[end - length : end], labels=row, sequence=sequence)
-            )
+        ends = np.cumsum([len(row) for row in block]).tolist()
+        features += [rows[end - len(row) : end] for row, end in zip(block, ends)]
+        labels += block
 
     flips, noise_stream = _noise_plan(spec)
-    informative = {ex.id: True for ex in examples}
     for idx in flips:
-        ex = examples[idx]
-        noisy = np.array(
-            [noise_stream.next_below(spec.class_count) for _ in range(ex.token_count)]
-        )
-        examples[idx] = Example(
-            id=ex.id, features=ex.features, labels=noisy, sequence=ex.sequence
-        )
-        informative[ex.id] = False
-
-    return Dataset(examples=tuple(examples)), informative
+        labels[idx] = [noise_stream.next_below(spec.class_count) for _ in labels[idx]]
+    noisy = set(flips)
+    examples = tuple(
+        Example(id=i, features=x, labels=row, sequence=sequence)
+        for i, (x, row) in enumerate(zip(features, labels))
+    )
+    return Dataset(examples=examples), {i: i not in noisy for i in range(spec.n)}
 
 
 def save_provenance(informative: dict[int, bool], path) -> None:

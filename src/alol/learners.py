@@ -269,9 +269,15 @@ class _Workspace:
         np.add.reduce(delta, axis=-2, out=g_b)
         return self.grad
 
-    def step(self, x: np.ndarray, one_hot: np.ndarray, real) -> None:
-        """One SGD step of every model on its batch rows, in place."""
+    def step(self, x: np.ndarray, one_hot: np.ndarray, real, lone=None) -> None:
+        """One SGD step of every model on its batch rows, in place. The
+        models ``lone``, whose padded rows hold one token row, their first,
+        take the gradient of that row alone: numpy multiplies a one-row
+        matrix through gemv, whose bits can differ from gemm's."""
         grad = self.gradient(x, one_hot, real)
+        if lone is not None and lone.size:
+            alone = _Workspace(self.spec, self.params[lone])
+            grad[lone] = alone.gradient(x[lone, :1], one_hot[lone, :1], None)
         grad *= self.spec.learning_rate
         self.params -= grad
 
@@ -280,16 +286,21 @@ def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
     return y[..., None] == np.arange(spec.class_count)
 
 
-def _scores(spec: LearnerSpec, affine, evals, metric: MetricKind) -> list[list[float]]:
+def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind) -> list[list[float]]:
     """Each model's ``metric`` on its eval tokens, scored from its argmax
-    predictions, for every snapshot of a ``(W, K, P)`` stack, given by its
-    ``_affine`` views: W copies of the K models, one per epoch of a window.
-    ``evals`` holds the shared ``(m, dim)`` or per-model ``(K, m, dim)``
-    rows, the ``(K, m)`` labels, padded at the end with -1, and each
-    model's token total and example bounds. Returns W lists of K scores,
-    each that of one model alone."""
-    x, y, totals, bounds = evals
-    preds = _forward(affine, x)[0].argmax(axis=-1)
+    predictions, for every snapshot of a ``(W, K, P)`` stack: W copies of
+    the K models, one per epoch of a window. ``evals`` holds the shared
+    ``(m, dim)`` or per-model ``(K, m, dim)`` rows, the ``(K, m)`` labels,
+    padded at the end with -1, each model's token total and example
+    bounds, and the models whose padded rows hold a single token row, or
+    None; those are scored on that row alone, as ``_Workspace.step``
+    steps them. Returns W lists of K scores, each that of one model
+    alone."""
+    x, y, totals, bounds, lone = evals
+    preds = _forward(_affine(_unpack(spec, params)), x)[0].argmax(axis=-1)
+    if lone is not None and lone.size:
+        alone = _forward(_affine(_unpack(spec, params[:, lone])), x[lone, :1])[0]
+        preds[:, lone, :1] = alone.argmax(axis=-1)
     if metric is MetricKind.ACCURACY:
         # Exact hit counts over the real tokens, as no prediction equals
         # the padding label -1: the same floats as np.mean.
@@ -365,10 +376,11 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     label -1. A window gathers the active models' shuffled rows of all its
     epochs from it at once, laid out ``(W, A, n * width, dim)`` so that
     each epoch's block is contiguous, and yields each epoch's batches
-    ``(x, gold, real)``, where ``real`` is None when no example needed
-    padding, else the mask of the token rows and each model's count of
-    them, counted once per window. Returns the floats that one model's
-    epoch gathers, and the window source.
+    ``(x, gold, real, lone)``, where ``real`` is None when no example
+    needed padding, else the mask of the token rows and each model's count
+    of them, counted once per window, and ``lone`` indexes the models whose
+    padded batch holds a single token row, or is None. Returns the floats
+    that one model's epoch gathers, and the window source.
     """
     lists = _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
     width = max((ex.token_count for examples in lists for ex in examples), default=0)
@@ -390,6 +402,8 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     padded = not real_all.all()
     slices = [slice(i * width, (i + BATCH_SIZE) * width) for i in range(0, n, BATCH_SIZE)]
     starts = [rows.start for rows in slices]
+    # Only a last batch of one example can hold a single token row.
+    lone_batch = len(slices) - 1 if n % BATCH_SIZE == 1 else None
 
     def window(active: np.ndarray, orders: np.ndarray) -> list:
         # orders[w, a]: the shuffle order of active model a in epoch w.
@@ -399,13 +413,22 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
         gold = gold_all[picked].reshape(*shape, spec.class_count)
         if not padded:
             return [
-                [(xw[:, rows], gw[:, rows], None) for rows in slices] for xw, gw in zip(x, gold)
+                [(xw[:, rows], gw[:, rows], None, None) for rows in slices]
+                for xw, gw in zip(x, gold)
             ]
         real = real_all[picked].reshape(shape)
         # Each model's token rows per batch of each epoch, counted at once.
         tokens = np.add.reduceat(real, starts, axis=-1)
         return [
-            [(xw[:, rows], gw[:, rows], (rw[:, rows], tw[:, b])) for b, rows in enumerate(slices)]
+            [
+                (
+                    xw[:, rows],
+                    gw[:, rows],
+                    (rw[:, rows], tw[:, b]),
+                    np.flatnonzero(tw[:, b] == 1) if b == lone_batch else None,
+                )
+                for b, rows in enumerate(slices)
+            ]
             for xw, gw, rw, tw in zip(x, gold, real, tokens)
         ]
 
@@ -461,12 +484,9 @@ def _sgd(
     scoring each epoch would. The workspace steps ``params`` itself until a
     model stops; models that stop, all at a window's end, are written back
     to ``params``, and the rest go on in a workspace of a gathered copy of
-    their rows. Each model's shuffle orders are drawn as
-    far as it surely runs, when they cannot cover the window, so none go
-    unused; the active rows' orders sit in one ``(A, epochs, n)`` queue
-    with one head, as every row takes a window's orders, so a window's
-    orders are one slice of it. Returns each model's epoch shuffle seeds
-    and last eval score.
+    their rows. A window's shuffle orders are drawn when it is cut; as no
+    active model stops inside it, none go unused. Returns each model's
+    epoch shuffle seeds and last eval score.
     """
     if any(not t.eval_rows.examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
@@ -485,9 +505,11 @@ def _sgd(
         picked = eval_of[active]
         if len(eval_x) == 1:
             x, y = eval_x[0], np.broadcast_to(eval_y[0], (len(active), eval_y.shape[1]))
+            lone = None
         else:
             x, y = eval_x[picked], eval_y[picked]
-        return x, y, eval_totals[picked], [eval_bounds[e] for e in picked]
+            lone = np.flatnonzero(eval_totals[picked] == 1) if x.shape[1] > 1 else None
+        return x, y, eval_totals[picked], [eval_bounds[e] for e in picked], lone
 
     # Model-epochs per window: each gathers its training rows and scores
     # its eval rows, of hidden and class activations and an argmax.
@@ -500,40 +522,24 @@ def _sgd(
         # once its gathered rows are freed.
         snapshots = np.empty((*orders.shape[:2], params.shape[1]))
         for snapshot, batches in zip(snapshots, window_batches(np.array(active), orders)):
-            for x, gold, real in batches:
-                work.step(x, gold, real)
+            for batch in batches:
+                work.step(*batch)
             snapshot[...] = work.params
         return snapshots
 
     active = list(range(len(tasks)))
     evals = gather(active)
-    best = _scores(spec, _affine(_unpack(spec, work.params[None])), evals, metric)[0]
+    best = _scores(spec, work.params[None], evals, metric)[0]
     last = list(best)
     epochs = [0] * len(tasks)
-    # Per active row: its plateau and best score. Row r's shuffle orders
-    # for epochs epoch, epoch + 1, ... are queue[r, head:ends[r]].
+    # Per active row: its plateau and best score.
     plateau = [0] * len(tasks)
-    queue = np.empty((len(tasks), 0, n), dtype=np.int64)
-    head, ends = 0, np.zeros(len(tasks), dtype=np.intp)
     epoch, end = 0, spec.max_epochs if n else 0
     while epoch < end:
         window = max(1, min(spec.patience - max(plateau), end - epoch, room // len(active)))
-        ahead = ends - head
-        if ahead.min() < window:
-            # Each row draws as far as it surely runs, after the orders it
-            # holds, which never reach past that.
-            lives = np.minimum(spec.patience - np.array(plateau), end - epoch)
-            span = np.arange(lives.max())
-            fresh = (span >= ahead[:, None]) & (span < lives[:, None])
-            seeds = shuffle_seeds[np.array(active)[:, None], epoch + span][fresh]
-            refill = np.empty((len(active), len(span), n), dtype=np.int64)
-            held = ahead.max()
-            refill[:, :held] = queue[:, head : head + held]
-            refill[fresh] = shuffled_ranges(seeds, n)
-            queue, head, ends = refill, 0, lives
-        orders = queue[:, head : head + window].swapaxes(0, 1)
-        head += window
-        scored = _scores(spec, _affine(_unpack(spec, train(orders))), evals, metric)
+        seeds = shuffle_seeds[active, epoch : epoch + window].T.ravel()
+        orders = shuffled_ranges(seeds, n).reshape(window, len(active), n)
+        scored = _scores(spec, train(orders), evals, metric)
         for row in scored:
             for r, current in enumerate(row):
                 # Significant improvement means beating the best score so
@@ -549,7 +555,6 @@ def _sgd(
         if len(kept) < len(active):
             params[active] = work.params
             active, plateau, best = ([state[r] for r in kept] for state in (active, plateau, best))
-            queue, ends = queue[kept], ends[kept]
             work = _Workspace(spec, work.params[kept])
             if not active:
                 break
@@ -634,12 +639,12 @@ def fit_stacked(
     length; at length 0 every model is its init or base, unchanged.
     Examples of different token counts are zero-padded to the widest, and
     eval rows of different token totals to the largest. That changes no
-    output bit, with one exception for either learner: a model whose
-    batch or eval list is a single token row can differ in the last bits
-    once padded, as the padded row meets another BLAS kernel than the row
-    alone. The stack's forward pass and gradient are the code of
-    ``evaluate`` and ``gradient`` with K models in place of one, writing
-    in place.
+    output bit: padded rows add exact zeros, and a model whose padded batch
+    or eval list holds a single token row is stepped or scored on that row
+    alone, as numpy multiplies a one-row matrix through another BLAS
+    kernel (gemv) than a padded one (gemm). The stack's forward pass and
+    gradient are the code of ``evaluate`` and ``gradient`` with K models in
+    place of one, writing in place.
     """
     if len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
         raise SpecMismatchError("fit_stacked needs training lists of one length")
@@ -678,9 +683,8 @@ def evaluate(
     if len(examples) == 0:
         raise EmptyEvalError("evaluate needs at least one example")
     rows = token_rows(model.spec, examples)
-    affine = _affine(_unpack(model.spec, model.parameters[None, None]))
-    evals = (rows.x, rows.y[None], [len(rows.y)], [rows.bounds])
-    return _scores(model.spec, affine, evals, metric)[0][0]
+    evals = (rows.x, rows.y[None], [len(rows.y)], [rows.bounds], None)
+    return _scores(model.spec, model.parameters[None, None], evals, metric)[0][0]
 
 
 def loss(model: ModelState, examples: Sequence[Example]) -> float:

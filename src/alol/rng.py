@@ -33,7 +33,6 @@ PURPOSE_INIT = 2
 PURPOSE_SHUFFLE = 3
 PURPOSE_POLICY = 4
 
-RUN_MAIN = 0
 RUN_CHECKPOINT = 1
 
 

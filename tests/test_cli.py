@@ -107,6 +107,20 @@ def probe_config(tmp_path, **overrides):
     return path
 
 
+def fail_second_move(monkeypatch):
+    """Make every ``os.replace`` after the first raise, as a full disk would."""
+    replace = os.replace
+    moves = []
+
+    def failing(source, target):
+        moves.append(target)
+        if len(moves) > 1:
+            raise OSError("disk full")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing)
+
+
 def curve_csv(path, rows, policy="policy", seed=1):
     lines = ["labeled_size,metric,policy,seed"]
     for size, value in rows:
@@ -176,6 +190,22 @@ def test_gen_data_crash_leaves_no_file(tmp_path, monkeypatch):
     out = tmp_path / "out" / "data.jsonl"
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 1
     assert list(out.parent.iterdir()) == []
+
+
+def test_gen_data_force_failing_move_leaves_no_earlier_dataset(tmp_path, monkeypatch):
+    # The new sidecar moves into place and the new dataset fails to: the
+    # earlier dataset must not be left beside a sidecar that describes
+    # another one.
+    out = tmp_path / "out" / "data.jsonl"
+    assert main(["gen-data", "--config", str(gen_config(tmp_path)), "--out", str(out)]) == 0
+    config = gen_config(tmp_path, seed=14)
+    expected = tmp_path / "expected" / "data.jsonl"
+    assert main(["gen-data", "--config", str(config), "--out", str(expected)]) == 0
+    fail_second_move(monkeypatch)
+    assert main(["gen-data", "--config", str(config), "--out", str(out), "--force"]) == 1
+    sidecar = "data.provenance.jsonl"
+    assert [p.name for p in out.parent.iterdir()] == [sidecar]
+    assert (out.parent / sidecar).read_bytes() == (expected.parent / sidecar).read_bytes()
 
 
 @pytest.mark.parametrize("mutation", ["extra", "missing", "wrong_command"])
@@ -384,16 +414,7 @@ def test_simulate_force_failing_move_leaves_no_earlier_summary(tmp_path, monkeyp
     out = tmp_path / "out"
     config = sim_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    replace = os.replace
-    moves = []
-
-    def failing(source, target):
-        moves.append(target)
-        if len(moves) > 1:
-            raise OSError("disk full")
-        replace(source, target)
-
-    monkeypatch.setattr(os, "replace", failing)
+    fail_second_move(monkeypatch)
     config = sim_config(tmp_path, master_seed=78)
     assert main(["simulate", "--config", str(config), "--out", str(out), "--force"]) == 1
     assert not (out / "summary.json").exists()
@@ -457,6 +478,17 @@ def test_probe_mrr_outputs(tmp_path):
     assert summary["overall_mrr"] == 1.0
 
 
+def test_probe_force_failing_move_leaves_no_earlier_summary(tmp_path, monkeypatch):
+    # The new mrr.csv moves into place and mrr_summary.json fails to: the
+    # earlier run's summary must not mark the mixed directory complete.
+    out = tmp_path / "out"
+    assert main(["probe-mrr", "--config", str(probe_config(tmp_path)), "--out", str(out)]) == 0
+    fail_second_move(monkeypatch)
+    config = probe_config(tmp_path, seed_pair=[31, 32])
+    assert main(["probe-mrr", "--config", str(config), "--out", str(out), "--force"]) == 1
+    assert [p.name for p in out.iterdir()] == ["mrr.csv"]
+
+
 def test_probe_rejects_wrong_command(tmp_path):
     config = probe_config(tmp_path, command="simulate")
     assert main(["probe-mrr", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -478,6 +510,26 @@ def test_report_computes_percent_columns(tmp_path):
     assert first[0] == "100"
     assert float(first[1]) == pytest.approx(9.5238, abs=1e-3)
     assert float(lines[2].split(",")[1]) == pytest.approx(10.0)
+
+
+def test_report_crash_leaves_no_file(tmp_path, monkeypatch):
+    # The report write fails half way: no file, final or temporary, may be
+    # left behind.
+    def failing(path, text):
+        path.write_text(text[:10], encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_text", failing)
+    baseline = tmp_path / "curves" / "random.csv"
+    policy = tmp_path / "curves" / "oracle.csv"
+    baseline.parent.mkdir()
+    curve_csv(baseline, [(100, 48.3)], policy="random")
+    curve_csv(policy, [(100, 52.9)], policy="oracle")
+    out = tmp_path / "out" / "report.csv"
+    out.parent.mkdir()
+    code = main(["report", str(policy), "--baseline", str(baseline), "--out", str(out)])
+    assert code == 1
+    assert list(out.parent.iterdir()) == []
 
 
 def test_report_suffixes_duplicate_labels(tmp_path):

@@ -345,7 +345,7 @@ def test_run_rejects_mismatched_learner_and_empty_partitions():
         run_simulation(config, dataset)
 
 
-def tagging_dataset():
+def tagging_dataset(seq_len_range=(2, 5)):
     spec = GenSpec(
         kind=GenKind.TOKEN_TAGGING,
         n=64,
@@ -354,7 +354,7 @@ def tagging_dataset():
         cluster_separation=4.0,
         noise_fraction=0.2,
         seed=9,
-        seq_len_range=(2, 5),
+        seq_len_range=seq_len_range,
     )
     dataset, _ = generate(spec)
     return dataset
@@ -447,13 +447,38 @@ def test_any_repeat_of_a_lockstep_run_equals_its_single_run(data):
         checkpoint_every=data.draw(st.integers(1, 3)),
         log_oracle_scores=data.draw(st.booleans()),
     )
-    dataset = tagging_dataset() if tagging else small_dataset()
+    if tagging:
+        # A batch or eval list of one token row, padded to a stack's
+        # widest, is stepped and scored on that row alone.
+        lengths = data.draw(st.sampled_from([(2, 5), (1, 4), (1, 2), (1, 1)]))
+        dataset = tagging_dataset(lengths)
+    else:
+        dataset = small_dataset()
     seeds = [repeat_seed(config.master_seed, r) for r in range(data.draw(st.integers(1, 3)))]
     logs = run_simulations(config, dataset, seeds)
     assert len(logs) == len(seeds)
     for seed, log in zip(seeds, logs):
         alone = run_simulation(replace(config, master_seed=seed), dataset)
         assert to_json(log) == to_json(alone)
+
+
+def test_lockstep_repeats_checkpointing_on_one_token_rows_equal_their_single_runs():
+    # Each repeat's checkpoint model trains on the one example it picked:
+    # in one repeat an example of one token row, in another of two, which
+    # pads the first to two rows in the lockstep stack.
+    config = make_config(
+        PolicySpec(name=PolicyName.RANDOM),
+        iterations=1,
+        candidate_count=1,
+        selection_metric=MetricKind.MACRO_F1,
+        master_seed=0,
+        partition_sizes=(0, 44, 8, 6),
+        checkpoint_every=1,
+    )
+    dataset = tagging_dataset((1, 2))
+    seeds = [repeat_seed(config.master_seed, r) for r in range(2)]
+    for seed, log in zip(seeds, run_simulations(config, dataset, seeds)):
+        assert to_json(log) == to_json(run_simulation(replace(config, master_seed=seed), dataset))
 
 
 def phase_sizes(monkeypatch, config, dataset):

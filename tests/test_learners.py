@@ -738,6 +738,58 @@ def test_zero_padded_rows_leave_stacked_products_bit_equal(dim, classes):
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_one_token_batches_padded_in_a_stack_step_as_the_plain_loop(spec):
+    # Nine examples of 1-4 tokens: the last batch of each epoch holds one
+    # example, so a model whose example there has one token steps on one
+    # row. numpy multiplies a one-row matrix through gemv, and the same row
+    # padded in a stack through gemm, whose bits can differ.
+    rng = np.random.default_rng(41)
+    spec = replace(spec, max_epochs=4, patience=2)
+    evals = token_rows(spec, [tokens(900 + i, rng, 2) for i in range(6)])
+    metric = MetricKind.ACCURACY
+    for trial in range(40):
+        lists = [
+            [tokens(100 * k + i, rng, int(rng.integers(1, 5))) for i in range(9)]
+            for k in range(3)
+        ]
+        # One list of one-token examples, which the plain loop never pads.
+        lists.append([tokens(400 + i, rng, 1) for i in range(9)])
+        tasks = [FitTask(None, [], lists[k], evals, 10 * trial + k) for k in range(4)]
+        fit = fit_stacked(spec, tasks, metric=metric)
+        for k, task in enumerate(tasks):
+            plain = reference_train(spec, task.extra, evals.examples, task.seed, metric)
+            assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
+
+
+def test_one_token_eval_list_padded_in_a_stack_scores_as_alone():
+    # The logits of this row sit on a tie that gemv, used for a one-row
+    # matrix, and gemm, used for the row padded among longer eval lists,
+    # broke differently on the build they were found on: scored padded,
+    # the model's accuracy read 1.0 against 0.0 alone.
+    hexes = [
+        "0x1.4dd2f26bd103cp+0",
+        "0x1.e4e7cbc69bca3p-1",
+        "-0x1.684ffc1daaf28p-1",
+        "-0x1.43f2a959cc8bbp+0",
+        "0x0.0p+0",
+        "-0x1.49bc63cddbc63p+3",
+    ]
+    params = np.array([float.fromhex(h) for h in hexes])
+    model = ModelState(spec=LINEAR, parameters=params, seed_lineage=(1,))
+    row = [[float.fromhex("-0x1.299a9bc1a2383p+2"), float.fromhex("-0x1.c015d809d257ep-2")]]
+    one = [Example(id=0, features=np.array(row), labels=np.array([0]), sequence=True)]
+    rng = np.random.default_rng(0)
+    longer = [tokens(1 + i, rng, 3) for i in range(2)]
+    tasks = [
+        FitTask(model, [], [], token_rows(LINEAR, one), 1),
+        FitTask(model, [], [], token_rows(LINEAR, longer), 2),
+    ]
+    for metric in MetricKind:
+        fit = fit_stacked(LINEAR, tasks, metric=metric)
+        assert fit.scores == [evaluate(model, one, metric), evaluate(model, longer, metric)]
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
 def test_init_matches_the_scalar_stream(spec):
     rng = np.random.default_rng(305)
     seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
