@@ -19,8 +19,8 @@ The payload stream is read example by example, as a scalar
   ``next_below(max - min + 1)``, when ``seq_len_range`` spans more than
   one length, then one ``next_below(class_count)`` label draw per token;
   a cluster example takes no draw, its label is ``id % class_count``;
-* then ``tokens · input_dim`` normals, row by row, from ``next_normal``:
-  each Box–Muller pair takes two draws ``u1, u2`` and gives the cosine
+* then ``tokens · input_dim`` standard normals, row by row: each
+  Box–Muller pair takes two draws ``u1, u2`` and gives the cosine
   normal first and keeps the sine as a spare for the next normal. The
   spare carries across tokens, examples and the integer draws between
   them, so the normals of the whole dataset are the pairs' cosines and
@@ -159,8 +159,8 @@ def _walk(
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """The normals ``SplitMix64.next_normal`` makes from the uint64 draw
-    pairs ``(u1[k], u2[k])``: cosine, sine, cosine, ... bit for bit.
+    """The Box–Muller normals of the uint64 draw pairs ``(u1[k], u2[k])``,
+    read as ``next_float`` reads a draw: cosine, sine, cosine, ...
 
     Only IEEE-exact steps (``1 - u``, the 2**-53 scaling, products and
     ``sqrt``) run in numpy; ``log``, ``cos`` and ``sin`` go through

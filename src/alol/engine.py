@@ -313,7 +313,9 @@ def run_simulations(
     ``seeds[r]``, byte for byte: the runs advance one iteration at a time,
     and each phase of an iteration fits the base models, the oracle's
     candidate models and the checkpoint models of every live run side by
-    side, as one stacked SGD run.
+    side, in one ``fit_stacked`` call. It stacks the models by operand
+    shape and pads only within a model, so no model's products depend on
+    the runs beside it.
     """
     if config.partition_sizes[2] == 0 or config.partition_sizes[3] == 0:
         raise SpecMismatchError("eval and report partitions must be non-empty")

@@ -289,35 +289,37 @@ def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
 def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind) -> list[list[float]]:
     """Each model's ``metric`` on its eval tokens, scored from its argmax
     predictions, for every snapshot of a ``(W, K, P)`` stack: W copies of
-    the K models, one per epoch of a window. ``evals`` holds the shared
-    ``(m, dim)`` or per-model ``(K, m, dim)`` rows, the ``(K, m)`` labels,
-    padded at the end with -1, each model's token total and example
-    bounds, and the models whose padded rows hold a single token row, or
-    None; those are scored on that row alone, as ``_Workspace.step``
-    steps them. Returns W lists of K scores, each that of one model
-    alone."""
-    x, y, totals, bounds, lone = evals
-    preds = _forward(_affine(_unpack(spec, params)), x)[0].argmax(axis=-1)
-    if lone is not None and lone.size:
-        alone = _forward(_affine(_unpack(spec, params[:, lone])), x[lone, :1])[0]
-        preds[:, lone, :1] = alone.argmax(axis=-1)
-    if metric is MetricKind.ACCURACY:
-        # Exact hit counts over the real tokens, as no prediction equals
-        # the padding label -1: the same floats as np.mean.
-        return (np.count_nonzero(preds == y, axis=-1) / totals).tolist()
-    if metric is MetricKind.EXACT_MATCH:
-        return [
-            [
-                score(np.split(p[:t], b[:-1]), np.split(g[:t], b[:-1]), metric)
-                for p, g, t, b in zip(snapshot, y, totals, bounds)
+    the K models, one per epoch of a window, as W lists of K scores.
+    ``evals`` holds, per eval token total m, its models' index in the
+    stack, their shared ``(m, dim)`` or per-model ``(A, m, dim)`` rows,
+    ``(A, m)`` labels and example bounds. No row is padded, so each score
+    is that of one model alone."""
+    scores = np.empty(params.shape[:2])
+    groups = []
+    for models, x, y, bounds in evals:
+        stack = np.take(params, models, axis=1)  # (W, A, P) order, where matmul is fastest
+        preds = _forward(_affine(_unpack(spec, stack)), x)[0].argmax(axis=-1)
+        if metric is MetricKind.ACCURACY:
+            # Exact hit counts: the same floats as np.mean.
+            scores[:, models] = np.count_nonzero(preds == y, axis=-1) / y.shape[-1]
+        elif metric is MetricKind.EXACT_MATCH:
+            scores[:, models] = [
+                [
+                    score(np.split(p, b[:-1]), np.split(g, b[:-1]), metric)
+                    for p, g, b in zip(snapshot, y, bounds)
+                ]
+                for snapshot in preds
             ]
-            for snapshot in preds
-        ]
-    # One count of every snapshot; padded tokens are left out of it.
-    classes = spec.class_count
-    counts = confusion_counts(preds, y, classes)
+        else:
+            # One confusion table per snapshot and model.
+            tables = np.arange(scores.size).reshape(scores.shape)[:, models, None]
+            groups.append((tables, preds, y))
+    if not groups:
+        return scores.tolist()
+    # One count and F1 pass over the tokens of every eval total.
+    counts = confusion_counts(groups, scores.shape, spec.class_count)
     if metric is MetricKind.MACRO_F1:
-        return macro_f1_from_counts(counts, range(classes)).tolist()
+        return macro_f1_from_counts(counts, range(spec.class_count)).tolist()
     return token_f1_from_counts(counts).tolist()
 
 
@@ -338,11 +340,10 @@ class FitTask:
     """One model to fit: SGD on ``shared + extra`` from ``base``, or without
     a base from the init ``seed`` derives, early-stopped on ``eval_rows``.
 
-    Tasks fit side by side need one ``shared + extra`` length; their
-    examples may have any token counts and their eval rows any token
-    totals. They may share list and row objects: each distinct training
-    list is stacked and checked once per fit, and eval rows, pooled by
-    ``token_rows`` once, are checked as arrays.
+    Tasks fit side by side need one ``shared + extra`` length. They may
+    share list and row objects: each distinct training list is stacked and
+    checked once per stack, and eval rows, pooled by ``token_rows`` once,
+    are checked as arrays.
     """
 
     base: ModelState | None
@@ -357,6 +358,11 @@ def _distinct(lists) -> list:
     return list({id(examples): examples for examples in lists}.values())
 
 
+def _groups(keys: list) -> list[list[int]]:
+    """The indices of equal keys, one list per key, in first-seen order."""
+    return [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+
+
 def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.ndarray]:
     """``(n, width, dim)`` features and ``(n, width)`` labels of ``examples``,
     each padded at its end with zero rows of label -1."""
@@ -369,13 +375,14 @@ def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.nda
 
 
 def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
-    """Batch source for ``_sgd`` over tasks of one training length.
+    """Batch source for ``_sgd`` over tasks of one training length and
+    widest token count.
 
     Model k's ``shared + extra`` sit in row k of one ``(K, n, width, dim)``
-    array, each example padded to the widest token count with zero rows of
-    label -1. A window gathers the active models' shuffled rows of all its
-    epochs from it at once, laid out ``(W, A, n * width, dim)`` so that
-    each epoch's block is contiguous, and yields each epoch's batches
+    array, each example padded to that width with zero rows of label -1.
+    A window gathers the active models' shuffled rows of all its epochs
+    from it at once, laid out ``(W, A, n * width, dim)`` so that each
+    epoch's block is contiguous, and yields each epoch's batches
     ``(x, gold, real, lone)``, where ``real`` is None when no example
     needed padding, else the mask of the token rows and each model's count
     of them, counted once per window, and ``lone`` indexes the models whose
@@ -435,20 +442,17 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     return n * width * (spec.input_dim + 1), window
 
 
-def _eval_stack(spec: LearnerSpec, tasks: Sequence[FitTask]):
-    """Each distinct eval rows' tokens, padded at the end to the largest
-    token total with zero rows of label -1 and stacked into ``(E, m, dim)``
-    rows and ``(E, m)`` labels; with the E token totals, the E bounds and
-    each task's index into them."""
-    pooled = _distinct(t.eval_rows for t in tasks)
-    index = {id(rows): e for e, rows in enumerate(pooled)}
-    totals = np.array([len(rows.y) for rows in pooled])
-    x = np.zeros((len(pooled), totals.max(), spec.input_dim))
-    y = np.full(x.shape[:2], -1, dtype=np.int64)
-    for e, rows in enumerate(pooled):
-        x[e, : totals[e]], y[e, : totals[e]] = rows.x, rows.y
-    of = np.array([index[id(t.eval_rows)] for t in tasks])
-    return x, y, totals, [rows.bounds for rows in pooled], of
+def _eval_stack(tasks: Sequence[FitTask], active: list[int]) -> list:
+    """The ``_scores`` evals of the ``active`` tasks: per token total of
+    their eval rows, the positions in ``active`` of the tasks with rows of
+    that total, and those rows as they are, shared when they are one list
+    and else stacked."""
+    evals = []
+    for positions in _groups([len(tasks[k].eval_rows.y) for k in active]):
+        pooled = [tasks[active[r]].eval_rows for r in positions]
+        x = pooled[0].x if len(_distinct(pooled)) == 1 else np.stack([p.x for p in pooled])
+        evals.append((positions, x, np.stack([p.y for p in pooled]), [p.bounds for p in pooled]))
+    return evals
 
 
 # Floats a window may hold in each of its arrays: the activations and
@@ -468,9 +472,8 @@ def _sgd(
 
     Model k trains on ``tasks[k]``'s lists under its seed: its own shuffle
     order each epoch, its own eval list and its own early stop, after which
-    it leaves the stack. The tasks share one training length; one task of
-    any token counts is the one-model case, and empty training lists fit
-    for zero epochs.
+    it leaves the stack. The tasks share one training length and widest
+    example; empty training lists fit for zero epochs.
 
     The stack runs in windows of epochs in which no model can stop. A
     model at plateau p stops no sooner than ``patience - p`` epochs on, as
@@ -497,23 +500,10 @@ def _sgd(
         iteration=np.arange(spec.max_epochs),
         purpose=PURPOSE_SHUFFLE,
     )
-    eval_x, eval_y, eval_totals, eval_bounds, eval_of = _eval_stack(spec, tasks)
-
-    def gather(active: list[int]):
-        # Each active model's eval rows, gathered once per stack shape; the
-        # rows of a single eval list are shared by the stack, not copied.
-        picked = eval_of[active]
-        if len(eval_x) == 1:
-            x, y = eval_x[0], np.broadcast_to(eval_y[0], (len(active), eval_y.shape[1]))
-            lone = None
-        else:
-            x, y = eval_x[picked], eval_y[picked]
-            lone = np.flatnonzero(eval_totals[picked] == 1) if x.shape[1] > 1 else None
-        return x, y, eval_totals[picked], [eval_bounds[e] for e in picked], lone
-
     # Model-epochs per window: each gathers its training rows and scores
     # its eval rows, of hidden and class activations and an argmax.
-    eval_floats = eval_y.shape[1] * (spec.hidden_dim + spec.class_count + 1)
+    eval_tokens = max(len(t.eval_rows.y) for t in tasks)
+    eval_floats = eval_tokens * (spec.hidden_dim + spec.class_count + 1)
     room = max(1, WINDOW_FLOATS // max(train_floats, eval_floats))
     work = _Workspace(spec, params)
 
@@ -528,7 +518,7 @@ def _sgd(
         return snapshots
 
     active = list(range(len(tasks)))
-    evals = gather(active)
+    evals = _eval_stack(tasks, active)
     best = _scores(spec, work.params[None], evals, metric)[0]
     last = list(best)
     epochs = [0] * len(tasks)
@@ -558,7 +548,7 @@ def _sgd(
             work = _Workspace(spec, work.params[kept])
             if not active:
                 break
-            evals = gather(active)
+            evals = _eval_stack(tasks, active)
     params[active] = work.params
     lineages = [row[:count] for row, count in zip(shuffle_seeds.tolist(), epochs)]
     return lineages, last
@@ -628,8 +618,8 @@ def fit_stacked(
     metric: MetricKind = MetricKind.ACCURACY,
     loss_based: bool = False,
 ) -> StackedFit:
-    """Fit one model per task, as one SGD run: from its base, or from the
-    init its seed derives.
+    """Fit one model per task: from its base, or from the init its seed
+    derives.
 
     Every fit of the lab goes through here; ``train`` and ``fine_tune`` are
     the one-task case. Model k's score is its last epoch's eval score,
@@ -637,14 +627,16 @@ def fit_stacked(
     loss. Each distinct training list and eval rows object is checked
     against ``spec`` once, as arrays. The tasks need one ``shared + extra``
     length; at length 0 every model is its init or base, unchanged.
-    Examples of different token counts are zero-padded to the widest, and
-    eval rows of different token totals to the largest. That changes no
-    output bit: padded rows add exact zeros, and a model whose padded batch
-    or eval list holds a single token row is stepped or scored on that row
-    alone, as numpy multiplies a one-row matrix through another BLAS
-    kernel (gemv) than a padded one (gemm). The stack's forward pass and
-    gradient are the code of ``evaluate`` and ``gradient`` with K models in
-    place of one, writing in place.
+
+    Models are stacked by operand shape: one ``_sgd`` run per widest
+    example of the training lists, which scores its models per token total
+    of their eval rows. Padding happens only within a model, to its own
+    widest example, so every product a model takes has the shape of its
+    fit alone. One BLAS dependence remains: a padded fit equals the plain
+    per-token loop only while a product's row bits ignore its row count,
+    which on OpenBLAS 0.3.31 holds for inner dimensions below 32. Padded
+    rows add exact zeros, and a padded batch of one token row is stepped
+    on that row alone, as numpy multiplies a one-row matrix through gemv.
     """
     if len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
         raise SpecMismatchError("fit_stacked needs training lists of one length")
@@ -662,7 +654,15 @@ def fit_stacked(
             rows.append(task.base.parameters)
             starts.append(list(task.base.seed_lineage))
     params = np.array(rows)
-    runs, scores = _sgd(spec, params, tasks, metric)
+    # One SGD stack per widest example of a task's training lists.
+    widths = [max((ex.token_count for ex in [*t.shared, *t.extra]), default=0) for t in tasks]
+    runs, scores = [None] * len(tasks), [None] * len(tasks)
+    for group in _groups(widths):
+        stack = params[group]
+        fits = _sgd(spec, stack, [tasks[k] for k in group], metric)
+        params[group] = stack
+        for k, run, value in zip(group, *fits):
+            runs[k], scores[k] = run, value
     if loss_based:
         scores = [-_mean_loss(spec, p, t.eval_rows.x, t.eval_rows.y) for p, t in zip(params, tasks)]
     return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], scores)
@@ -683,7 +683,7 @@ def evaluate(
     if len(examples) == 0:
         raise EmptyEvalError("evaluate needs at least one example")
     rows = token_rows(model.spec, examples)
-    evals = (rows.x, rows.y[None], [len(rows.y)], [rows.bounds], None)
+    evals = [([0], rows.x, rows.y[None], [rows.bounds])]
     return _scores(model.spec, model.parameters[None, None], evals, metric)[0][0]
 
 

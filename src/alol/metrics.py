@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from typing import Sequence
 
 import numpy as np
@@ -47,23 +48,21 @@ def _binary_f1s(tp: np.ndarray, pred_pos: np.ndarray, gold_pos: np.ndarray) -> n
     return np.where((pred_pos == 0) & (gold_pos == 0), 1.0, np.where(tp == 0, 0.0, f1))
 
 
-def confusion_counts(predictions: np.ndarray, golds: np.ndarray, size: int) -> np.ndarray:
-    """Token counts by gold and predicted label, ``[..., gold, predicted]``.
+def confusion_counts(groups, shape: tuple[int, ...], size: int) -> np.ndarray:
+    """Token counts by gold and predicted label of a ``shape`` grid of
+    tables, ``[*table, gold, predicted]``.
 
-    ``predictions`` and ``golds`` are ``(..., n)`` arrays of labels in
-    ``[0, size)`` that broadcast together, one count table per leading
-    index. Tokens whose gold label is -1 are padding and are not counted.
+    ``groups`` holds ``(table, predictions, golds)`` triples of arrays that
+    broadcast together, labels in ``[0, size)``: each token counts in the
+    table of flat index ``table``. So tables of unequal token counts are
+    counted in one pass.
     """
-    lead = np.broadcast_shapes(predictions.shape, golds.shape)[:-1]
-    tables = int(np.prod(lead, dtype=np.int64))
-    # Each table counts gold -1 too, in a row before gold 0 that is then
-    # dropped, so no mask is needed: the cell indices are the only
-    # temporary of the broadcast shape, built in place.
-    cells = np.arange(0, tables * (size + 1) * size, (size + 1) * size).reshape(lead + (1,))
-    cells = cells + predictions
-    cells += (golds + 1) * size
-    counts = np.bincount(cells.ravel(), minlength=tables * (size + 1) * size)
-    return counts.reshape(lead + (size + 1, size))[..., 1:, :]
+    cells = [
+        ((table * size + golds) * size + predictions).ravel()
+        for table, predictions, golds in groups
+    ]
+    counts = np.bincount(np.concatenate(cells), minlength=math.prod(shape) * size * size)
+    return counts.reshape(*shape, size, size)
 
 
 def macro_f1_from_counts(counts: np.ndarray, classes: Sequence[int]) -> np.ndarray:
@@ -122,9 +121,8 @@ def score(
     pinned = np.arange(class_count if class_count is not None else 0)
     labels = np.sort(np.concatenate([flat_pred, flat_gold, pinned, [0]]))
     labels = labels[np.concatenate([[True], labels[1:] != labels[:-1]])]
-    counts = confusion_counts(
-        np.searchsorted(labels, flat_pred), np.searchsorted(labels, flat_gold), labels.size
-    )
+    tokens = (0, np.searchsorted(labels, flat_pred), np.searchsorted(labels, flat_gold))
+    counts = confusion_counts([tokens], (), labels.size)
     if kind is MetricKind.TOKEN_F1:
         # Class 0 is background; F1 is micro-averaged over the rest.
         return float(token_f1_from_counts(counts, int(np.searchsorted(labels, 0))))

@@ -19,7 +19,6 @@ Seed coordinate conventions used across the package:
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -98,12 +97,6 @@ def _draws_below(seeds: Sequence[int], bound: np.ndarray, ceiling: np.ndarray) -
     return draws
 
 
-def draws_below(seeds: Sequence[int], bounds: Sequence[int]) -> np.ndarray:
-    """``[SplitMix64(s).next_below(b) for b in bounds]`` for every seed s,
-    as one ``(len(seeds), len(bounds))`` uint64 array."""
-    return _draws_below(seeds, *_bound_table(bounds))
-
-
 # Orders per call from which shuffled_ranges swaps each position in all
 # orders at once. The per-order loop costs about 1.5 + 0.13·n µs an order,
 # the row swaps about 1 µs a position whatever the number of orders, on
@@ -113,8 +106,9 @@ ROW_SWAPS_FROM = 12
 
 
 def shuffled_ranges(seeds: Sequence[int], n: int) -> np.ndarray:
-    """``range(n)`` after ``SplitMix64(s).shuffle`` for every seed s, as one
-    ``(len(seeds), n)`` int64 array."""
+    """``range(n)`` after a Fisher-Yates shuffle by ``SplitMix64(s)`` for
+    every seed s, as one ``(len(seeds), n)`` int64 array: position i, from
+    n - 1 down to 1, swaps with position ``next_below(i + 1)``."""
     swaps = _draws_below(seeds, *_shuffle_table(n))
     count = len(swaps)
     if count < ROW_SWAPS_FROM:
@@ -199,7 +193,6 @@ class SplitMix64:
 
     def __init__(self, seed: int) -> None:
         self._state = seed & MASK64
-        self._spare_normal: float | None = None
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GOLDEN) & MASK64
@@ -219,12 +212,6 @@ class SplitMix64:
             if draw < limit:
                 return draw % bound
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def distinct_below(self, bound: int, count: int) -> list[int]:
         """``count`` distinct integers in [0, bound), in draw order."""
         if count > bound:
@@ -237,15 +224,3 @@ class SplitMix64:
                 seen.add(draw)
                 out.append(draw)
         return out
-
-    def next_normal(self) -> float:
-        """Standard normal draw (Box-Muller, pairs cached)."""
-        if self._spare_normal is not None:
-            value = self._spare_normal
-            self._spare_normal = None
-            return value
-        u1 = 1.0 - self.next_float()  # (0, 1]; keeps log() finite
-        u2 = self.next_float()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
-        return radius * math.cos(2.0 * math.pi * u2)

@@ -19,7 +19,9 @@ from alol.datagen import (
 )
 from alol.errors import AlolError, GenerationError
 from alol.pool import Dataset, Example, load_dataset, save_dataset
-from alol.rng import MASK64, PURPOSE_SAMPLE, SplitMix64, derive_seed, stream_draws
+from alol.rng import MASK64, PURPOSE_SAMPLE, derive_seed, stream_draws
+
+from test_rng import ScalarStream
 
 
 def cluster_spec(**overrides):
@@ -234,7 +236,7 @@ def scalar_generate(spec, points=None):
     ``generate``'s draw tables must equal bit for bit."""
     means = _class_means(spec)
     if points is None:
-        points = SplitMix64(derive_seed(spec.seed, purpose=PURPOSE_SAMPLE))
+        points = ScalarStream(derive_seed(spec.seed, purpose=PURPOSE_SAMPLE))
     examples = []
     lo, hi = spec.seq_len_range
     for i in range(spec.n):
@@ -291,12 +293,12 @@ def test_generate_equals_the_scalar_generator_bit_for_bit(spec):
 def test_array_box_muller_equals_next_normal_draw_for_draw():
     for seed in (0, 7, derive_seed(1601, purpose=PURPOSE_SAMPLE)):
         draws = stream_draws([seed], 20_000)[0]
-        stream = SplitMix64(seed)
+        stream = ScalarStream(seed)
         expected = np.array([stream.next_normal() for _ in range(draws.size)])
         assert _box_muller(draws[0::2], draws[1::2]).tobytes() == expected.tobytes()
 
 
-class InjectedStream(SplitMix64):
+class InjectedStream(ScalarStream):
     """A stream whose draws at the 0-based ``positions`` read 2**64 - 1,
     above every ``next_below`` ceiling of a bound that is no power of 2."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alol import engine
+from alol import engine, learners
 from alol.datagen import GenKind, GenSpec, generate
 from alol.engine import (
     IterationRecord,
@@ -345,11 +345,11 @@ def test_run_rejects_mismatched_learner_and_empty_partitions():
         run_simulation(config, dataset)
 
 
-def tagging_dataset(seq_len_range=(2, 5)):
+def tagging_dataset(seq_len_range=(2, 5), input_dim=4):
     spec = GenSpec(
         kind=GenKind.TOKEN_TAGGING,
         n=64,
-        input_dim=4,
+        input_dim=input_dim,
         class_count=2,
         cluster_separation=4.0,
         noise_fraction=0.2,
@@ -402,13 +402,34 @@ LOCKSTEP_CASES = {
         selection_metric=MetricKind.MACRO_F1,
         report_metric=MetricKind.TOKEN_F1,
     ),
+    # Sequences of 1-60 tokens at input dim 32: a repeat's models padded to
+    # the widest example or eval list of the others would take another
+    # dgemm kernel than alone, and change bits.
+    "oracle-token-tagging-dim32": dict(
+        policy=PolicySpec(name=ORACLE),
+        learner=small_learner(input_dim=32, family=LearnerFamily.MLP, hidden_dim=16),
+        selection_metric=MetricKind.MACRO_F1,
+        report_metric=MetricKind.TOKEN_F1,
+        partition_sizes=(3, 44, 8, 6),
+    ),
+    "loss-oracle-token-tagging-dim32": dict(
+        policy=PolicySpec(name=PolicyName.LOSS_ORACLE),
+        learner=small_learner(input_dim=32),
+        selection_metric=MetricKind.MACRO_F1,
+        report_metric=MetricKind.TOKEN_F1,
+        partition_sizes=(3, 44, 8, 6),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 def test_lockstep_repeat_equals_its_single_run(case):
     config = make_config(**LOCKSTEP_CASES[case])
-    dataset = tagging_dataset() if "tagging" in case else small_dataset()
+    dataset = small_dataset()
+    if "dim32" in case:
+        dataset = tagging_dataset((1, 60), input_dim=32)
+    elif "tagging" in case:
+        dataset = tagging_dataset()
     seeds = [repeat_seed(config.master_seed, r) for r in range(3)]
     logs = run_simulations(config, dataset, seeds)
     assert len(logs) == 3
@@ -417,6 +438,7 @@ def test_lockstep_repeat_equals_its_single_run(case):
         assert log.records == alone.records
         assert log.final_model_fingerprint == alone.final_model_fingerprint
         assert log == alone
+        assert to_json(log) == to_json(alone)
     if "epsilon" in case:
         # The repeats draw their branches apart.
         assert len({tuple(r.branch for r in log.records) for log in logs}) > 1
@@ -448,8 +470,8 @@ def test_any_repeat_of_a_lockstep_run_equals_its_single_run(data):
         log_oracle_scores=data.draw(st.booleans()),
     )
     if tagging:
-        # A batch or eval list of one token row, padded to a stack's
-        # widest, is stepped and scored on that row alone.
+        # A batch of one token row, padded to its model's widest example,
+        # is stepped on that row alone.
         lengths = data.draw(st.sampled_from([(2, 5), (1, 4), (1, 2), (1, 1)]))
         dataset = tagging_dataset(lengths)
     else:
@@ -482,31 +504,46 @@ def test_lockstep_repeats_checkpointing_on_one_token_rows_equal_their_single_run
 
 
 def phase_sizes(monkeypatch, config, dataset):
-    """The number of models in each ``fit_stacked`` call of a 3-repeat run."""
-    sizes = []
+    """The number of models in each ``fit_stacked`` call of a 3-repeat run,
+    and in each SGD stack those calls run."""
+    sizes, stacks = [], []
+    sgd = learners._sgd
 
     def counting(spec, tasks, **kwargs):
         sizes.append(len(tasks))
         return fit_stacked(spec, tasks, **kwargs)
 
+    def counting_stacks(spec, params, tasks, metric):
+        stacks.append(len(tasks))
+        return sgd(spec, params, tasks, metric)
+
     monkeypatch.setattr(engine, "fit_stacked", counting)
+    monkeypatch.setattr(learners, "_sgd", counting_stacks)
     run_simulations(config, dataset, [1, 2, 3])
-    return sizes
+    return sizes, stacks
 
 
 def test_lockstep_fits_each_phase_of_all_repeats_as_one_stack(monkeypatch):
     config = make_config(PolicySpec(name=PolicyName.ORACLE), iterations=3)
     # Per iteration: 3 bases, then 3 x 4 candidates; checkpoints of all
-    # three repeats before the loop and after the last iteration.
-    assert phase_sizes(monkeypatch, config, small_dataset()) == [3] + [3, 12] * 3 + [3]
+    # three repeats before the loop and after the last iteration. The
+    # models of a phase share one operand shape, so each phase is one SGD
+    # stack.
+    sizes, stacks = phase_sizes(monkeypatch, config, small_dataset())
+    assert sizes == stacks == [3] + [3, 12] * 3 + [3]
 
 
 def test_lockstep_fits_each_phase_of_ragged_repeats_as_one_stack(monkeypatch):
-    # Sequences of 2-5 tokens, zero-padded within each stack.
+    # Sequences of 2-5 tokens: each phase is one fit_stacked call, which
+    # runs one SGD stack per widest training example of its models. At
+    # this seed every model's training list holds a 5-token example, so
+    # each phase is one SGD stack, though the repeats' eval lists hold
+    # 29, 31 and 26 tokens.
     config = make_config(
         PolicySpec(name=PolicyName.ORACLE), iterations=3, selection_metric=MetricKind.MACRO_F1
     )
-    assert phase_sizes(monkeypatch, config, tagging_dataset()) == [3] + [3, 12] * 3 + [3]
+    sizes, stacks = phase_sizes(monkeypatch, config, tagging_dataset())
+    assert sizes == stacks == [3] + [3, 12] * 3 + [3]
 
 
 def nan_scores(fit):

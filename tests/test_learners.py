@@ -33,6 +33,8 @@ from alol.metrics import MetricKind, score
 from alol.pool import Example
 from alol.rng import PURPOSE_INIT, PURPOSE_SHUFFLE, SplitMix64, derive_seed, shuffled_ranges
 
+from test_rng import ScalarStream
+
 LINEAR = LearnerSpec(
     family=LearnerFamily.LINEAR_SOFTMAX, input_dim=2, class_count=2, learning_rate=0.5
 )
@@ -141,7 +143,7 @@ def test_sgd_step_matches_manual_computation():
     init = initialize(spec, 21)
 
     order = list(range(3))
-    SplitMix64(derive_seed(21, iteration=0, purpose=PURPOSE_SHUFFLE)).shuffle(order)
+    ScalarStream(derive_seed(21, iteration=0, purpose=PURPOSE_SHUFFLE)).shuffle(order)
     batch = [data[i] for i in order]
     params = init.parameters.copy()
     probe = ModelState(spec=spec, parameters=params, seed_lineage=())
@@ -379,12 +381,16 @@ def fit_alone(spec, base, examples, eval_set, seed, metric, loss_based):
 
 @pytest.mark.parametrize("family", ["linear", "mlp"])
 @pytest.mark.parametrize("mode", ["union", "candidate_only", "from_scratch"])
-@pytest.mark.parametrize("length", [1, 3, "ragged"])
-def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
+@pytest.mark.parametrize(
+    "length, dim",
+    [(1, 2), (3, 2), ("ragged", 2), ("long", 32), ("long", 64)],
+    ids=["1", "3", "ragged", "long-dim32", "long-dim64"],
+)
+def test_stacked_fit_matches_each_model_fit_alone(family, mode, length, dim):
     rng = np.random.default_rng(11)
     spec = LearnerSpec(
         family=LearnerFamily.LINEAR_SOFTMAX if family == "linear" else LearnerFamily.MLP,
-        input_dim=2,
+        input_dim=dim,
         class_count=2,
         hidden_dim=0 if family == "linear" else 4,
         learning_rate=0.5,
@@ -393,20 +399,35 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length):
     )
     # Two runs side by side: each has its own labeled list, eval list and
     # base; with uniform examples their eval lists hold the same token
-    # total in another layout, with ragged ones different totals. Ragged
-    # candidates are padded to the widest example of the stack.
-    ragged = length == "ragged"
+    # total in another layout, with ragged ones different totals. A ragged
+    # candidate holds a longer example than the rest of the stack. A long
+    # one holds 40-60 tokens among six examples beside candidates of 2-3
+    # tokens each: padded to it, their batches would pass the size from
+    # which this build's dgemm kernel, and so the bits, change at inner
+    # dim 32 or more.
+    ragged = length in ("ragged", "long")
+    extra_count = 6 if length == "long" else 2
 
     def width(i):
+        if length == "long":
+            return 2 + i % 2
         return 1 + i % 4 if ragged else length
 
-    labeled = [[tokens(i + 50 * r, rng, width(i)) for i in range(11)] for r in range(2)]
+    def candidate_width(k, j):
+        if k == 3 and ragged:
+            return int(rng.integers(40, 61)) if length == "long" else 5
+        return width(k + j)
+
+    def example(example_id, count):
+        return tokens(example_id, rng, count, dim=dim)
+
+    labeled = [[example(i + 50 * r, width(i)) for i in range(11)] for r in range(2)]
     evals = [
-        [tokens(200 + i, rng, 1 + i % 4) for i in range(25)],
-        [tokens(300 + i, rng, 1 + (24 - i) % 4) for i in range(22 if ragged else 25)],
+        [example(200 + i, 1 + i % 4) for i in range(25)],
+        [example(300 + i, 1 + (24 - i) % 4) for i in range(22 if ragged else 25)],
     ]
     extras = [
-        [tokens(100 + 2 * k + j, rng, 5 if ragged and k == 3 else width(k + j)) for j in range(2)]
+        [example(100 + extra_count * k + j, candidate_width(k, j)) for j in range(extra_count)]
         for k in range(6)
     ]
     seeds = [derive_seed(9, candidate=k + 1) for k in range(6)]
@@ -465,13 +486,14 @@ def test_stacked_fit_needs_one_nonzero_length():
     uniform = [[tokens(i, rng, 2)] for i in range(3)]
     fits(tasks([], uniform))
     fits(tasks([tokens(9, rng, 2)], uniform))
-    # Token counts may differ: examples are zero-padded to the widest.
+    # Token counts may differ: a task of another widest example runs in
+    # another stack.
     fits(tasks([tokens(9, rng, 3)], uniform))
     # One length over all, split at another point per model.
     pair = [[tokens(5, rng, 2)], [tokens(6, rng, 2), tokens(7, rng, 2)]]
     rows = token_rows(LINEAR, eval_set)
     fits([FitTask(None, pair[0], uniform[0], rows, 1), FitTask(None, [], pair[1], rows, 2)])
-    # Eval lists may hold different token totals: they are padded at the end.
+    # Eval lists may hold different token totals: each total is scored apart.
     fits(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
     fits(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
     ragged = [[tokens(i, rng, 1 + i)] for i in range(3)]
@@ -552,7 +574,7 @@ def reference_train(spec, examples, eval_set, seed, metric):
         shuffle_seed = derive_seed(seed, iteration=epoch, purpose=PURPOSE_SHUFFLE)
         lineage.append(shuffle_seed)
         order = list(range(len(examples)))
-        SplitMix64(shuffle_seed).shuffle(order)
+        ScalarStream(shuffle_seed).shuffle(order)
         for start in range(0, len(order), BATCH_SIZE):
             batch = [examples[i] for i in order[start : start + BATCH_SIZE]]
             step = spec.learning_rate * gradient(model, batch)
@@ -596,10 +618,10 @@ def test_windowed_fits_equal_the_plain_loop(data):
     ids = iter(range(10**6))
 
     def example_list(count):
-        # Ragged examples hold 2-4 tokens. A one-token batch or eval list
-        # alone takes another BLAS kernel than the same row padded in a
-        # stack, which can change the last bits of either learner.
-        widths = rng.integers(2, 5, size=count) if ragged else [2] * count
+        # Ragged examples hold 1-4 tokens, so a padded batch can hold one
+        # token row, which is stepped on that row alone as the plain loop
+        # steps it.
+        widths = rng.integers(1, 5, size=count) if ragged else [2] * count
         return [tokens(next(ids), rng, int(w)) for w in widths]
 
     n = data.draw(st.integers(1, 12))
@@ -624,8 +646,9 @@ def test_windowed_fits_equal_the_plain_loop(data):
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
 def test_every_drawn_shuffle_order_is_used(spec, monkeypatch):
-    # Orders are drawn as far as each model surely runs, so the orders
-    # passed through shuffled_ranges are exactly the epochs the models ran.
+    # Each window's orders are drawn when the window is cut, and no active
+    # model stops inside a window, so the orders passed through
+    # shuffled_ranges are exactly the epochs the models ran.
     drawn = []
 
     def counting(seeds, n):
@@ -699,10 +722,12 @@ def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
 
 @pytest.mark.parametrize("dim, classes", [(10, 3), (10, 16), (16, 3)])
 def test_zero_padded_rows_leave_stacked_products_bit_equal(dim, classes):
-    # Ragged stacks pad each example, and each eval list, with zero rows.
+    # A ragged model's examples are padded with zero rows to its widest.
     # That changes no output bit only while this build's matmul and sum
-    # add those zeros exactly; a numpy or BLAS change that breaks it fails
-    # here by name rather than as a fingerprint mismatch elsewhere.
+    # add those zeros exactly, and a product's row bits ignore its row
+    # count, which holds here for inner dims below 32; a numpy or BLAS
+    # change that breaks it fails here by name rather than as a
+    # fingerprint mismatch elsewhere.
     rng = np.random.default_rng(dim * classes)
     for _ in range(100):
         models = int(rng.integers(1, 6))
@@ -725,16 +750,14 @@ def test_zero_padded_rows_leave_stacked_products_bit_equal(dim, classes):
         # Padded per example: the gradient's reductions over rows.
         products = delta_pad.swapaxes(-1, -2) @ x_pad
         sums = delta_pad.sum(axis=-2)
-        # Padded at the end: the forward pass over an eval list.
-        tail = np.zeros((models, int(counts.sum(axis=1).max()), dim))
-        for k, x in enumerate(xs):
-            tail[k, : x.shape[0]] = x
+        # The forward pass over the padded rows.
         weights = rng.normal(size=(models, classes, dim))
-        logits = tail @ weights.swapaxes(-1, -2)
+        logits = x_pad @ weights.swapaxes(-1, -2)
+        real = (np.arange(width) < counts[..., None]).reshape(models, -1)
         for k, (x, delta) in enumerate(zip(xs, deltas)):
             assert products[k].tobytes() == (delta.T @ x).tobytes()
             assert sums[k].tobytes() == delta.sum(axis=0).tobytes()
-            assert logits[k, : x.shape[0]].tobytes() == (x @ weights[k].T).tobytes()
+            assert logits[k][real[k]].tobytes() == (x @ weights[k].T).tobytes()
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
@@ -765,7 +788,8 @@ def test_one_token_eval_list_padded_in_a_stack_scores_as_alone():
     # The logits of this row sit on a tie that gemv, used for a one-row
     # matrix, and gemm, used for the row padded among longer eval lists,
     # broke differently on the build they were found on: scored padded,
-    # the model's accuracy read 1.0 against 0.0 alone.
+    # the model's accuracy read 1.0 against 0.0 alone. An eval list is now
+    # stacked only beside lists of its own token total, never padded.
     hexes = [
         "0x1.4dd2f26bd103cp+0",
         "0x1.e4e7cbc69bca3p-1",

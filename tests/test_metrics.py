@@ -155,19 +155,27 @@ def test_stacked_confusion_counts_score_like_score():
     rng = np.random.default_rng(29)
     for _ in range(50):
         classes = int(rng.integers(1, 6))
-        models, width = int(rng.integers(1, 7)), int(rng.integers(1, 30))
-        preds = rng.integers(0, classes, size=(models, width))
-        golds = rng.integers(0, classes, size=(models, width))
-        # Tokens past each model's total are padding, labeled -1.
-        totals = rng.integers(1, width + 1, size=models)
-        golds[np.arange(width) >= totals[:, None]] = -1
-        counts = confusion_counts(preds, golds, classes)
+        models = int(rng.integers(1, 7))
+        widths = rng.integers(1, 30, size=models)
+        preds = [rng.integers(0, classes, size=w) for w in widths]
+        golds = [rng.integers(0, classes, size=w) for w in widths]
+        # Tables of unequal token counts, counted in one pass.
+        grid = (models,)
+        counts = confusion_counts(list(zip(range(models), preds, golds)), grid, classes)
         assert counts.shape == (models, classes, classes)
-        assert counts.sum(axis=(1, 2)).tolist() == totals.tolist()
+        assert counts.sum(axis=(1, 2)).tolist() == widths.tolist()
+        # A group's table indices broadcast over its stacked rows.
+        m = int(widths.min())
+        table = np.arange(models)[:, None]
+        stacked = (table, np.stack([p[:m] for p in preds]), np.stack([g[:m] for g in golds]))
+        alone = [(k, p[:m], g[:m]) for k, p, g in zip(range(models), preds, golds)]
+        assert np.array_equal(
+            confusion_counts([stacked], grid, classes), confusion_counts(alone, grid, classes)
+        )
         macro = macro_f1_from_counts(counts, range(classes))
         token = token_f1_from_counts(counts)
-        for k, total in enumerate(totals):
-            p, g = preds[k, :total], golds[k, :total]
+        for k in range(models):
+            p, g = preds[k], golds[k]
             assert macro[k] == score([p], [g], MetricKind.MACRO_F1, class_count=classes)
             assert token[k] == score([p], [g], MetricKind.TOKEN_F1)
             assert token[k] == loop_f1(p.tolist(), g.tolist(), MetricKind.TOKEN_F1)

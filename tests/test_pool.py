@@ -18,7 +18,9 @@ from alol.pool import (
     save_dataset,
     split_dataset,
 )
-from alol.rng import PURPOSE_SPLIT, SplitMix64, derive_seed
+from alol.rng import PURPOSE_SPLIT, derive_seed
+
+from test_rng import ScalarStream
 
 
 def single(example_id, values, label):
@@ -92,11 +94,11 @@ def test_split_is_deterministic_and_seed_sensitive():
 
 def test_split_orders_ids_as_the_scalar_shuffle_does():
     # The split's order comes from rng.shuffled_ranges; it must stay the
-    # permutation SplitMix64.shuffle makes of the sorted ids.
+    # permutation the scalar shuffle makes of the sorted ids.
     dataset = Dataset(examples=tuple(single(3 * i + 1, [0.0], 0) for i in range(40)))
     for seed in range(200):
         ids = list(dataset.ids)
-        SplitMix64(derive_seed(seed, purpose=PURPOSE_SPLIT)).shuffle(ids)
+        ScalarStream(derive_seed(seed, purpose=PURPOSE_SPLIT)).shuffle(ids)
         expected = PoolState(
             labeled=tuple(ids[:4]),
             unlabeled=tuple(ids[4:24]),

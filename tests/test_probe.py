@@ -2,7 +2,7 @@ import pytest
 
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import PoolExhaustedError, SpecMismatchError
-from alol import engine
+from alol import engine, learners
 from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, token_rows, train
 from alol.metrics import MetricKind
 from alol.policies import TrainingMode, candidate_fits, lowest_argmax
@@ -255,16 +255,23 @@ def test_one_stack_of_both_passes_matches_two_scoring_passes(mode):
 @pytest.mark.parametrize("mode", list(TrainingMode))
 def test_probe_fits_one_base_and_one_candidate_stack_per_iteration(monkeypatch, mode):
     # The probe runs the engine's step: a base stack of one model, then
-    # both passes' candidates as one stack of 2K.
-    sizes = []
+    # both passes' candidates as one stack of 2K, which share one operand
+    # shape and so run as one SGD stack.
+    sizes, stacks = [], []
+    sgd = learners._sgd
 
     def counting(spec, tasks, **kwargs):
         sizes.append(len(tasks))
         return fit_stacked(spec, tasks, **kwargs)
 
+    def counting_stacks(spec, params, tasks, metric):
+        stacks.append(len(tasks))
+        return sgd(spec, params, tasks, metric)
+
     monkeypatch.setattr(engine, "fit_stacked", counting)
+    monkeypatch.setattr(learners, "_sgd", counting_stacks)
     config = make_config(iterations=3, training_mode=mode)
     report = run_mrr_probe(config, cluster_dataset())
     assert len(report.ranks) == 3
     per_iteration = [8] if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH else [1, 8]
-    assert sizes == per_iteration * 3
+    assert sizes == stacks == per_iteration * 3

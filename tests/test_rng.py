@@ -16,7 +16,6 @@ from alol.rng import (
     SplitMix64,
     derive_seed,
     derive_seeds,
-    draws_below,
     repeat_seed,
     shuffled_ranges,
     splitmix64,
@@ -36,6 +35,31 @@ SEED1234567_OUTPUTS = [
     0x2C73F08458540FA5,
     0x883EBCE5A3F27C77,
 ]
+
+
+class ScalarStream(SplitMix64):
+    """A SplitMix64 stream with the scalar draws that the array code must
+    equal: ``rng.shuffled_ranges`` its ``shuffle``, and ``datagen``'s
+    Box–Muller pass its ``next_normal``."""
+
+    _spare_normal = None
+
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates shuffle."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.next_below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def next_normal(self) -> float:
+        """Standard normal draw (Box-Muller, pairs cached)."""
+        if self._spare_normal is not None:
+            value, self._spare_normal = self._spare_normal, None
+            return value
+        u1 = 1.0 - self.next_float()  # (0, 1]; keeps log() finite
+        u2 = self.next_float()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)
 
 
 def test_reference_vectors_seed0():
@@ -126,9 +150,9 @@ def test_next_below_roughly_uniform():
 def test_shuffle_is_a_permutation_and_deterministic():
     items = list(range(40))
     first = items[:]
-    SplitMix64(99).shuffle(first)
+    ScalarStream(99).shuffle(first)
     second = items[:]
-    SplitMix64(99).shuffle(second)
+    ScalarStream(99).shuffle(second)
     assert first == second
     assert sorted(first) == items
     assert first != items
@@ -137,7 +161,7 @@ def test_shuffle_is_a_permutation_and_deterministic():
 def test_shuffle_matches_manual_fisher_yates():
     items = list(range(25))
     via_method = items[:]
-    SplitMix64(4242).shuffle(via_method)
+    ScalarStream(4242).shuffle(via_method)
     manual = items[:]
     stream = SplitMix64(4242)
     for i in range(len(manual) - 1, 0, -1):
@@ -167,7 +191,7 @@ def test_distinct_below_rejects_oversized_request():
 
 
 def test_next_normal_moments():
-    stream = SplitMix64(2718)
+    stream = ScalarStream(2718)
     n = 20000
     draws = [stream.next_normal() for _ in range(n)]
     mean = sum(draws) / n
@@ -177,10 +201,10 @@ def test_next_normal_moments():
 
 
 def test_next_normal_sequence_is_reproducible():
-    a = SplitMix64(55)
-    b = SplitMix64(55)
+    a = ScalarStream(55)
+    b = ScalarStream(55)
     assert [a.next_normal() for _ in range(31)] == [b.next_normal() for _ in range(31)]
-    assert all(math.isfinite(v) for v in [SplitMix64(i).next_normal() for i in range(50)])
+    assert all(math.isfinite(v) for v in [ScalarStream(i).next_normal() for i in range(50)])
 
 
 SEEDS = [0, 1, 1234567, 2**63, MASK64] + [splitmix64(i) for i in range(20)]
@@ -194,6 +218,12 @@ def test_stream_draws_match_the_stream_draw_by_draw():
         assert row == [stream.next_uint64() for _ in range(40)]
     assert stream_draws([0], 4).tolist() == [SEED0_OUTPUTS]
     assert np.array_equal(stream_draws(SEEDS, 15, skip=25), table[:, 25:])
+
+
+def draws_below(seeds, bounds):
+    """``[SplitMix64(s).next_below(b) for b in bounds]`` for every seed s,
+    drawn as ``shuffled_ranges`` draws its swaps."""
+    return rng._draws_below(seeds, *rng._bound_table(bounds))
 
 
 def test_draws_below_falls_back_to_the_stream_after_a_rejection():
@@ -219,7 +249,7 @@ def test_shuffled_ranges_match_the_scalar_shuffle(n):
     assert orders.shape == (len(SEEDS), n) and orders.dtype == np.int64
     for seed, order in zip(SEEDS, orders.tolist()):
         expected = list(range(n))
-        SplitMix64(seed).shuffle(expected)
+        ScalarStream(seed).shuffle(expected)
         assert order == expected
 
 
@@ -237,7 +267,7 @@ def test_both_shuffle_paths_equal_the_scalar_shuffle(seeds, n, threshold):
     assert orders.shape == (len(seeds), n) and orders.dtype == np.int64
     for seed, order in zip(seeds, orders.tolist()):
         expected = list(range(n))
-        SplitMix64(seed).shuffle(expected)
+        ScalarStream(seed).shuffle(expected)
         assert order == expected
 
 
