@@ -31,7 +31,7 @@ from . import datagen, engine, probe
 from .errors import AlignmentError, AlolError, MissingScoresError, SchemaError
 from .pool import load_dataset, save_dataset
 from .rng import repeat_seed
-from .schema import from_json, to_json
+from .schema import from_json, read_json, text_lines, to_json
 
 SEED_OVERRIDE_ENV = "ALOL_SEED_OVERRIDE"
 
@@ -69,17 +69,11 @@ def _parse(path: str, command: str, cls, own=None) -> tuple:
     """The config file at ``path`` decoded as ``cls``, plus its keys that
     the CLI reads itself decoded as ``own``. Every violation exits 2."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise _CliFailure(2, f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise _CliFailure(2, f"{path}: top level must be a JSON object")
-    if data.get("command") != command:
-        raise _CliFailure(
-            2, f"{path}: command {data.get('command')!r} does not match '{command}'"
-        )
-    del data["command"]
+        data = read_json(path)
+    except AlolError as exc:
+        raise _CliFailure(2, str(exc)) from None
+    if not isinstance(data, dict) or data.pop("command", None) != command:
+        raise _CliFailure(2, f"{path}: expected a JSON object whose command is '{command}'")
     keys = {f.name for f in dataclasses.fields(own)} if own else set()
     mine = {k: data.pop(k) for k in keys & data.keys()}
     try:
@@ -143,15 +137,14 @@ def _curve_csv(curve, policy_label: str, seed: int) -> str:
 
 def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise _CliFailure(2, f"{path}: not UTF-8 text ({exc})") from None
-    if not lines or lines[0] != "labeled_size,metric,policy,seed":
+        lines = list(text_lines(path))
+    except AlolError as exc:
+        raise _CliFailure(2, str(exc)) from None
+    if not lines or lines[0][1] != "labeled_size,metric,policy,seed":
         raise _CliFailure(2, f"{path}: expected header 'labeled_size,metric,policy,seed'")
     label = Path(path).stem
     curve: list[tuple[int, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 4:
             raise _CliFailure(2, f"{path}:{lineno}: expected 4 columns")
@@ -160,9 +153,7 @@ def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise _CliFailure(
-                2, f"{path}:{lineno}: expected an integer labeled_size and a finite metric"
-            )
+            raise _CliFailure(2, f"{path}:{lineno}: expected an integer size and a finite metric")
         curve.append((size, value))
         label = cells[2]
     if not curve:
@@ -346,18 +337,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except _CliFailure as exc:
+    except (_CliFailure, AlolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except AlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except AlolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, _CliFailure):
+            return exc.code
+        return 4 if isinstance(exc, AlignmentError) else 1
 
 
 if __name__ == "__main__":

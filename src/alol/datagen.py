@@ -45,7 +45,7 @@ import numpy as np
 from .errors import AlolError, GenerationError, SchemaError
 from .pool import Dataset, Example
 from .rng import PURPOSE_SAMPLE, SplitMix64, derive_seed, stream_draws
-from .schema import from_json
+from .schema import from_json, json_lines
 
 
 class GenKind(enum.Enum):
@@ -245,17 +245,14 @@ class ProvenanceRecord:
 
 def load_provenance(path) -> dict[int, bool]:
     """Read the sidecar. Each line is decoded by ``schema.from_json`` as a
-    ``ProvenanceRecord``; a line that is not one raises ``AlolError``
-    naming it."""
+    ``ProvenanceRecord``. A line that is not one, not UTF-8, or JSON that
+    cannot be decoded (malformed, nested past the recursion limit, an
+    integer past 4300 digits) raises ``AlolError`` naming ``path:line``."""
     out: dict[int, bool] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = from_json(ProvenanceRecord, json.loads(line))
-            except (json.JSONDecodeError, SchemaError) as exc:
-                raise AlolError(f"{path}:{lineno}: {exc}") from None
-            out[record.id] = record.informative
+    for lineno, data in json_lines(path):
+        try:
+            record = from_json(ProvenanceRecord, data)
+        except SchemaError as exc:
+            raise AlolError(f"{path}:{lineno}: {exc}") from None
+        out[record.id] = record.informative
     return out

@@ -25,6 +25,7 @@ from .errors import (
     StaleCandidateError,
 )
 from .rng import PURPOSE_SAMPLE, PURPOSE_SPLIT, SplitMix64, derive_seed, shuffled_ranges
+from .schema import json_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +35,13 @@ class Example:
     Single-vector classification examples are stored as one-token sequences;
     ``sequence`` records which payload kind the source file used so round
     trips preserve it.
+
+    The payload rule: ``id`` is an int in [-2**63, 2**64), ``features``
+    finite integers or floats shaped (tokens >= 1, dim), one token unless
+    ``sequence``, and ``labels`` integers in [0, 2**63) shaped (tokens,);
+    anything else (bools, strings, jagged rows and NaN among them) raises
+    ``AlolError`` naming the id. Both arrays are kept read-only, as float64
+    and int64.
     """
 
     id: int
@@ -52,16 +60,25 @@ class Example:
         )
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise AlolError(f"example {self.id}: features must be (tokens, dim), got {feats.shape}")
-        if labels.shape != (feats.shape[0],):
-            raise AlolError(
-                f"example {self.id}: {feats.shape[0]} tokens but {labels.shape} labels"
-            )
-        if np.any(labels < 0):
-            raise AlolError(f"example {self.id}: negative label")
+        where = f"example {self.id}"
+        if type(self.id) is not int or not -(2**63) <= self.id < 2**64:
+            raise AlolError(f"{where}: id must be an integer in [-2**63, 2**64)")
+        try:
+            feats, labels = np.asarray(self.features), np.asarray(self.labels)
+        except (ValueError, TypeError):
+            raise AlolError(f"{where}: features and labels must be number arrays") from None
+        kind, shape = feats.dtype.kind, feats.shape
+        if kind not in "iuf" or len(shape) != 2 or shape[0] < 1 or not np.isfinite(feats).all():
+            raise AlolError(f"{where}: features must be finite numbers shaped (tokens, dim)")
+        if shape[0] > 1 and not self.sequence:
+            raise AlolError(f"{where}: a single vector has one token, got {shape[0]}")
+        feats = np.asarray(feats, dtype=np.float64)
+        if labels.dtype.kind not in "iu" or labels.shape != (feats.shape[0],):
+            raise AlolError(f"{where}: {feats.shape[0]} tokens need as many integer labels")
+        # A uint64 label past 2**63 - 1 wraps negative here and is refused.
+        labels = np.asarray(labels, dtype=np.int64)
+        if (labels < 0).any():
+            raise AlolError(f"{where}: negative label")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -71,7 +88,8 @@ class Example:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of examples with unique ids and one feature dim."""
+    """Immutable collection of examples with unique ids, one feature dim and
+    one payload kind."""
 
     examples: tuple[Example, ...]
 
@@ -84,9 +102,9 @@ class Dataset:
             if ex.id in by_id:
                 raise AlolError(f"duplicate example id {ex.id}")
             if ex.features.shape[1] != dim:
-                raise AlolError(
-                    f"example {ex.id}: feature dim {ex.features.shape[1]} != {dim}"
-                )
+                raise AlolError(f"example {ex.id}: feature dim {ex.features.shape[1]} != {dim}")
+            if ex.sequence != self.examples[0].sequence:
+                raise AlolError(f"example {ex.id}: mixes single vectors and token sequences")
             by_id[ex.id] = ex
         object.__setattr__(self, "examples", tuple(self.examples))
         object.__setattr__(self, "_by_id", by_id)
@@ -221,82 +239,36 @@ def commit_selection(pool: PoolState, chosen: CandidateSet) -> PoolState:
     )
 
 
-def _numbers(value, ndim: int, kinds: str, where: str, problem: str) -> np.ndarray:
-    """``value`` as an array of ``ndim`` dimensions whose dtype kind is one
-    of ``kinds`` (``i``/``u`` integers, ``f`` floats) and whose floats are
-    finite; otherwise ``AlolError`` with ``where`` and ``problem``. Bools,
-    strings, NaN, infinities and jagged lists never qualify."""
-    try:
-        array = np.asarray(value)
-    except (ValueError, TypeError):
-        raise AlolError(f"{where}: {problem}") from None
-    if array.ndim != ndim or array.dtype.kind not in kinds:
-        raise AlolError(f"{where}: {problem}")
-    if array.dtype.kind == "f" and not np.isfinite(array).all():
-        raise AlolError(f"{where}: {problem}")
-    return array
-
-
 def load_dataset(path) -> Dataset:
     """Read a JSON-lines dataset file.
 
     Each line is either {"id", "features": [f, ...], "label": c} or
-    {"id", "tokens": [[f, ...], ...], "label": [c, ...]}. Mixing the two
-    payload kinds within one file is rejected.
+    {"id", "tokens": [[f, ...], ...], "label": [c, ...]} that passes
+    ``Example``'s rule. Mixing the two payload kinds within one file is
+    rejected. Every refusal, and every line ``schema.json_lines`` cannot
+    decode, raises ``AlolError`` naming ``path:line``.
     """
     examples: list[Example] = []
     kind: str | None = None
-    with open(path, "r", encoding="utf-8") as handle:
+    for lineno, record in json_lines(path):
+        where = f"{path}:{lineno}"
+        if not isinstance(record, dict) or "id" not in record or "label" not in record:
+            raise AlolError(f"{where}: expected a JSON object with 'id' and 'label'")
+        this_kind = next((k for k in ("tokens", "features") if k in record), None)
+        if this_kind is None:
+            raise AlolError(f"{where}: neither 'features' nor 'tokens'")
+        kind = kind or this_kind
+        if kind != this_kind:
+            raise AlolError(f"{where}: mixes '{this_kind}' examples into a '{kind}' file")
+        sequence = this_kind == "tokens"
+        feats, labels = record[this_kind], record["label"]
+        if not sequence:
+            feats, labels = [feats], [labels]
         try:
-            lines = handle.readlines()
-        except UnicodeDecodeError as exc:
-            raise AlolError(f"{path}: not UTF-8 text ({exc})") from None
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise AlolError(f"{path}:{lineno}: bad JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise AlolError(f"{path}:{lineno}: expected a JSON object")
-            if "id" not in record or "label" not in record:
-                raise AlolError(f"{path}:{lineno}: needs both 'id' and 'label'")
-            where = f"{path}:{lineno}"
-            if "tokens" in record:
-                this_kind = "tokens"
-                feats = _numbers(
-                    record["tokens"], 2, "iuf", where, "'tokens' must be equal finite-number rows"
-                )
-                labels = _numbers(
-                    record["label"], 1, "iu", where, "'label' must be a list of integers"
-                )
-                sequence = True
-            elif "features" in record:
-                this_kind = "features"
-                feats = _numbers(
-                    record["features"], 1, "iuf", where, "'features' must hold finite numbers"
-                ).reshape(1, -1)
-                labels = _numbers(
-                    record["label"], 0, "iu", where, "'label' must be an integer"
-                ).reshape(1)
-                sequence = False
-            else:
-                raise AlolError(f"{where}: neither 'features' nor 'tokens'")
-            if kind is None:
-                kind = this_kind
-            elif kind != this_kind:
-                raise AlolError(
-                    f"{path}:{lineno}: mixes '{this_kind}' examples into a '{kind}' file"
-                )
-            example_id = int(_numbers(record["id"], 0, "iu", where, "'id' must be an integer"))
-            try:
-                examples.append(
-                    Example(id=example_id, features=feats, labels=labels, sequence=sequence)
-                )
-            except AlolError as exc:
-                raise AlolError(f"{where}: {exc}") from None
+            example = Example(id=record["id"], features=feats, labels=labels, sequence=sequence)
+        except AlolError as exc:
+            raise AlolError(f"{where}: {exc}") from None
+        examples.append(example)
     if not examples:
         raise AlolError(f"{path}: no examples")
     return Dataset(examples=tuple(examples))

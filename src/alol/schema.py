@@ -1,4 +1,4 @@
-"""The JSON form of the config and run-log dataclasses, derived from their fields.
+"""The JSON form of the config and run-log dataclasses, and the input readers.
 
 ``to_json`` writes a dataclass as plain JSON data: fields in declaration
 order, enums as their values, tuples as lists. ``from_json`` reads it back
@@ -10,18 +10,27 @@ its length, and ``X | None`` also ``null``. Every bad value raises
 ``SchemaError`` naming its dotted key, such as ``learner.learning_rate``;
 so does a value the class's own checks refuse, prefixed with the key of
 the object that holds it.
+
+Every input file is read here too, by ``text_lines``, ``json_lines`` and
+``read_json``: bytes that are not UTF-8, malformed JSON, nesting past the
+recursion limit and integers past Python's 4300-digit limit raise
+``AlolError`` naming ``path:line``, or ``path`` for a whole file's JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import math
+import re
 import types
 import typing
 
 from .errors import AlolError, SchemaError
 
+# "surrogateescape" reads each byte that is not UTF-8 as one of these.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
@@ -97,3 +106,40 @@ def _decode(hint, value, key: str):
     elif hint is str and isinstance(value, str):
         return value
     raise SchemaError(f"{key}={value!r} is not {_EXPECTED[hint]}")
+
+
+def _lines(path):
+    """Yields ``(line number, line)`` for every line of the file at
+    ``path``, newlines read as ``\\n``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise AlolError(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line
+
+
+def _loads(text: str, where: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or too many digits
+        raise AlolError(f"{where}: bad JSON ({exc})") from None
+
+
+def text_lines(path):
+    """Yields ``(line number, line)`` for each non-blank line of the file at
+    ``path``, stripped, numbered as the file's lines are."""
+    for lineno, line in _lines(path):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def json_lines(path):
+    """Yields ``(line number, value)`` for each non-blank line of the file at
+    ``path``, each line decoded as one JSON value."""
+    return ((lineno, _loads(line, f"{path}:{lineno}")) for lineno, line in text_lines(path))
+
+
+def read_json(path):
+    """The JSON value that the whole file at ``path`` holds."""
+    return _loads("".join(line for _, line in _lines(path)), str(path))

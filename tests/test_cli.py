@@ -631,6 +631,19 @@ def test_report_non_finite_metric_exits_2(tmp_path, capsys, cell, where):
     assert not out.exists()
 
 
+def test_report_names_the_file_line_of_a_bad_row_after_a_blank_line(tmp_path, capsys):
+    # Rows were numbered after blank lines were dropped: this said oracle.csv:3.
+    baseline = tmp_path / "random.csv"
+    curve_csv(baseline, [(5, 48.3), (6, 49.0)], policy="random")
+    policy = tmp_path / "oracle.csv"
+    policy.write_text("labeled_size,metric,policy,seed\n5,52.9,oracle,1\n\n6,x,oracle,1\n")
+    out = tmp_path / "report.csv"
+    code = main(["report", str(policy), "--baseline", str(baseline), "--out", str(out)])
+    assert code == 2
+    assert "oracle.csv:4: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_non_integer_repeats_exits_2(tmp_path):
     config = sim_config(tmp_path, repeats="x")
     out = tmp_path / "o"
@@ -800,11 +813,18 @@ JSON_VALUES = st.recursive(
 )
 
 
+# JSON that no reader decodes: an array nested past the recursion limit,
+# and an integer past Python's 4300-digit limit for int-string conversion.
+DEEP = b"[" * 200_000 + b"]" * 200_000
+DIGITS = b"9" * 5000
+
+
 @st.composite
 def dataset_lines(draw):
     """The lines of a dataset file: valid 2-feature examples, up to two of
-    them replaced by arbitrary text or bytes, or with one key set to an
-    arbitrary JSON value."""
+    them replaced by arbitrary text or bytes, by an array nested 200 000
+    deep, or with one key set to an arbitrary JSON value or holding a
+    5000-digit integer."""
     records = [
         {"id": i, "features": [0.5 * i, (-1.0) ** i], "label": i % 2}
         for i in range(draw(st.integers(4, 12)))
@@ -812,15 +832,21 @@ def dataset_lines(draw):
     lines = [json.dumps(record).encode("utf-8") for record in records]
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines)))
-        kind = draw(st.sampled_from(["key", "text", "bytes"]))
+        kind = draw(st.sampled_from(["key", "text", "bytes", "deep", "digits"]))
+        record = records[at] if at < len(records) else {"id": at, "label": 0}
         if kind == "key":
-            record = records[at] if at < len(records) else {"id": at, "label": 0}
             key = draw(st.sampled_from(["id", "features", "tokens", "label", "x"]))
             line = json.dumps({**record, key: draw(JSON_VALUES)}).encode("utf-8")
+        elif kind == "digits":
+            key = draw(st.sampled_from(["id", "features", "label"]))
+            number = b"[" + DIGITS + b", 0.5]" if key == "features" else DIGITS
+            line = json.dumps({**record, key: "@"}).encode("utf-8").replace(b'"@"', number)
         elif kind == "text":
             line = draw(st.text(max_size=30)).encode("utf-8", "surrogatepass")
-        else:
+        elif kind == "bytes":
             line = draw(st.binary(max_size=30))
+        else:
+            line = DEEP
         lines[at:at + 1] = [line]
     return lines
 
@@ -834,33 +860,96 @@ def run_main_quietly(argv):
     return code
 
 
+FUZZ_CONFIGS = {
+    "simulate": {
+        "command": "simulate",
+        "dataset": "data.jsonl",
+        "iterations": 2,
+        "candidate_count": 2,
+        "set_size": 1,
+        "policy": {"name": "oracle"},
+        "learner": {
+            "family": "linear_softmax",
+            "input_dim": 2,
+            "class_count": 2,
+            "max_epochs": 3,
+        },
+        "selection_metric": "accuracy",
+        "report_metric": "accuracy",
+        "master_seed": 5,
+        "partition_sizes": [1, 3, 1, 1],
+    },
+    "probe-mrr": {
+        "command": "probe-mrr",
+        "dataset": "data.jsonl",
+        "iterations": 2,
+        "candidate_count": 2,
+        "set_size": 1,
+        "learner": {"family": "linear_softmax", "input_dim": 2, "class_count": 2},
+        "selection_metric": "accuracy",
+        "seed_pair": [3, 4],
+        "partition_sizes": [1, 3, 1, 1],
+    },
+    "gen-data": {
+        "command": "gen-data",
+        "kind": "gaussian_clusters",
+        "n": 8,
+        "input_dim": 2,
+        "class_count": 2,
+        "cluster_separation": 4.0,
+        "noise_fraction": 0.25,
+        "seed": 13,
+    },
+}
+
+
 @FUZZ
 @given(lines=dataset_lines())
 def test_arbitrary_dataset_lines_exit_with_a_documented_code(lines):
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         (root / "data.jsonl").write_bytes(b"\n".join(lines))
-        config = {
-            "command": "simulate",
-            "dataset": "data.jsonl",
-            "iterations": 2,
-            "candidate_count": 2,
-            "set_size": 1,
-            "policy": {"name": "oracle"},
-            "learner": {
-                "family": "linear_softmax",
-                "input_dim": 2,
-                "class_count": 2,
-                "max_epochs": 3,
-            },
-            "selection_metric": "accuracy",
-            "report_metric": "accuracy",
-            "master_seed": 5,
-            "partition_sizes": [1, 3, 1, 1],
-        }
-        write_json(root / "sim.json", config)
+        write_json(root / "sim.json", FUZZ_CONFIGS["simulate"])
         argv = ["simulate", "--config", str(root / "sim.json")]
-        run_main_quietly(argv + ["--out", str(root / "out")])
+        code = run_main_quietly(argv + ["--out", str(root / "out")])
+        if DEEP in lines or any(DIGITS in line for line in lines):
+            assert code == 1
+        assert code == 0 or not (root / "out").exists()
+
+
+@st.composite
+def undecodable_configs(draw):
+    """A subcommand and the bytes of a config file for it that is an array
+    nested 200 000 deep or a 5000-digit integer, or that holds one of them
+    under one of its keys, a new key or a key of its learner."""
+    command = draw(st.sampled_from(sorted(FUZZ_CONFIGS) + ["report"]))
+    value = draw(st.sampled_from([DEEP, DIGITS, b"[" + DIGITS + b"]", b"-" + DIGITS]))
+    config = FUZZ_CONFIGS.get(command, FUZZ_CONFIGS["simulate"])
+    key = draw(st.sampled_from(sorted(config) + ["x", "learner.learning_rate", None]))
+    if key is None:
+        return command, value
+    if key == "learner.learning_rate":
+        config = {**config, "learner": {**config.get("learner", {}), "learning_rate": "@"}}
+    else:
+        config = {**config, key: "@"}
+    return command, json.dumps(config, indent=2).encode("utf-8").replace(b'"@"', value)
+
+
+@FUZZ
+@given(case=undecodable_configs())
+def test_undecodable_config_exits_2_writing_nothing(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "config.json").write_bytes(text)
+        out = root / "out"
+        if command == "report":
+            curve = str(root / "config.json")
+            argv = ["report", curve, "--baseline", curve, "--out", str(out)]
+        else:
+            argv = [command, "--config", str(root / "config.json"), "--out", str(out)]
+        assert run_main_quietly(argv) == 2
+        assert sorted(path.name for path in root.iterdir()) == ["config.json"]
 
 
 CSV_CELLS = st.one_of(

@@ -218,6 +218,23 @@ def test_provenance_bad_line_raises_naming_it(tmp_path, bad, key):
         load_provenance(path)
 
 
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        (b'{"id": 2, "informative": "\xff"}', "not UTF-8"),
+        (b"[" * 200_000 + b"]" * 200_000, "recursion"),
+        (b'{"id": ' + b"7" * 5000 + b', "informative": true}', "digits"),
+    ],
+    ids=["not-utf8", "nested-200000-deep", "id-of-5000-digits"],
+)
+def test_provenance_line_that_cannot_be_decoded_raises_naming_it(tmp_path, bad, problem):
+    # These raised UnicodeDecodeError, RecursionError and ValueError.
+    path = tmp_path / "prov.jsonl"
+    path.write_bytes(b'{"id": 0, "informative": true}\n\n' + bad + b"\n")
+    with pytest.raises(AlolError, match=rf"prov\.jsonl:3: .*{problem}"):
+        load_provenance(path)
+
+
 def test_provenance_reads_integral_ids(tmp_path):
     path = tmp_path / "prov.jsonl"
     path.write_text('{"id": 4.0, "informative": false}\n')

@@ -1,5 +1,14 @@
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alol.errors import (
     AlolError,
@@ -20,7 +29,10 @@ from alol.pool import (
 )
 from alol.rng import PURPOSE_SPLIT, derive_seed
 
+from test_cli import JSON_VALUES
 from test_rng import ScalarStream
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def single(example_id, values, label):
@@ -45,6 +57,92 @@ def test_example_validation():
         Example(id=1, features=np.zeros(3), labels=np.array([0]), sequence=False)
     with pytest.raises(AlolError):
         Example(id=1, features=np.zeros((1, 3)), labels=np.array([-1]), sequence=False)
+
+
+# Most of these Examples were built before the payload rule moved into
+# Example; save_dataset then wrote a line that load_dataset refused (NaN,
+# an id past 2**64 - 1), raised TypeError (a numpy id) or silently wrote
+# another value (a float label as its integer part, a bool as 1).
+@pytest.mark.parametrize(
+    "example_id, features, labels",
+    [
+        (7, [[math.nan, 1.0]], [0]),
+        (7, [[1.0], [math.inf]], [0, 1]),
+        (7, [[-math.inf]], [0]),
+        (7, [[True, False]], [0]),
+        (7, [["1.0"]], [0]),
+        (7, [[None]], [0]),
+        (7, [[1.0], [2.0, 3.0]], [0, 1]),
+        (7, [[]], [0, 1]),
+        (7, np.zeros((0, 2)), np.zeros(0, dtype=int)),
+        (7, [[1.0]], [1.5]),
+        (7, [[1.0]], [1.0]),
+        (7, [[1.0]], [-1]),
+        (7, [[1.0]], [True]),
+        (7, [[1.0]], ["0"]),
+        (7, [[1.0]], np.array([2**63], dtype=np.uint64)),
+        (7, [[1.0]], [[0]]),
+        (7.0, [[1.0]], [0]),
+        (2**64, [[1.0]], [0]),
+        (-(2**63) - 1, [[1.0]], [0]),
+        (np.int64(7), [[1.0]], [0]),
+        (True, [[1.0]], [0]),
+    ],
+)
+def test_example_refuses_payloads_outside_the_rule_naming_its_id(example_id, features, labels):
+    with pytest.raises(AlolError, match=rf"^example {re.escape(str(example_id))}: "):
+        Example(id=example_id, features=features, labels=labels, sequence=True)
+
+
+def test_single_vector_example_holds_one_token():
+    # save_dataset wrote only its first token.
+    with pytest.raises(AlolError, match="example 3"):
+        Example(id=3, features=np.zeros((2, 1)), labels=[0, 1], sequence=False)
+
+
+def test_dataset_refuses_mixed_payload_kinds():
+    # save_dataset would write a file that load_dataset refuses.
+    with pytest.raises(AlolError, match="example 1"):
+        Dataset(examples=(single(0, [0.0], 0), Example(1, np.zeros((1, 1)), [0], True)))
+
+
+@st.composite
+def buildable_datasets(draw):
+    """Datasets drawn from ids, features, labels and payload kinds of many
+    types, values and shapes (NaN, infinities, bools, float labels, numpy
+    ids, mixed kinds among them); a draw that ``Example`` or ``Dataset``
+    refuses is rejected, so every kind of Dataset that can be built is left."""
+    sequence, dim = draw(st.booleans()), draw(st.integers(0, 3))
+    ids = st.integers(-(2**63) - 1, 2**64)
+    ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+    examples = []
+    for example_id in ids:
+        if draw(st.integers(0, 9)) == 0:
+            example_id = draw(st.sampled_from([np.int64(example_id % 7), float(example_id)]))
+        tokens = draw(st.integers(1, 3)) if sequence else 1
+        kind = draw(st.sampled_from(["f8", "f4", "f2", "i8", "u8", "i1", "?"]))
+        finite = {"allow_nan": False, "allow_infinity": False}
+        finite = finite if kind[0] == "f" and draw(st.integers(0, 4)) else None
+        features = draw(hnp.arrays(kind, (tokens, dim), elements=finite))
+        kind = draw(st.sampled_from(["i8", "u8", "i4", "u1", "f8"]))
+        low = 0 if kind[0] == "u" else -1
+        top = 9 if kind == "f8" else min(int(np.iinfo(kind).max), 2**63)
+        labels = draw(hnp.arrays(kind, tokens, elements=st.integers(low, top)))
+        flip = draw(st.integers(0, 9)) == 0
+        examples.append((example_id, features, labels, sequence != flip))
+    try:
+        return Dataset(examples=tuple(Example(*example) for example in examples))
+    except AlolError:
+        reject()
+
+
+@PROPERTY
+@given(dataset=buildable_datasets())
+def test_every_buildable_dataset_survives_a_jsonl_round_trip(dataset):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "d.jsonl"
+        save_dataset(dataset, path)
+        assert load_dataset(path) == dataset
 
 
 def test_example_token_count():
@@ -300,3 +398,164 @@ def test_save_is_byte_stable(tmp_path):
     save_dataset(dataset, a)
     save_dataset(dataset, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def reference_numbers(value, ndim, kinds, where, problem):
+    """The number check of ``load_dataset`` before ``Example`` owned the
+    payload rule, kept as the reference for the reader's decisions."""
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError):
+        raise AlolError(f"{where}: {problem}") from None
+    if array.ndim != ndim or array.dtype.kind not in kinds:
+        raise AlolError(f"{where}: {problem}")
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise AlolError(f"{where}: {problem}")
+    return array
+
+
+def reference_example(example_id, feats, labels, sequence, where):
+    """``Example`` with the checks it made before it owned the payload rule."""
+    feats = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if feats.ndim != 2 or feats.shape[0] < 1 or labels.shape != (feats.shape[0],):
+        raise AlolError(f"{where}: bad shapes")
+    if np.any(labels < 0):
+        raise AlolError(f"{where}: negative label")
+    return Example(id=example_id, features=feats, labels=labels, sequence=sequence)
+
+
+def reference_load_dataset(path):
+    """``load_dataset`` as it was before ``Example`` owned the payload rule."""
+    examples = []
+    kind = None
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise AlolError(f"{path}: not UTF-8 text ({exc})") from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise AlolError(f"{path}:{lineno}: bad JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise AlolError(f"{path}:{lineno}: expected a JSON object")
+            if "id" not in record or "label" not in record:
+                raise AlolError(f"{path}:{lineno}: needs both 'id' and 'label'")
+            where = f"{path}:{lineno}"
+            if "tokens" in record:
+                this_kind = "tokens"
+                feats = reference_numbers(record["tokens"], 2, "iuf", where, "bad 'tokens'")
+                labels = reference_numbers(record["label"], 1, "iu", where, "bad 'label'")
+                sequence = True
+            elif "features" in record:
+                this_kind = "features"
+                feats = reference_numbers(record["features"], 1, "iuf", where, "bad 'features'")
+                feats = feats.reshape(1, -1)
+                labels = reference_numbers(record["label"], 0, "iu", where, "bad 'label'")
+                labels = labels.reshape(1)
+                sequence = False
+            else:
+                raise AlolError(f"{where}: neither 'features' nor 'tokens'")
+            if kind is None:
+                kind = this_kind
+            elif kind != this_kind:
+                raise AlolError(f"{where}: mixes '{this_kind}' examples into a '{kind}' file")
+            example_id = int(reference_numbers(record["id"], 0, "iu", where, "bad 'id'"))
+            examples.append(reference_example(example_id, feats, labels, sequence, where))
+    if not examples:
+        raise AlolError(f"{path}: no examples")
+    return Dataset(examples=tuple(examples))
+
+
+ODD_NUMBERS = [True, False, "1", "", None, math.nan, math.inf, -math.inf, 1.5, -1, 0, 2]
+ODD_NUMBERS += [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]
+ODD_VALUES = st.one_of(
+    JSON_VALUES,
+    st.sampled_from(ODD_NUMBERS),
+    st.lists(st.sampled_from(ODD_NUMBERS), max_size=3),
+    # Token rows, jagged or not, holding odd numbers.
+    st.lists(st.lists(st.sampled_from(ODD_NUMBERS + [0.5, 3]), max_size=3), max_size=3),
+    # One odd number as a list or as rows, so the array's dtype is its own.
+    st.sampled_from(ODD_NUMBERS).map(lambda number: [number]),
+    st.sampled_from(ODD_NUMBERS).map(lambda number: [number] * 2),
+    st.sampled_from(ODD_NUMBERS).map(lambda number: [[number]] * 2),
+    st.sampled_from(ODD_NUMBERS).map(lambda number: [[number] * 2]),
+)
+
+
+def with_numbers(value, number, first_only):
+    """``value`` with its first number, or with every number, replaced by
+    ``number``; lists keep their shape."""
+    if not isinstance(value, list):
+        return number
+    if first_only:
+        return value and [with_numbers(value[0], number, True)] + value[1:]
+    return [with_numbers(item, number, False) for item in value]
+
+
+@st.composite
+def corrupted_dataset_files(draw):
+    """The text of a dataset file of one payload kind, with up to three
+    lines given an odd value in some key, odd numbers in the shape of the
+    payload or labels, a key removed, or other text."""
+    sequence, dim = draw(st.booleans()), draw(st.integers(0, 2))
+    payload = "tokens" if sequence else "features"
+    records = []
+    for example_id in range(draw(st.integers(1, 5))):
+        tokens = draw(st.integers(1, 3)) if sequence else 1
+        rows = [[draw(st.floats(-1e6, 1e6) | st.integers(-9, 9)) for _ in range(dim)]]
+        rows *= tokens
+        labels = [draw(st.integers(0, 3)) for _ in range(tokens)]
+        if sequence:
+            records.append({"id": example_id, "tokens": rows, "label": labels})
+        else:
+            records.append({"id": example_id, "features": rows[0], "label": labels[0]})
+    lines = [json.dumps(record) for record in records]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(records) - 1))
+        record = records[at]
+        action = draw(st.sampled_from(["value", "numbers", "numbers", "remove", "text"]))
+        if action == "value":
+            key = draw(st.sampled_from(["id", "features", "tokens", "label", "x"]))
+            record[key] = draw(ODD_VALUES)
+        elif action == "numbers":
+            key = draw(st.sampled_from(["id", "label", payload]))
+            number, first_only = draw(st.sampled_from(ODD_NUMBERS)), draw(st.booleans())
+            record[key] = with_numbers(record.get(key, 0), number, first_only)
+        elif action == "remove" and record:
+            del record[draw(st.sampled_from(sorted(record)))]
+        lines[at] = json.dumps(record)
+        if action == "text":
+            other = st.sampled_from(["", "[]", "7", "null", "{", '{"id": 1}']) | st.text()
+            lines[at] = draw(other)
+    return "\n".join(lines) + "\n"
+
+
+def named_line(error, path):
+    found = re.match(re.escape(str(path)) + r":(\d+): ", str(error))
+    return found and int(found.group(1))
+
+
+@settings(PROPERTY, max_examples=600)
+@given(text=corrupted_dataset_files())
+def test_reader_accepts_exactly_the_files_the_reference_decoder_accepts(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "d.jsonl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = reference_load_dataset(path)
+        except AlolError as exc:
+            with pytest.raises(AlolError) as refused:
+                load_dataset(path)
+            assert named_line(refused.value, path) == named_line(exc, path)
+            return
+        dataset = load_dataset(path)
+    assert dataset == expected
+    for example in dataset.examples:
+        assert example.features.dtype == np.float64 and example.labels.dtype == np.int64
+        assert not example.features.flags.writeable and not example.labels.flags.writeable
