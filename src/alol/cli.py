@@ -10,8 +10,9 @@ unknown keys rejected):
 * ``report``     turns policy curves plus a baseline curve into a
                  relative-improvement CSV
 
-Exit codes are stable contracts: 0 ok, 1 runtime failure, 2 schema
-violation, 3 refusing to overwrite without --force, 4 curve misalignment.
+Exit codes are stable contracts: 0 ok, 1 runtime failure (running out of
+memory too), 2 schema violation, 3 refusing to overwrite without --force,
+4 curve misalignment.
 All CSVs use LF line endings and 9 significant digits.
 """
 
@@ -337,8 +338,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (_CliFailure, AlolError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_CliFailure, AlolError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, _CliFailure):
             return exc.code
         return 4 if isinstance(exc, AlignmentError) else 1

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import AlolError, GenerationError, SchemaError
 from .pool import Dataset, Example
 from .rng import PURPOSE_SAMPLE, SplitMix64, derive_seed, stream_draws
-from .schema import from_json, json_lines
+from .schema import MAX_FLOATS, from_json, json_lines
 
 
 class GenKind(enum.Enum):
@@ -84,6 +84,10 @@ class GenSpec:
         if self.kind is GenKind.GAUSSIAN_CLUSTERS and (lo, hi) != (1, 1):
             raise GenerationError("gaussian_clusters examples are single vectors; use (1, 1)")
         object.__setattr__(self, "seq_len_range", (lo, hi))
+        # The class means and one block's draw table are the largest arrays.
+        size = max(self.class_count * self.input_dim, _table_size(self, min(BLOCK, self.n)))
+        if size > MAX_FLOATS:
+            raise GenerationError(f"needs an array of {size} numbers, more than numpy can hold")
 
 
 def _class_means(spec: GenSpec) -> np.ndarray:
@@ -108,6 +112,15 @@ def _noise_plan(spec: GenSpec) -> tuple[list[int], SplitMix64]:
 # peak against 2.0 MB for one table of the whole dataset, and ran no
 # slower than larger blocks (see CHANGES.md).
 BLOCK = 64
+
+
+def _table_size(spec: GenSpec, count: int) -> int:
+    """The draws of a table for ``count`` examples: all they can take
+    unless ``next_below`` rejects one, and one more."""
+    lo, hi = spec.seq_len_range
+    if spec.kind is GenKind.TOKEN_TAGGING:
+        return count * ((hi > lo) + hi + hi * spec.input_dim) + 1
+    return count * spec.input_dim + 1
 
 
 def _below(draws: Sequence[int], at: int, bound: int) -> tuple[int, int]:
@@ -186,8 +199,6 @@ def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
     means = _class_means(spec)
     seed = derive_seed(spec.seed, purpose=PURPOSE_SAMPLE)
     sequence = spec.kind is GenKind.TOKEN_TAGGING
-    lo, hi = spec.seq_len_range
-    per_example = (hi > lo) + hi + hi * spec.input_dim if sequence else spec.input_dim
     # Each example's feature rows and labels; the Examples are built once
     # the noise stratum's labels are drawn.
     features: list[np.ndarray] = []
@@ -196,9 +207,9 @@ def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
     taken, spare = 0, np.empty(0)
     for first in range(0, spec.n, BLOCK):
         count = min(BLOCK, spec.n - first)
-        # Enough draws unless next_below rejects one; then the block is
-        # walked again over a table twice as long.
-        size = count * per_example + 1
+        # When next_below rejects a draw, the block is walked again over a
+        # table twice as long.
+        size = _table_size(spec, count)
         while True:
             table = stream_draws([seed], size, skip=taken)[0]
             try:

@@ -25,7 +25,7 @@ from .metrics import (
     MetricKind,
     confusion_counts,
     macro_f1_from_counts,
-    score,
+    score,  # noqa: F401  (bench/tracing.py wraps this name)
     token_f1_from_counts,
 )
 from .pool import Example
@@ -39,7 +39,7 @@ from .rng import (
     shuffled_ranges,
     stream_draws,
 )
-from .schema import from_json
+from .schema import MAX_FLOATS, from_json
 
 BATCH_SIZE = 8
 
@@ -72,6 +72,9 @@ class LearnerSpec:
             raise SpecMismatchError("learning_rate, init_scale, stop_epsilon must be > 0")
         if self.max_epochs < 1 or self.patience < 1:
             raise SpecMismatchError("max_epochs and patience must be >= 1")
+        # The parameters and each model's shuffle seeds are single arrays.
+        if max(parameter_count(self), self.max_epochs) > MAX_FLOATS:
+            raise SpecMismatchError("parameters or max_epochs past what one numpy array holds")
 
 
 def parameter_count(spec: LearnerSpec) -> int:
@@ -149,12 +152,12 @@ def _check_rows(spec: LearnerSpec, examples, x: np.ndarray, y: np.ndarray) -> No
 @dataclass(frozen=True, eq=False)
 class TokenRows:
     """The tokens of ``examples`` pooled once: ``(m, dim)`` feature rows,
-    ``(m,)`` labels and each example's end bound in them."""
+    ``(m,)`` labels and each example's first row in them."""
 
     examples: Sequence[Example]
     x: np.ndarray
     y: np.ndarray
-    bounds: np.ndarray
+    starts: np.ndarray
 
 
 def token_rows(spec: LearnerSpec, examples: Sequence[Example]) -> TokenRows:
@@ -170,7 +173,7 @@ def token_rows(spec: LearnerSpec, examples: Sequence[Example]) -> TokenRows:
     # Every fit of a run reads these rows; none may write them.
     x.setflags(write=False)
     y.setflags(write=False)
-    return TokenRows(examples, x, y, np.cumsum([ex.token_count for ex in examples]))
+    return TokenRows(examples, x, y, np.cumsum([0, *(ex.token_count for ex in examples)])[:-1])
 
 
 def _unpack(spec: LearnerSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -292,24 +295,24 @@ def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind) ->
     the K models, one per epoch of a window, as W lists of K scores.
     ``evals`` holds, per eval token total m, its models' index in the
     stack, their shared ``(m, dim)`` or per-model ``(A, m, dim)`` rows,
-    ``(A, m)`` labels and example bounds. No row is padded, so each score
-    is that of one model alone."""
+    ``(A, m)`` labels and example starts. No row is padded, so each score
+    is that of one model alone. Every metric is scored in array passes over
+    all the snapshots, from the counts that ``metrics.score`` takes."""
     scores = np.empty(params.shape[:2])
     groups = []
-    for models, x, y, bounds in evals:
+    for models, x, y, starts in evals:
         stack = np.take(params, models, axis=1)  # (W, A, P) order, where matmul is fastest
         preds = _forward(_affine(_unpack(spec, stack)), x)[0].argmax(axis=-1)
         if metric is MetricKind.ACCURACY:
             # Exact hit counts: the same floats as np.mean.
             scores[:, models] = np.count_nonzero(preds == y, axis=-1) / y.shape[-1]
         elif metric is MetricKind.EXACT_MATCH:
-            scores[:, models] = [
-                [
-                    score(np.split(p, b[:-1]), np.split(g, b[:-1]), metric)
-                    for p, g, b in zip(snapshot, y, bounds)
-                ]
-                for snapshot in preds
-            ]
+            # Exact miss counts over every model's examples, end to end.
+            spans = np.concatenate([a * y.shape[-1] + s for a, s in enumerate(starts)])
+            missed = np.logical_or.reduceat((preds != y).reshape(len(preds), -1), spans, axis=-1)
+            sizes = np.array([len(s) for s in starts])
+            misses = np.add.reduceat(missed, np.cumsum(sizes) - sizes, axis=-1)
+            scores[:, models] = (sizes - misses) / sizes
         else:
             # One confusion table per snapshot and model.
             tables = np.arange(scores.size).reshape(scores.shape)[:, models, None]
@@ -451,7 +454,7 @@ def _eval_stack(tasks: Sequence[FitTask], active: list[int]) -> list:
     for positions in _groups([len(tasks[k].eval_rows.y) for k in active]):
         pooled = [tasks[active[r]].eval_rows for r in positions]
         x = pooled[0].x if len(_distinct(pooled)) == 1 else np.stack([p.x for p in pooled])
-        evals.append((positions, x, np.stack([p.y for p in pooled]), [p.bounds for p in pooled]))
+        evals.append((positions, x, np.stack([p.y for p in pooled]), [p.starts for p in pooled]))
     return evals
 
 
@@ -644,16 +647,8 @@ def fit_stacked(
         raise SpecMismatchError("a base model has another spec")
     for pooled in _distinct(t.eval_rows for t in tasks):
         _check_rows(spec, pooled.examples, pooled.x, pooled.y)
-    rows, starts = [], []
-    for task in tasks:
-        if task.base is None:
-            init_seed = derive_seed(task.seed, purpose=PURPOSE_INIT)
-            rows.append(_init_params(spec, init_seed))
-            starts.append([init_seed])
-        else:
-            rows.append(task.base.parameters)
-            starts.append(list(task.base.seed_lineage))
-    params = np.array(rows)
+    bases = [task.base or initialize(spec, task.seed) for task in tasks]
+    params = np.array([base.parameters for base in bases])
     # One SGD stack per widest example of a task's training lists.
     widths = [max((ex.token_count for ex in [*t.shared, *t.extra]), default=0) for t in tasks]
     runs, scores = [None] * len(tasks), [None] * len(tasks)
@@ -665,7 +660,8 @@ def fit_stacked(
             runs[k], scores[k] = run, value
     if loss_based:
         scores = [-_mean_loss(spec, p, t.eval_rows.x, t.eval_rows.y) for p, t in zip(params, tasks)]
-    return StackedFit(spec, params, [s + run for s, run in zip(starts, runs)], scores)
+    lineages = [[*base.seed_lineage, *run] for base, run in zip(bases, runs)]
+    return StackedFit(spec, params, lineages, scores)
 
 
 def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
@@ -683,7 +679,7 @@ def evaluate(
     if len(examples) == 0:
         raise EmptyEvalError("evaluate needs at least one example")
     rows = token_rows(model.spec, examples)
-    evals = [([0], rows.x, rows.y[None], [rows.bounds])]
+    evals = [([0], rows.x, rows.y[None], [rows.starts])]
     return _scores(model.spec, model.parameters[None, None], evals, metric)[0][0]
 
 

@@ -12,6 +12,7 @@ PoolState is an immutable value; every operation returns a new state.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -28,6 +29,15 @@ from .rng import PURPOSE_SAMPLE, PURPOSE_SPLIT, SplitMix64, derive_seed, shuffle
 from .schema import json_lines
 
 
+def _holds_bool(values, rows: bool = False) -> bool:
+    """Whether ``values``, or with ``rows`` one of its rows, holds a bool,
+    which numpy reads among numbers as 1 or 0. An array holds none: its
+    dtype would be bool."""
+    if isinstance(values, np.ndarray):
+        return False
+    return bool in set(map(type, itertools.chain.from_iterable(values) if rows else values))
+
+
 @dataclass(frozen=True, eq=False)
 class Example:
     """One datapoint: a (token_count, feature_dim) matrix plus per-token labels.
@@ -39,9 +49,9 @@ class Example:
     The payload rule: ``id`` is an int in [-2**63, 2**64), ``features``
     finite integers or floats shaped (tokens >= 1, dim), one token unless
     ``sequence``, and ``labels`` integers in [0, 2**63) shaped (tokens,);
-    anything else (bools, strings, jagged rows and NaN among them) raises
-    ``AlolError`` naming the id. Both arrays are kept read-only, as float64
-    and int64.
+    anything else (bools, even one among numbers, strings, jagged rows and
+    NaN among them) raises ``AlolError`` naming the id. Both arrays are
+    kept read-only, as float64 and int64.
     """
 
     id: int
@@ -67,17 +77,20 @@ class Example:
             feats, labels = np.asarray(self.features), np.asarray(self.labels)
         except (ValueError, TypeError):
             raise AlolError(f"{where}: features and labels must be number arrays") from None
-        kind, shape = feats.dtype.kind, feats.shape
-        if kind not in "iuf" or len(shape) != 2 or shape[0] < 1 or not np.isfinite(feats).all():
+        shape = feats.shape
+        numbers = feats.dtype.kind in "iuf" and len(shape) == 2 and shape[0] >= 1
+        if not numbers or not np.isfinite(feats).all() or _holds_bool(self.features, rows=True):
             raise AlolError(f"{where}: features must be finite numbers shaped (tokens, dim)")
         if shape[0] > 1 and not self.sequence:
             raise AlolError(f"{where}: a single vector has one token, got {shape[0]}")
         feats = np.asarray(feats, dtype=np.float64)
-        if labels.dtype.kind not in "iu" or labels.shape != (feats.shape[0],):
-            raise AlolError(f"{where}: {feats.shape[0]} tokens need as many integer labels")
+        if labels.dtype.kind not in "iu" or labels.shape != (shape[0],) or _holds_bool(self.labels):
+            raise AlolError(f"{where}: {shape[0]} tokens need as many integer labels")
         # A uint64 label past 2**63 - 1 wraps negative here and is refused.
+        # The few labels of an example are checked as a list, which costs
+        # less than a numpy reduction.
         labels = np.asarray(labels, dtype=np.int64)
-        if (labels < 0).any():
+        if min(labels.tolist()) < 0:
             raise AlolError(f"{where}: negative label")
         feats.setflags(write=False)
         labels.setflags(write=False)

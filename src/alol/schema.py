@@ -4,9 +4,10 @@
 order, enums as their values, tuples as lists. ``from_json`` reads it back
 by the field annotations. A field with a default is optional, one without
 is required, and any other key is rejected. An int takes a JSON number
-with no fraction (3.0 reads as 3), a float any finite JSON number, a bool
-only ``true`` or ``false``, an enum one of its values, a tuple a list of
-its length, and ``X | None`` also ``null``. Every bad value raises
+with no fraction (3.0 reads as 3) in [-2**63, 2**64), the range of numpy's
+64-bit integers and of the lab's seeds, a float any finite JSON number, a
+bool only ``true`` or ``false``, an enum one of its values, a tuple a list
+of its length, and ``X | None`` also ``null``. Every bad value raises
 ``SchemaError`` naming its dotted key, such as ``learner.learning_rate``;
 so does a value the class's own checks refuse, prefixed with the key of
 the object that holds it.
@@ -24,6 +25,7 @@ import enum
 import json
 import math
 import re
+import sys
 import types
 import typing
 
@@ -31,7 +33,14 @@ from .errors import AlolError, SchemaError
 
 # "surrogateescape" reads each byte that is not UTF-8 as one of these.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
-_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_EXPECTED = {
+    int: "an integer in [-2**63, 2**64)",
+    float: "a finite number",
+    bool: "true or false",
+    str: "a string",
+}
+# The most floats one numpy array can hold: its byte count must be an intp.
+MAX_FLOATS = sys.maxsize // 8
 
 
 def to_json(obj):
@@ -93,7 +102,8 @@ def _decode(hint, value, key: str):
         if hint is bool:
             return value
     elif hint is int:
-        if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if whole and -(2**63) <= value < 2**64:
             return int(value)
     elif hint is float:
         if isinstance(value, (int, float)):

@@ -782,6 +782,8 @@ def with_learner(**changes):
         ("gen-data", {"n": 40.7}, "n"),
         ("gen-data", {"n": True}, "n"),
         ("gen-data", {"cluster_separation": float("nan")}, "cluster_separation"),
+        ("gen-data", {"input_dim": 10**30}, "input_dim"),
+        ("simulate", with_learner(input_dim=10**30), "learner.input_dim"),
     ],
 )
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides, key):
@@ -794,6 +796,60 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert f": {key}=" in capsys.readouterr().err
     assert not any(path.exists() for path in written)
+
+
+# Sizes whose largest array numpy cannot shape ended in a numpy ValueError
+# traceback, as did integers past 64 bits (above); a size numpy can shape
+# but not allocate (input_dim 2**40) ends in MemoryError, which the next
+# test raises in place of asking numpy for such an array.
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("gen-data", {"input_dim": 2**61}, "numpy"),
+        ("gen-data", {"kind": "token_tagging", "seq_len_range": [1, 2**60]}, "numpy"),
+        ("simulate", with_learner(input_dim=2**61), "learner: parameters"),
+        ("simulate", with_learner(family="mlp", hidden_dim=2**61), "learner: parameters"),
+        ("simulate", with_learner(max_epochs=2**62), "learner: parameters"),
+    ],
+)
+def test_config_sizes_numpy_cannot_shape_exit_2(tmp_path, capsys, command, overrides, key):
+    make = sim_config if command == "simulate" else gen_config
+    config, out = make(tmp_path, **overrides), tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 24.0 TiB")])
+def test_memory_error_exits_1_with_a_message(tmp_path, capsys, monkeypatch, error):
+    def generate(spec):
+        raise error
+
+    monkeypatch.setattr(datagen, "generate", generate)
+    out = tmp_path / "data.jsonl"
+    assert main(["gen-data", "--config", str(gen_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {str(error) or 'MemoryError'}\n"
+    assert not out.exists()
+
+
+# numpy read a bool among numbers as 1 or 0, so these lines loaded.
+@pytest.mark.parametrize(
+    "first, line",
+    [
+        ('{"id":1,"features":[1.0,2.0],"label":1}', '{"id":0,"features":[1.0,true],"label":0}'),
+        (
+            '{"id":1,"tokens":[[1.0]],"label":[1]}',
+            '{"id":0,"tokens":[[1.0],[2.0]],"label":[true,1]}',
+        ),
+    ],
+)
+def test_dataset_line_with_a_bool_among_numbers_exits_1(tmp_path, capsys, first, line):
+    config = sim_config(tmp_path)
+    (tmp_path / "dataset.jsonl").write_text(f"{first}\n{line}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.jsonl:2: example 0: " in err and "Traceback" not in err
 
 
 # Fuzzing through main: whatever the dataset lines or curve rows, a run

@@ -625,9 +625,16 @@ def test_windowed_fits_equal_the_plain_loop(data):
         return [tokens(next(ids), rng, int(w)) for w in widths]
 
     n = data.draw(st.integers(1, 12))
-    # One eval list for every model, or a few of different token totals.
+    # One eval list for every model, or a few: the second holds the first's
+    # tokens with each example bound one token earlier (2+2 against 1+3),
+    # so that the models of one eval group, which holds one token total,
+    # count their misses over their own bounds.
+    first = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    bounds = np.cumsum(first)[:-1]
+    shifted = np.diff([0, *bounds[bounds > 1] - 1, sum(first)]).tolist()
     lists = data.draw(st.integers(1, 3))
-    evals = [token_rows(spec, example_list(data.draw(st.integers(1, 8)))) for _ in range(lists)]
+    evals = [first, shifted, data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))]
+    evals = [token_rows(spec, [tokens(next(ids), rng, w) for w in ws]) for ws in evals[:lists]]
     tasks = [
         FitTask(None, [], example_list(n), evals[data.draw(st.integers(0, lists - 1))], k)
         for k in range(data.draw(st.integers(1, 6)))
@@ -642,6 +649,35 @@ def test_windowed_fits_equal_the_plain_loop(data):
         assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
         assert fit.lineages[k] == list(plain.seed_lineage)
         assert fit.scores[k] == value
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def test_exact_match_fits_score_without_the_per_example_scorer(spec, monkeypatch):
+    # Exact match is counted in the window's array passes, as the other
+    # metrics are: a stacked fit must never call metrics.score, which stays
+    # the reference below. Three eval lists hold 4 tokens cut into other
+    # examples, so their models sit in one eval group.
+    def refuse(*args, **kwargs):
+        raise AssertionError("learners called metrics.score")
+
+    monkeypatch.setattr(learners, "score", refuse)
+    rng = np.random.default_rng(23)
+    spec = replace(spec, max_epochs=30, patience=3)
+    lists = [[2, 2], [1, 3], [1, 1, 2], [3, 1, 2, 2], [1, 1, 1]]
+    evals = [[tokens(100 * j + i, rng, w) for i, w in enumerate(ws)] for j, ws in enumerate(lists)]
+    tasks = [
+        FitTask(None, [], [tokens(10 * k + i, rng, 1 + i % 3) for i in range(9)], rows, k)
+        for k, rows in enumerate(token_rows(spec, ev) for ev in evals * 2)
+    ]
+    metric = MetricKind.EXACT_MATCH
+    fit = fit_stacked(spec, tasks, metric=metric)
+    for k, task in enumerate(tasks):
+        eval_set = task.eval_rows.examples
+        plain = reference_train(spec, task.extra, eval_set, task.seed, metric)
+        assert fit.model(k) == plain
+        preds = [predict_distribution(plain, ex).argmax(axis=-1) for ex in eval_set]
+        assert fit.scores[k] == score(preds, [ex.labels for ex in eval_set], metric)
+    assert len({len(lineage) for lineage in fit.lineages}) > 1
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])

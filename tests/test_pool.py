@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -87,6 +87,8 @@ def test_example_validation():
         (-(2**63) - 1, [[1.0]], [0]),
         (np.int64(7), [[1.0]], [0]),
         (True, [[1.0]], [0]),
+        (7, [[1.0, True]], [0]),
+        (7, [[1.0], [2.0]], [True, 1]),
     ],
 )
 def test_example_refuses_payloads_outside_the_rule_naming_its_id(example_id, features, labels):
@@ -400,13 +402,20 @@ def test_save_is_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def holds_bool(value):
+    return isinstance(value, bool) or isinstance(value, list) and any(map(holds_bool, value))
+
+
 def reference_numbers(value, ndim, kinds, where, problem):
     """The number check of ``load_dataset`` before ``Example`` owned the
-    payload rule, kept as the reference for the reader's decisions."""
+    payload rule, kept as the reference for the reader's decisions, with
+    the one rule added since: no bool, even among numbers."""
     try:
         array = np.asarray(value)
     except (ValueError, TypeError):
         raise AlolError(f"{where}: {problem}") from None
+    if holds_bool(value):
+        raise AlolError(f"{where}: {problem}")
     if array.ndim != ndim or array.dtype.kind not in kinds:
         raise AlolError(f"{where}: {problem}")
     if array.dtype.kind == "f" and not np.isfinite(array).all():
@@ -543,6 +552,8 @@ def named_line(error, path):
 
 @settings(PROPERTY, max_examples=600)
 @given(text=corrupted_dataset_files())
+@example(text='{"id":0,"features":[1.0,true],"label":0}\n')
+@example(text='{"id":0,"tokens":[[1.0],[2.0]],"label":[true,1]}\n')
 def test_reader_accepts_exactly_the_files_the_reference_decoder_accepts(text):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "d.jsonl"

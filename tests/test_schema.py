@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,29 @@ def test_decoding_by_annotation(key, value, expected):
     else:
         decoded = getattr(from_json(LearnerSpec, data), key)
         assert decoded == expected and type(decoded) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "seed, accepted",
+    [
+        (2**64 - 1, True),
+        (-(2**63), True),
+        (float(2**63), True),
+        (2**64, False),
+        (-(2**63) - 1, False),
+        (10**30, False),
+        (1e30, False),
+    ],
+)
+def test_integers_are_refused_outside_64_bits(seed, accepted):
+    # numpy holds no integer past this range; the lab's seeds span it.
+    data = {**to_json(GEN), "seed": seed}
+    if accepted:
+        assert from_json(GenSpec, data).seed == seed
+    else:
+        expected = re.escape("is not an integer in [-2**63, 2**64)")
+        with pytest.raises(SchemaError, match=f"^seed=.* {expected}"):
+            from_json(GenSpec, data)
 
 
 def test_errors_name_the_dotted_key():
