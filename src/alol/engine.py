@@ -182,7 +182,6 @@ def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Ru
         FitTask(
             None,
             dataset.subset(run.pool.labeled),
-            [],
             run.eval_rows,
             derive_seed(run.master, iteration=i, run=RUN_CHECKPOINT),
         )
@@ -263,7 +262,7 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
         if (s.outcome is None and name is PolicyName.UNCERTAINTY)
         or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
     ]
-    base_tasks = [FitTask(None, s.labeled, [], s.run.eval_rows, s.scope) for s in needs_base]
+    base_tasks = [FitTask(None, s.labeled, s.run.eval_rows, s.scope) for s in needs_base]
     bases = _train_all(config.learner, base_tasks, config.selection_metric)
     for s, model in zip(needs_base, bases):
         s.base = model

@@ -142,9 +142,9 @@ def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
 
 
 def _check_rows(spec: LearnerSpec, examples, x: np.ndarray, y: np.ndarray) -> None:
-    """``_check_examples`` of ``examples`` from their pooled or padded
-    feature rows ``x`` and labels ``y`` (padding labels are -1): two array
-    checks, and the per-example loop only to name the one that fails."""
+    """``_check_examples`` of ``examples`` from their pooled feature rows
+    ``x`` and labels ``y``: two array checks, and the per-example loop only
+    to name the one that fails."""
     if y.size and (x.shape[-1] != spec.input_dim or y.max() >= spec.class_count):
         _check_examples(spec, examples)
 
@@ -164,6 +164,9 @@ def token_rows(spec: LearnerSpec, examples: Sequence[Example]) -> TokenRows:
     """``examples`` pooled and checked against ``spec``: what a fit stops
     on, and what ``evaluate``, ``loss`` and ``gradient`` take their rows
     from. A run pools its eval list once for all its fits."""
+    if any(ex.features.shape[1] != spec.input_dim for ex in examples):
+        # Rows of several dims cannot be pooled: name the first off-dim one.
+        _check_examples(spec, examples)
     if examples:
         x = np.concatenate([ex.features for ex in examples], axis=0)
         y = np.concatenate([ex.labels for ex in examples])
@@ -340,25 +343,24 @@ def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FitTask:
-    """One model to fit: SGD on ``shared + extra`` from ``base``, or without
-    a base from the init ``seed`` derives, early-stopped on ``eval_rows``.
+    """One model to fit: SGD on ``examples`` from ``base``, or without a
+    base from the init ``seed`` derives, early-stopped on ``eval_rows``.
 
-    Tasks fit side by side need one ``shared + extra`` length. They may
-    share list and row objects: each distinct training list is stacked and
-    checked once per stack, and eval rows, pooled by ``token_rows`` once,
-    are checked as arrays.
+    Tasks fit side by side need one training length. They may share
+    ``Example`` and row objects: each distinct example of a stack is padded
+    and checked once, and eval rows, pooled by ``token_rows`` once, are
+    checked as arrays.
     """
 
     base: ModelState | None
-    shared: Sequence[Example]
-    extra: Sequence[Example]
+    examples: Sequence[Example]
     eval_rows: TokenRows
     seed: int
 
 
-def _distinct(lists) -> list:
-    """Each list object once, in first-seen order."""
-    return list({id(examples): examples for examples in lists}.values())
+def _distinct(objects) -> list:
+    """Each object once, by identity, in first-seen order."""
+    return list({id(obj): obj for obj in objects}.values())
 
 
 def _groups(keys: list) -> list[list[int]]:
@@ -366,50 +368,42 @@ def _groups(keys: list) -> list[list[int]]:
     return [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
 
 
-def _padded(examples: Sequence[Example], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(n, width, dim)`` features and ``(n, width)`` labels of ``examples``,
-    each padded at its end with zero rows of label -1."""
-    x = np.zeros((len(examples), width, examples[0].features.shape[1]))
+def _padded(spec: LearnerSpec, examples: Sequence[Example], width: int):
+    """``examples`` checked against ``spec`` and padded at their ends to
+    ``width`` with zero rows of label -1, as one table: ``(E, width, dim)``
+    features, their one-hot gold rows (all False on padding) and real-row mask."""
+    _check_examples(spec, examples)
+    x = np.zeros((len(examples), width, spec.input_dim))
     y = np.full((len(examples), width), -1, dtype=np.int64)
     for i, ex in enumerate(examples):
         x[i, : ex.token_count] = ex.features
         y[i, : ex.token_count] = ex.labels
-    return x, y
+    return x, _one_hot(spec, y), y >= 0
 
 
 def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     """Batch source for ``_sgd`` over tasks of one training length and
     widest token count.
 
-    Model k's ``shared + extra`` sit in row k of one ``(K, n, width, dim)``
-    array, each example padded to that width with zero rows of label -1.
-    A window gathers the active models' shuffled rows of all its epochs
-    from it at once, laid out ``(W, A, n * width, dim)`` so that each
-    epoch's block is contiguous, and yields each epoch's batches
-    ``(x, gold, real, lone)``, where ``real`` is None when no example
-    needed padding, else the mask of the token rows and each model's count
-    of them, counted once per window, and ``lone`` indexes the models whose
-    padded batch holds a single token row, or is None. Returns the floats
-    that one model's epoch gathers, and the window source.
+    Every distinct ``Example`` of the tasks, by identity, is padded once
+    into one ``_padded`` table of that width, and a ``(K, n)`` index holds
+    the table row of each of model k's examples. A window gathers the
+    active models' shuffled rows of all its epochs from the table at once,
+    laid out ``(W, A, n * width, dim)`` so that each epoch's block is
+    contiguous, and yields each epoch's batches ``(x, gold, real, lone)``,
+    where ``real`` is None when no example needed padding, else the mask of
+    the token rows and each model's count of them, counted once per window,
+    and ``lone`` indexes the models whose padded batch holds a single token
+    row, or is None. Returns the floats that one model's epoch gathers, and
+    the window source.
     """
-    lists = _distinct([t.shared for t in tasks] + [t.extra for t in tasks])
-    width = max((ex.token_count for examples in lists for ex in examples), default=0)
-    n = len(tasks[0].shared) + len(tasks[0].extra)
-    x_all = np.empty((len(tasks), n, width, spec.input_dim))
-    y_all = np.empty(x_all.shape[:3], dtype=np.int64)
-    stacked = {}
-    for examples in lists:
-        if examples:
-            stacked[id(examples)] = _padded(examples, width)
-            _check_rows(spec, examples, *stacked[id(examples)])
-    for k, task in enumerate(tasks):
-        split = len(task.shared)
-        for where, examples in ((slice(0, split), task.shared), (slice(split, n), task.extra)):
-            if examples:
-                x_all[k, where], y_all[k, where] = stacked[id(examples)]
-    gold_all = _one_hot(spec, y_all)
-    real_all = y_all >= 0
-    padded = not real_all.all()
+    examples = _distinct(ex for t in tasks for ex in t.examples)
+    width = max((ex.token_count for ex in examples), default=0)
+    x_table, gold_table, real_table = _padded(spec, examples, width)
+    row = {id(ex): i for i, ex in enumerate(examples)}
+    n = len(tasks[0].examples)
+    index = np.array([[row[id(ex)] for ex in t.examples] for t in tasks], dtype=np.intp)
+    padded = not real_table.all()
     slices = [slice(i * width, (i + BATCH_SIZE) * width) for i in range(0, n, BATCH_SIZE)]
     starts = [rows.start for rows in slices]
     # Only a last batch of one example can hold a single token row.
@@ -417,16 +411,16 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
 
     def window(active: np.ndarray, orders: np.ndarray) -> list:
         # orders[w, a]: the shuffle order of active model a in epoch w.
-        picked = (active[:, None], orders)
+        picked = index[active[:, None], orders]
         shape = (*orders.shape[:2], -1)
-        x = x_all[picked].reshape(*shape, spec.input_dim)
-        gold = gold_all[picked].reshape(*shape, spec.class_count)
+        x = np.take(x_table, picked, axis=0).reshape(*shape, spec.input_dim)
+        gold = np.take(gold_table, picked, axis=0).reshape(*shape, spec.class_count)
         if not padded:
             return [
                 [(xw[:, rows], gw[:, rows], None, None) for rows in slices]
                 for xw, gw in zip(x, gold)
             ]
-        real = real_all[picked].reshape(shape)
+        real = np.take(real_table, picked, axis=0).reshape(shape)
         # Each model's token rows per batch of each epoch, counted at once.
         tokens = np.add.reduceat(real, starts, axis=-1)
         return [
@@ -473,7 +467,7 @@ def _sgd(
 ) -> tuple[list[list[int]], list[float]]:
     """Mini-batch SGD with early stopping of the ``(K, P)`` stack ``params``, in place.
 
-    Model k trains on ``tasks[k]``'s lists under its seed: its own shuffle
+    Model k trains on ``tasks[k].examples`` under its seed: its own shuffle
     order each epoch, its own eval list and its own early stop, after which
     it leaves the stack. The tasks share one training length and widest
     example; empty training lists fit for zero epochs.
@@ -497,7 +491,7 @@ def _sgd(
     if any(not t.eval_rows.examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
     train_floats, window_batches = _stacked_batches(spec, tasks)
-    n = len(tasks[0].shared) + len(tasks[0].extra)
+    n = len(tasks[0].examples)
     shuffle_seeds = derive_seeds(
         np.array([t.seed & MASK64 for t in tasks], dtype=np.uint64)[:, None],
         iteration=np.arange(spec.max_epochs),
@@ -595,7 +589,7 @@ def train(
     """
     if not labeled and not eval_examples:
         return initialize(spec, seed)
-    tasks = [FitTask(None, [], labeled, token_rows(spec, eval_examples), seed)]
+    tasks = [FitTask(None, labeled, token_rows(spec, eval_examples), seed)]
     return fit_stacked(spec, tasks, metric=metric).model(0)
 
 
@@ -610,7 +604,7 @@ def fine_tune(
     """Continue SGD from ``base.parameters`` on ``examples``; base unchanged."""
     if len(examples) == 0:
         raise EmptyFineTuneError("fine_tune needs at least one example")
-    tasks = [FitTask(base, [], examples, token_rows(base.spec, eval_examples), seed)]
+    tasks = [FitTask(base, examples, token_rows(base.spec, eval_examples), seed)]
     return fit_stacked(base.spec, tasks, metric=metric).model(0)
 
 
@@ -627,12 +621,14 @@ def fit_stacked(
     Every fit of the lab goes through here; ``train`` and ``fine_tune`` are
     the one-task case. Model k's score is its last epoch's eval score,
     which ``evaluate`` would give, or with ``loss_based`` its negated eval
-    loss. Each distinct training list and eval rows object is checked
-    against ``spec`` once, as arrays. The tasks need one ``shared + extra``
-    length; at length 0 every model is its init or base, unchanged.
+    loss. Each distinct training example of a stack is checked against
+    ``spec`` once, as is each distinct eval rows object, as arrays. The
+    tasks need one training length; at length 0 every model is its init or
+    base, unchanged.
 
     Models are stacked by operand shape: one ``_sgd`` run per widest
-    example of the training lists, which scores its models per token total
+    example of the training lists, which pads each distinct example of its
+    tasks once into one table and scores its models per token total
     of their eval rows. Padding happens only within a model, to its own
     widest example, so every product a model takes has the shape of its
     fit alone. One BLAS dependence remains: a padded fit equals the plain
@@ -641,7 +637,7 @@ def fit_stacked(
     rows add exact zeros, and a padded batch of one token row is stepped
     on that row alone, as numpy multiplies a one-row matrix through gemv.
     """
-    if len({len(t.shared) + len(t.extra) for t in tasks}) != 1:
+    if len({len(t.examples) for t in tasks}) != 1:
         raise SpecMismatchError("fit_stacked needs training lists of one length")
     if any(t.base is not None and t.base.spec != spec for t in tasks):
         raise SpecMismatchError("a base model has another spec")
@@ -650,7 +646,7 @@ def fit_stacked(
     bases = [task.base or initialize(spec, task.seed) for task in tasks]
     params = np.array([base.parameters for base in bases])
     # One SGD stack per widest example of a task's training lists.
-    widths = [max((ex.token_count for ex in [*t.shared, *t.extra]), default=0) for t in tasks]
+    widths = [max((ex.token_count for ex in t.examples), default=0) for t in tasks]
     runs, scores = [None] * len(tasks), [None] * len(tasks)
     for group in _groups(widths):
         stack = params[group]

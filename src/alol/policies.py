@@ -118,20 +118,21 @@ def candidate_fits(
     mode: TrainingMode,
     seed: int,
 ) -> list[FitTask]:
-    """The fit that scores each candidate set: candidate j trains under the
-    seed derived from ``seed`` with ``candidate=j+1``, so scores are
-    independent of evaluation order, and stops on ``eval_rows``. ``base``
-    is ignored when ``mode`` trains from scratch, and required otherwise."""
+    """The fit that scores each candidate set: candidate j trains on
+    ``[*labeled_examples, *candidate]``, or on the candidate alone when
+    ``mode`` fine-tunes on it only, under the seed derived from ``seed``
+    with ``candidate=j+1``, so scores are independent of evaluation order,
+    and stops on ``eval_rows``. ``base`` is ignored when ``mode`` trains
+    from scratch, and required otherwise."""
     if base is None and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH:
         raise SpecMismatchError(f"{mode.value} needs a base model")
-    shared = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else labeled_examples
+    labeled = [] if mode is TrainingMode.FINE_TUNE_CANDIDATE_ONLY else labeled_examples
     if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH:
         base = None
     return [
         FitTask(
             base,
-            shared,
-            dataset.subset(c.ids),
+            [*labeled, *dataset.subset(c.ids)],
             eval_rows,
             derive_seed(seed, candidate=c.candidate_index + 1),
         )

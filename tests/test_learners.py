@@ -299,6 +299,27 @@ def test_dimension_mismatch_raises():
         evaluate(model, [single(0, [1.0, 2.0], 5)], MetricKind.ACCURACY)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a2, b3: train(LINEAR, [a2, b3], [a2], seed=1),
+        lambda a2, b3: train(LINEAR, [a2], [a2, b3], seed=1),
+        lambda a2, b3: fine_tune(initialize(LINEAR, 0), [a2, b3], [a2], seed=1),
+        lambda a2, b3: fine_tune(initialize(LINEAR, 0), [a2], [a2, b3], seed=1),
+        lambda a2, b3: evaluate(initialize(LINEAR, 0), [a2, b3], MetricKind.ACCURACY),
+        lambda a2, b3: loss(initialize(LINEAR, 0), [b3, a2]),
+        lambda a2, b3: gradient(initialize(LINEAR, 0), [a2, b3]),
+    ],
+    ids=["train", "train-eval", "fine_tune", "fine_tune-eval", "evaluate", "loss", "gradient"],
+)
+def test_mixed_dim_lists_name_the_off_dim_example(call):
+    # Lists that mix dims cannot be pooled or padded into one array: the
+    # spec check must come first and name the example, as for one example.
+    a2, b3 = single(1, [1.0, 2.0], 0), single(7, [1.0, 2.0, 3.0], 1)
+    with pytest.raises(SpecMismatchError, match="example 7: feature dim 3"):
+        call(a2, b3)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     for spec in [LINEAR, MLP]:
@@ -442,8 +463,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length, dim):
         tasks = [
             FitTask(
                 bases[k % runs],
-                [] if mode == "candidate_only" else labeled[k % runs],
-                extras[k],
+                extras[k] if mode == "candidate_only" else [*labeled[k % runs], *extras[k]],
                 eval_rows[k % runs],
                 seeds[k],
             )
@@ -457,7 +477,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length, dim):
                     alone, alone_value = fit_alone(
                         spec,
                         task.base,
-                        [*task.shared, *task.extra],
+                        task.examples,
                         task.eval_rows.examples,
                         task.seed,
                         metric,
@@ -475,9 +495,11 @@ def test_stacked_fit_needs_one_nonzero_length():
     rng = np.random.default_rng(2)
     eval_set = blobs(4, 2.0, 0)
 
-    def tasks(shared, extras, evals=None):
+    def tasks(labeled, extras, evals=None):
         evals = [token_rows(LINEAR, ev) for ev in evals or [eval_set] * len(extras)]
-        return [FitTask(None, shared, e, ev, k) for k, (e, ev) in enumerate(zip(extras, evals))]
+        return [
+            FitTask(None, [*labeled, *e], ev, k) for k, (e, ev) in enumerate(zip(extras, evals))
+        ]
 
     def fits(stack):
         fit = fit_stacked(LINEAR, stack)
@@ -489,10 +511,10 @@ def test_stacked_fit_needs_one_nonzero_length():
     # Token counts may differ: a task of another widest example runs in
     # another stack.
     fits(tasks([tokens(9, rng, 3)], uniform))
-    # One length over all, split at another point per model.
+    # One length over all, made of other lists per model.
     pair = [[tokens(5, rng, 2)], [tokens(6, rng, 2), tokens(7, rng, 2)]]
     rows = token_rows(LINEAR, eval_set)
-    fits([FitTask(None, pair[0], uniform[0], rows, 1), FitTask(None, [], pair[1], rows, 2)])
+    fits([FitTask(None, [*pair[0], *uniform[0]], rows, 1), FitTask(None, pair[1], rows, 2)])
     # Eval lists may hold different token totals: each total is scored apart.
     fits(tasks([], uniform[:2], [eval_set, blobs(4, 2.0, 1)]))
     fits(tasks([], uniform[:2], [eval_set, blobs(5, 2.0, 1)]))
@@ -506,11 +528,11 @@ def test_stacked_fit_needs_one_nonzero_length():
     with pytest.raises(SpecMismatchError):
         fit_stacked(LINEAR, tasks([], uniform + [[tokens(8, rng, 2), tokens(7, rng, 2)]]))
     with pytest.raises(EmptyEvalError):
-        fit_stacked(LINEAR, [FitTask(None, [], blobs(2, 2.0, 0), token_rows(LINEAR, []), 1)])
+        fit_stacked(LINEAR, [FitTask(None, blobs(2, 2.0, 0), token_rows(LINEAR, []), 1)])
     with pytest.raises(EmptyEvalError):
-        fit_stacked(LINEAR, [FitTask(None, [], [], token_rows(LINEAR, []), 1)])
+        fit_stacked(LINEAR, [FitTask(None, [], token_rows(LINEAR, []), 1)])
     with pytest.raises(SpecMismatchError):
-        fit_stacked(LINEAR, [FitTask(initialize(MLP, 1), [], blobs(2, 2.0, 0), rows, 1)])
+        fit_stacked(LINEAR, [FitTask(initialize(MLP, 1), blobs(2, 2.0, 0), rows, 1)])
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
@@ -518,7 +540,7 @@ def test_zero_epoch_fit_is_the_init_or_base_bit_for_bit(spec):
     eval_set = blobs(6, 2.0, 4)
     base = train(spec, blobs(8, 2.0, 5), eval_set, seed=9)
     rows = token_rows(spec, eval_set)
-    fit = fit_stacked(spec, [FitTask(None, [], [], rows, 21), FitTask(base, [], [], rows, 22)])
+    fit = fit_stacked(spec, [FitTask(None, [], rows, 21), FitTask(base, [], rows, 22)])
     init = initialize(spec, 21)
     assert fit.parameters[0].tobytes() == init.parameters.tobytes()
     assert fit.model(0).seed_lineage == (derive_seed(21, purpose=PURPOSE_INIT),)
@@ -636,7 +658,7 @@ def test_windowed_fits_equal_the_plain_loop(data):
     evals = [first, shifted, data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))]
     evals = [token_rows(spec, [tokens(next(ids), rng, w) for w in ws]) for ws in evals[:lists]]
     tasks = [
-        FitTask(None, [], example_list(n), evals[data.draw(st.integers(0, lists - 1))], k)
+        FitTask(None, example_list(n), evals[data.draw(st.integers(0, lists - 1))], k)
         for k in range(data.draw(st.integers(1, 6)))
     ]
     floats = data.draw(st.sampled_from([1, 200, 2000, learners.WINDOW_FLOATS]))
@@ -644,7 +666,7 @@ def test_windowed_fits_equal_the_plain_loop(data):
         fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
     for k, task in enumerate(tasks):
         eval_set = task.eval_rows.examples
-        plain = reference_train(spec, task.extra, eval_set, task.seed, metric)
+        plain = reference_train(spec, task.examples, eval_set, task.seed, metric)
         value = -loss(plain, eval_set) if loss_based else evaluate(plain, eval_set, metric)
         assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
         assert fit.lineages[k] == list(plain.seed_lineage)
@@ -666,14 +688,14 @@ def test_exact_match_fits_score_without_the_per_example_scorer(spec, monkeypatch
     lists = [[2, 2], [1, 3], [1, 1, 2], [3, 1, 2, 2], [1, 1, 1]]
     evals = [[tokens(100 * j + i, rng, w) for i, w in enumerate(ws)] for j, ws in enumerate(lists)]
     tasks = [
-        FitTask(None, [], [tokens(10 * k + i, rng, 1 + i % 3) for i in range(9)], rows, k)
+        FitTask(None, [tokens(10 * k + i, rng, 1 + i % 3) for i in range(9)], rows, k)
         for k, rows in enumerate(token_rows(spec, ev) for ev in evals * 2)
     ]
     metric = MetricKind.EXACT_MATCH
     fit = fit_stacked(spec, tasks, metric=metric)
     for k, task in enumerate(tasks):
         eval_set = task.eval_rows.examples
-        plain = reference_train(spec, task.extra, eval_set, task.seed, metric)
+        plain = reference_train(spec, task.examples, eval_set, task.seed, metric)
         assert fit.model(k) == plain
         preds = [predict_distribution(plain, ex).argmax(axis=-1) for ex in eval_set]
         assert fit.scores[k] == score(preds, [ex.labels for ex in eval_set], metric)
@@ -697,7 +719,7 @@ def test_every_drawn_shuffle_order_is_used(spec, monkeypatch):
     for patience, epsilon in ((2, 1e-4), (5, 0.05), (40, 1e-4)):
         spec = replace(spec, patience=patience, stop_epsilon=epsilon, max_epochs=60)
         tasks = [
-            FitTask(None, [], [tokens(10 * k + i, rng, 2) for i in range(9)], eval_set, k)
+            FitTask(None, [tokens(10 * k + i, rng, 2) for i in range(9)], eval_set, k)
             for k in range(6)
         ]
         drawn.clear()
@@ -717,35 +739,49 @@ def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
     # One token count for every example, or None for ragged ones.
     width = data.draw(st.none() | st.integers(1, 4))
     ids = iter(range(10**6))
+    made = []
+
+    def example(example_id):
+        made.append(tokens(example_id, rng, width or data.draw(st.integers(1, 4))))
+        return made[-1]
 
     def example_list(count):
-        widths = [width] * count if width else data.draw(
-            st.lists(st.integers(1, 4), min_size=count, max_size=count)
-        )
-        return [tokens(next(ids), rng, w) for w in widths]
+        return [example(next(ids)) for _ in range(count)]
 
-    # Lists are drawn from small pools, so tasks share some list objects
-    # as the engine's tasks share the labeled list.
+    def candidate():
+        # A new example, one made before (another task's candidate, or in
+        # any labeled or eval list), or its twin: another object of its id,
+        # which must train as an example of its own.
+        how = data.draw(st.sampled_from(["new", "again", "twin"]))
+        if how == "new":
+            return example(next(ids))
+        old = data.draw(st.sampled_from(made))
+        return old if how == "again" else example(old.id)
+
+    # Labeled lists are drawn from a small pool, so tasks share some
+    # labeled examples as the engine's tasks do, and candidates share
+    # Example objects at any position of another task's list.
     n = data.draw(st.integers(1, 10))
-    shared = {}
+    labeled = {}
     evals = [token_rows(spec, example_list(data.draw(st.integers(1, 6)))) for _ in range(3)]
     tasks = []
     for k in range(data.draw(st.integers(1, 6))):
         split = data.draw(st.integers(0, n))
-        if split not in shared:
-            shared[split] = example_list(split)
+        if split not in labeled:
+            labeled[split] = example_list(split)
         base = None
         if data.draw(st.booleans()):
             params = rng.normal(scale=0.5, size=parameter_count(spec))
             base = ModelState(spec=spec, parameters=params, seed_lineage=(k, 1))
         eval_set = evals[data.draw(st.integers(0, 2))]
-        tasks.append(FitTask(base, shared[split], example_list(n - split), eval_set, k))
+        examples = [*labeled[split], *(candidate() for _ in range(n - split))]
+        tasks.append(FitTask(base, examples, eval_set, k))
     fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
     for k, task in enumerate(tasks):
         alone, value = fit_alone(
             spec,
             task.base,
-            [*task.shared, *task.extra],
+            task.examples,
             task.eval_rows.examples,
             task.seed,
             metric,
@@ -813,10 +849,10 @@ def test_one_token_batches_padded_in_a_stack_step_as_the_plain_loop(spec):
         ]
         # One list of one-token examples, which the plain loop never pads.
         lists.append([tokens(400 + i, rng, 1) for i in range(9)])
-        tasks = [FitTask(None, [], lists[k], evals, 10 * trial + k) for k in range(4)]
+        tasks = [FitTask(None, lists[k], evals, 10 * trial + k) for k in range(4)]
         fit = fit_stacked(spec, tasks, metric=metric)
         for k, task in enumerate(tasks):
-            plain = reference_train(spec, task.extra, evals.examples, task.seed, metric)
+            plain = reference_train(spec, task.examples, evals.examples, task.seed, metric)
             assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
 
 
@@ -841,8 +877,8 @@ def test_one_token_eval_list_padded_in_a_stack_scores_as_alone():
     rng = np.random.default_rng(0)
     longer = [tokens(1 + i, rng, 3) for i in range(2)]
     tasks = [
-        FitTask(model, [], [], token_rows(LINEAR, one), 1),
-        FitTask(model, [], [], token_rows(LINEAR, longer), 2),
+        FitTask(model, [], token_rows(LINEAR, one), 1),
+        FitTask(model, [], token_rows(LINEAR, longer), 2),
     ]
     for metric in MetricKind:
         fit = fit_stacked(LINEAR, tasks, metric=metric)

@@ -374,9 +374,7 @@ def one_at_a_time(spec, tasks, metric, loss_based=False):
     """Each task's score from its own ``train`` or ``fine_tune`` fit, then
     ``evaluate`` or the negated ``loss``."""
     fits = (
-        fit_alone(
-            spec, t.base, [*t.shared, *t.extra], t.eval_rows.examples, t.seed, metric, loss_based
-        )
+        fit_alone(spec, t.base, t.examples, t.eval_rows.examples, t.seed, metric, loss_based)
         for t in tasks
     )
     return tuple(value for _, value in fits)

@@ -511,7 +511,8 @@ def with_numbers(value, number, first_only):
 def corrupted_dataset_files(draw):
     """The text of a dataset file of one payload kind, with up to three
     lines given an odd value in some key, odd numbers in the shape of the
-    payload or labels, a key removed, or other text."""
+    payload or labels, a bool in place of one of their numbers, a key
+    removed, or other text."""
     sequence, dim = draw(st.booleans()), draw(st.integers(0, 2))
     payload = "tokens" if sequence else "features"
     records = []
@@ -528,7 +529,9 @@ def corrupted_dataset_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(records) - 1))
         record = records[at]
-        action = draw(st.sampled_from(["value", "numbers", "numbers", "remove", "text"]))
+        action = draw(
+            st.sampled_from(["value", "numbers", "numbers", "bool", "bool", "remove", "text"])
+        )
         if action == "value":
             key = draw(st.sampled_from(["id", "features", "tokens", "label", "x"]))
             record[key] = draw(ODD_VALUES)
@@ -536,6 +539,14 @@ def corrupted_dataset_files(draw):
             key = draw(st.sampled_from(["id", "label", payload]))
             number, first_only = draw(st.sampled_from(ODD_NUMBERS)), draw(st.booleans())
             record[key] = with_numbers(record.get(key, 0), number, first_only)
+        elif action == "bool":
+            # numpy reads a bool among numbers as 1 or 0: only the payload
+            # rule refuses it on a line that is otherwise valid.
+            key = draw(st.sampled_from(["label", payload]))
+            numbers = np.array(record.get(key, 0), dtype=object)
+            if numbers.size:
+                numbers.flat[draw(st.integers(0, numbers.size - 1))] = draw(st.booleans())
+                record[key] = numbers.tolist()
         elif action == "remove" and record:
             del record[draw(st.sampled_from(sorted(record)))]
         lines[at] = json.dumps(record)
