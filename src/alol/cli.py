@@ -32,7 +32,7 @@ from . import datagen, engine, probe
 from .errors import AlignmentError, AlolError, MissingScoresError, SchemaError
 from .pool import load_dataset, save_dataset
 from .rng import repeat_seed
-from .schema import from_json, read_json, text_lines, to_json
+from .schema import _decode, from_json, read_json, text_lines, to_json
 
 SEED_OVERRIDE_ENV = "ALOL_SEED_OVERRIDE"
 
@@ -167,9 +167,11 @@ def _seed_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw, 0)
-    except ValueError:
-        raise _CliFailure(2, f"{SEED_OVERRIDE_ENV}={raw!r} is not an integer") from None
+        return _decode(int, int(raw, 0), SEED_OVERRIDE_ENV)
+    except (ValueError, SchemaError):
+        raise _CliFailure(
+            2, f"{SEED_OVERRIDE_ENV}={raw!r} is not an integer in [-2**63, 2**64)"
+        ) from None
 
 
 def cmd_gen_data(args) -> int:

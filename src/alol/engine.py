@@ -11,10 +11,10 @@ number of runs fit side by side cannot change a byte of the output.
 Seed scoping used by the driver (ops mix in their purpose tags themselves):
 
 * dataset split:            master seed
-* iteration i scope:        derive(master, iteration=i)  (sampling, base
-                            model, policy draws)
-* candidate j fine-tune:    derived in ``candidate_fits`` from the
-                            iteration scope with candidate=j+1
+* iteration i scope:        derive(master, iteration=i)  (sampling, policy
+                            draws; as the step's one fit scope, the base model)
+* candidate j fine-tune:    derived in ``candidate_fits`` from each of the
+                            step's fit scopes with candidate=j+1
 * checkpoint after iter i:  derive(master, iteration=i, run=1); the
                             pre-loop checkpoint uses iteration=0
 """
@@ -152,19 +152,18 @@ class _Run:
 
 @dataclass(eq=False)
 class _Step:
-    """One run's iteration between sampling and commit. The candidates also
-    fit under each of ``extra_scopes`` in the same stack; their scores go to
-    ``extra_scores``, one candidate set's worth per scope in order."""
+    """One run's iteration between sampling and commit. ``scope`` seeds the
+    sampling and the preset draws; the base fits under ``fit_scopes[0]``, the
+    candidates under each fit scope, and ``scores`` holds a row per fit scope."""
 
     run: _Run
     scope: int
+    fit_scopes: tuple[int, ...]
     candidates: list[CandidateSet]
     labeled: list[Example]
     outcome: SelectionOutcome | None
     base: ModelState | None = None
-    scores: tuple[float, ...] | None = None
-    extra_scopes: tuple[int, ...] = ()
-    extra_scores: tuple[float, ...] = ()
+    scores: tuple[tuple[float, ...], ...] | None = None
 
 
 def _train_all(spec: LearnerSpec, tasks: list[FitTask], metric: MetricKind) -> list[ModelState]:
@@ -238,14 +237,15 @@ def _sample(config: SimulationConfig, dataset: Dataset, i: int, live: list[_Run]
             run.truncated = True
             continue
         outcome = _preset(config, i, scope, candidates, dataset)
-        steps.append(_Step(run, scope, candidates, dataset.subset(run.pool.labeled), outcome))
+        labeled = dataset.subset(run.pool.labeled)
+        steps.append(_Step(run, scope, (scope,), candidates, labeled, outcome))
     return steps
 
 
 def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> None:
     """Fit the base models of the steps that need one as one stack, then
-    the candidates of every scored step, under its scope and each extra
-    scope, as another."""
+    the candidates of every scored step, under each of its fit scopes, as
+    another."""
     name, mode = config.policy.name, config.policy.training_mode
     # A run needs oracle scores when its policy chooses by them, or when
     # it logs them beside a choice that came without scores; it needs a
@@ -262,44 +262,39 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
         if (s.outcome is None and name is PolicyName.UNCERTAINTY)
         or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
     ]
-    base_tasks = [FitTask(None, s.labeled, s.run.eval_rows, s.scope) for s in needs_base]
+    base_tasks = [FitTask(None, s.labeled, s.run.eval_rows, s.fit_scopes[0]) for s in needs_base]
     bases = _train_all(config.learner, base_tasks, config.selection_metric)
     for s, model in zip(needs_base, bases):
         s.base = model
     tasks = [
         task
         for s in scored
-        for scope in (s.scope, *s.extra_scopes)
+        for scope in s.fit_scopes
         for task in candidate_fits(
             s.base, s.candidates, dataset, s.labeled, s.run.eval_rows, mode, scope
         )
     ]
     if not tasks:
         return
-    values = fit_stacked(
-        config.learner,
-        tasks,
-        metric=config.selection_metric,
-        loss_based=name is PolicyName.LOSS_ORACLE,
-    ).scores
-    start = 0
+    loss_based = name is PolicyName.LOSS_ORACLE
+    fit = fit_stacked(config.learner, tasks, metric=config.selection_metric, loss_based=loss_based)
+    values = iter(fit.scores)
     for s in scored:
-        k, width = len(s.candidates), len(s.candidates) * (1 + len(s.extra_scopes))
-        s.scores = tuple(values[start : start + k])
-        s.extra_scores = tuple(values[start + k : start + width])
-        start += width
+        s.scores = tuple(tuple(next(values) for _ in s.candidates) for _ in s.fit_scopes)
 
 
 def _commit(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> None:
-    """Choose each step's candidate and commit it to its run's pool."""
+    """Choose each step's candidate and commit it to its run's pool; an
+    oracle choice, or a logged preset one, records row 0 of the scores."""
     name = config.policy.name
     for s in steps:
+        row = None if s.scores is None else s.scores[0]
         if s.outcome is None and name is PolicyName.UNCERTAINTY:
             s.outcome = select_uncertainty(s.base, s.candidates, dataset)
         elif s.outcome is None:
-            s.outcome = SelectionOutcome(
-                lowest_argmax(s.scores), s.scores, _ORACLE_BRANCH.get(name)
-            )
+            s.outcome = SelectionOutcome(lowest_argmax(row), row, _ORACLE_BRANCH.get(name))
+        elif row is not None:
+            s.outcome = replace(s.outcome, scores=row)
         s.run.pool = commit_selection(s.run.pool, s.candidates[s.outcome.chosen_index])
 
 
@@ -334,7 +329,7 @@ def run_simulations(
                 IterationRecord(
                     iteration=i,
                     candidate_ids=tuple(c.ids for c in s.candidates),
-                    scores=s.outcome.scores if s.outcome.scores is not None else s.scores,
+                    scores=s.outcome.scores,
                     chosen_index=s.outcome.chosen_index,
                     branch=s.outcome.branch,
                     labeled_size_after=len(s.run.pool.labeled),

@@ -122,9 +122,6 @@ class ModelState:
         """SHA-256 of the little-endian float64 parameter bytes."""
         return hashlib.sha256(self.parameters.astype("<f8").tobytes()).hexdigest()
 
-    def save_parameters(self, path) -> None:
-        self.parameters.astype("<f8").tofile(path)
-
 
 def _check_examples(spec: LearnerSpec, examples: Sequence[Example]) -> None:
     """Raise ``SpecMismatchError`` naming the first example that does not

@@ -13,12 +13,13 @@ uniform-rank baseline H_K/K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .engine import SimulationConfig, _commit, _sample, _score, _start
-from .errors import PoolExhaustedError, SpecMismatchError
+from .errors import NanScoreError, PoolExhaustedError, SpecMismatchError
 from .learners import LearnerSpec
 from .learners import train  # noqa: F401  (bench/tracing.py wraps this name)
 from .metrics import MetricKind
@@ -77,6 +78,8 @@ def rank_of(reference_index: int, second_run_scores: Sequence[float]) -> int:
         raise SpecMismatchError(
             f"reference index {reference_index} outside 0..{len(second_run_scores) - 1}"
         )
+    if any(math.isnan(s) for s in second_run_scores):
+        raise NanScoreError(f"second-run scores {list(second_run_scores)} hold a NaN")
     ref = second_run_scores[reference_index]
     return 1 + sum(1 for s in second_run_scores if s > ref)
 
@@ -99,12 +102,11 @@ def run_mrr_probe(
     """Score every iteration's candidates under both seeds and rank.
 
     The reference pass is the oracle simulation's iteration step at
-    ``seed_pair[0]``, without checkpoints; the second pass fits the same
-    candidates on the same base under the iteration scope of
-    ``seed_pair[1]``, in the same stack. ``scorer_factory(run, iteration)``
-    can inject a synthetic scorer per pass (run 0 = reference, run 1 =
-    second) in place of model building, for statistical checks of the
-    ranking machinery.
+    ``seed_pair[0]``, without checkpoints; the second pass is the step's fit
+    scope 2, the iteration scope of ``seed_pair[1]``, whose score row ranks.
+    ``scorer_factory(run, iteration)`` can inject a synthetic scorer per
+    pass (run 0 = reference, run 1 = second), writing the same two rows, in
+    place of model building, for statistical checks of the ranking machinery.
     """
     if jobs < 1:
         raise SpecMismatchError(f"jobs={jobs} must be >= 1")
@@ -131,15 +133,15 @@ def run_mrr_probe(
             break
         (step,) = steps
         if scorer_factory is None:
-            step.extra_scopes = (derive_seed(seed_alt, iteration=i),)
+            step.fit_scopes = (step.scope, derive_seed(seed_alt, iteration=i))
             _score(oracle, dataset, steps)
         else:
-            step.scores, step.extra_scores = (
+            step.scores = tuple(
                 oracle_candidate_scores(run.pool, step.candidates, scorer_factory(n, i))
                 for n in (0, 1)
             )
         _commit(oracle, dataset, steps)
-        ranks.append(rank_of(step.outcome.chosen_index, step.extra_scores))
+        ranks.append(rank_of(step.outcome.chosen_index, step.scores[1]))
 
     if not ranks:
         raise PoolExhaustedError("pool exhausted before the first probe iteration")

@@ -12,6 +12,10 @@ of its length, and ``X | None`` also ``null``. Every bad value raises
 so does a value the class's own checks refuse, prefixed with the key of
 the object that holds it.
 
+A field flagged ``omit_default`` in its metadata is left out of
+``to_json`` while it equals its default, so adding one changes no earlier
+output; ``from_json`` reads it as any other field with a default.
+
 Every input file is read here too, by ``text_lines``, ``json_lines`` and
 ``read_json``: bytes that are not UTF-8, malformed JSON, nesting past the
 recursion limit and integers past Python's 4300-digit limit raise
@@ -47,7 +51,11 @@ def to_json(obj):
     """``obj`` as JSON data: dataclasses as dicts in field order, enums as
     their values, tuples as lists."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {
+            f.name: to_json(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if not (f.metadata.get("omit_default") and getattr(obj, f.name) == f.default)
+        }
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, tuple):

@@ -457,10 +457,16 @@ def test_seed_override_applies_to_simulate_only(tmp_path, monkeypatch):
     assert with_env.read_bytes() == without_env.read_bytes()
 
 
-def test_seed_override_must_be_integer(tmp_path, monkeypatch):
+def test_seed_override_must_be_integer(tmp_path, monkeypatch, capsys):
+    # A seed outside the schema's integer range exits 2 as a config file
+    # holding it would, and writes no summary.json that the schema refuses.
     config = sim_config(tmp_path)
-    monkeypatch.setenv("ALOL_SEED_OVERRIDE", "not-a-number")
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    for raw in ["not-a-number", "46116860184273879040000", str(2**64), str(-(2**63) - 1)]:
+        monkeypatch.setenv("ALOL_SEED_OVERRIDE", raw)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert "ALOL_SEED_OVERRIDE" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_probe_mrr_outputs(tmp_path):

@@ -147,6 +147,59 @@ def test_oracle_run_matches_manual_replay():
         pool = commit_selection(pool, candidates[record.chosen_index])
 
 
+def test_step_scores_one_row_per_fit_scope(monkeypatch):
+    # Three fit scopes: the base fits under the first, row j is the
+    # candidates' fit under scope j alone, the choice reads row 0, and the
+    # phase is still one base stack and one candidate stack. At this size
+    # and rate the rows' loss scores, and their choices, differ by scope.
+    config = make_config(
+        PolicySpec(name=PolicyName.LOSS_ORACLE),
+        candidate_count=3,
+        set_size=4,
+        learner=small_learner(family=LearnerFamily.MLP, hidden_dim=5, learning_rate=2.0),
+    )
+    dataset = small_dataset()
+    run = engine._start(config, dataset, config.master_seed)
+    (step,) = engine._sample(config, dataset, 1, [run])
+    labeled = dataset.subset(run.pool.labeled)
+    scopes = (step.scope, derive_seed(5, iteration=1), derive_seed(6, iteration=1))
+    step.fit_scopes = scopes
+    sizes = []
+
+    def counting(spec, tasks, **kwargs):
+        sizes.append(len(tasks))
+        return fit_stacked(spec, tasks, **kwargs)
+
+    monkeypatch.setattr(engine, "fit_stacked", counting)
+    engine._score(config, dataset, [step])
+    engine._commit(config, dataset, [step])
+    assert sizes == [1, 9]
+
+    base = train(
+        config.learner, labeled, dataset.subset(run.pool.eval), scopes[0],
+        metric=config.selection_metric,
+    )
+    assert step.base == base
+    rows = tuple(
+        tuple(
+            fit_stacked(
+                config.learner,
+                candidate_fits(
+                    base, step.candidates, dataset, labeled, run.eval_rows,
+                    TrainingMode.FINE_TUNE_UNION, scope,
+                ),
+                metric=config.selection_metric,
+                loss_based=True,
+            ).scores
+        )
+        for scope in scopes
+    )
+    assert step.scores == rows
+    assert lowest_argmax(rows[0]) != lowest_argmax(rows[1])
+    assert step.outcome.chosen_index == lowest_argmax(rows[0])
+    assert step.outcome.scores == rows[0]
+
+
 def test_jobs_do_not_change_output():
     config = make_config(PolicySpec(name=PolicyName.ORACLE), iterations=4)
     dataset = small_dataset()

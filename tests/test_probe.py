@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from alol.datagen import GenKind, GenSpec, generate
-from alol.errors import PoolExhaustedError, SpecMismatchError
+from alol.errors import NanScoreError, PoolExhaustedError, SpecMismatchError
 from alol import engine, learners
 from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, token_rows, train
 from alol.metrics import MetricKind
@@ -74,6 +76,22 @@ def test_rank_of_rejects_bad_index():
         rank_of(3, [0.1, 0.2, 0.3])
     with pytest.raises(SpecMismatchError):
         rank_of(-1, [0.1])
+
+
+def test_rank_of_refuses_nan():
+    # A NaN second-pass score must not read as agreement with the reference.
+    with pytest.raises(NanScoreError):
+        rank_of(1, [2.0, math.nan])
+    with pytest.raises(NanScoreError):
+        rank_of(0, [math.nan, 1.0])
+
+
+def test_nan_in_second_pass_stops_the_probe():
+    def factory(run, iteration):
+        return lambda candidate: math.nan if run == 1 else float(candidate.candidate_index)
+
+    with pytest.raises(NanScoreError):
+        run_mrr_probe(make_config(iterations=2), cluster_dataset(), scorer_factory=factory)
 
 
 def test_random_baseline_closed_forms():

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -101,6 +103,24 @@ def run_log():
 def test_round_trip(make):
     obj = make()
     assert from_json(type(obj), to_json(obj)) == obj
+
+
+@dataclasses.dataclass(frozen=True)
+class Plain:
+    seed: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Flagged:
+    seed: int
+    extra: int = dataclasses.field(default=0, metadata={"omit_default": True})
+
+
+def test_omit_default_field_at_its_default_writes_no_key():
+    assert json.dumps(to_json(Flagged(3))) == json.dumps(to_json(Plain(3)))
+    assert from_json(Flagged, to_json(Flagged(3))) == Flagged(3)
+    assert to_json(Flagged(3, extra=5)) == {"seed": 3, "extra": 5}
+    assert from_json(Flagged, to_json(Flagged(3, extra=5))) == Flagged(3, extra=5)
 
 
 def test_to_json_keys_follow_field_order():
