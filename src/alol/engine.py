@@ -160,7 +160,6 @@ class _Step:
     scope: int
     fit_scopes: tuple[int, ...]
     candidates: list[CandidateSet]
-    labeled: list[Example]
     outcome: SelectionOutcome | None
     base: ModelState | None = None
     scores: tuple[tuple[float, ...], ...] | None = None
@@ -237,8 +236,7 @@ def _sample(config: SimulationConfig, dataset: Dataset, i: int, live: list[_Run]
             run.truncated = True
             continue
         outcome = _preset(config, i, scope, candidates, dataset)
-        labeled = dataset.subset(run.pool.labeled)
-        steps.append(_Step(run, scope, (scope,), candidates, labeled, outcome))
+        steps.append(_Step(run, scope, (scope,), candidates, outcome))
     return steps
 
 
@@ -262,7 +260,9 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
         if (s.outcome is None and name is PolicyName.UNCERTAINTY)
         or (s in scored and mode is not TrainingMode.INDEPENDENT_FROM_SCRATCH)
     ]
-    base_tasks = [FitTask(None, s.labeled, s.run.eval_rows, s.fit_scopes[0]) for s in needs_base]
+    # Each fitting step's labeled examples, the dataset's own objects, once.
+    labeled = {s: dataset.subset(s.run.pool.labeled) for s in [*needs_base, *scored]}
+    base_tasks = [FitTask(None, labeled[s], s.run.eval_rows, s.fit_scopes[0]) for s in needs_base]
     bases = _train_all(config.learner, base_tasks, config.selection_metric)
     for s, model in zip(needs_base, bases):
         s.base = model
@@ -271,7 +271,7 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
         for s in scored
         for scope in s.fit_scopes
         for task in candidate_fits(
-            s.base, s.candidates, dataset, s.labeled, s.run.eval_rows, mode, scope
+            s.base, s.candidates, dataset, labeled[s], s.run.eval_rows, mode, scope
         )
     ]
     if not tasks:

@@ -240,26 +240,21 @@ class _Workspace:
         self.affine = _affine(self.layers)
         self.grads = _unpack(spec, self.grad)
 
-    def gradient(self, x: np.ndarray, one_hot: np.ndarray, real) -> np.ndarray:
+    def gradient(self, x: np.ndarray, one_hot: np.ndarray, denom: np.ndarray) -> np.ndarray:
         """Gradient of the mean token cross-entropy, written into ``grad``.
 
         ``one_hot`` holds the ``_one_hot`` gold labels of the rows of ``x``;
-        a stack takes ``(K, rows, dim)`` rows. When the rows other than the
-        tokens are zero padding, ``real`` is the pair of a mask of the token
-        rows and each model's count of them, else None: each model's mean
-        is then over its real rows, and padded rows add exact zeros to the
-        sums.
+        a stack takes ``(K, rows, dim)`` rows. ``denom`` holds each row's
+        divisor: its model's count of token rows, or ``inf`` on a zero
+        padding row. A row's term lies in [-1, 1] or is NaN, so a padding
+        row's is an exact zero, or keeps its NaN, as masking the mean would
+        leave it, and each model's mean is over its token rows alone.
         """
         z, hidden = _forward(self.affine, x)
         delta = np.exp(_log_softmax(z), out=z)
         # Subtracting False (0.0) leaves every non-gold entry unchanged.
         delta -= one_hot
-        if real is None:
-            delta /= x.shape[-2]
-        else:
-            mask, tokens = real
-            delta /= tokens[..., None, None]
-            delta *= mask[..., None]
+        delta /= denom[..., None]
         (g_w, g_b), *out_layer = self.grads
         if out_layer:
             (g_w2, g_b2), = out_layer
@@ -272,15 +267,16 @@ class _Workspace:
         np.add.reduce(delta, axis=-2, out=g_b)
         return self.grad
 
-    def step(self, x: np.ndarray, one_hot: np.ndarray, real, lone=None) -> None:
-        """One SGD step of every model on its batch rows, in place. The
-        models ``lone``, whose padded rows hold one token row, their first,
-        take the gradient of that row alone: numpy multiplies a one-row
+    def step(self, x: np.ndarray, one_hot: np.ndarray, denom: np.ndarray, lone=None) -> None:
+        """One SGD step of every model on its batch rows, each row's term
+        divided by its ``denom``, in place. The models ``lone``, whose
+        padded rows hold one token row, their first, take the gradient of
+        that row alone, whose divisor is 1: numpy multiplies a one-row
         matrix through gemv, whose bits can differ from gemm's."""
-        grad = self.gradient(x, one_hot, real)
+        grad = self.gradient(x, one_hot, denom)
         if lone is not None and lone.size:
             alone = _Workspace(self.spec, self.params[lone])
-            grad[lone] = alone.gradient(x[lone, :1], one_hot[lone, :1], None)
+            grad[lone] = alone.gradient(x[lone, :1], one_hot[lone, :1], denom[lone, :1])
         grad *= self.spec.learning_rate
         self.params -= grad
 
@@ -387,12 +383,12 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     the table row of each of model k's examples. A window gathers the
     active models' shuffled rows of all its epochs from the table at once,
     laid out ``(W, A, n * width, dim)`` so that each epoch's block is
-    contiguous, and yields each epoch's batches ``(x, gold, real, lone)``,
-    where ``real`` is None when no example needed padding, else the mask of
-    the token rows and each model's count of them, counted once per window,
-    and ``lone`` indexes the models whose padded batch holds a single token
-    row, or is None. Returns the floats that one model's epoch gathers, and
-    the window source.
+    contiguous, and yields each epoch's batches ``(x, gold, denom, lone)``.
+    ``denom`` is each row's divisor for ``_Workspace.gradient``: the
+    batch's count of its model's token rows on a token row, counted once
+    per window, and ``inf`` on a padding row. ``lone`` indexes the models
+    whose padded batch holds a single token row, or is None. Returns the
+    floats that one model's epoch gathers, and the window source.
     """
     examples = _distinct(ex for t in tasks for ex in t.examples)
     width = max((ex.token_count for ex in examples), default=0)
@@ -400,11 +396,12 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     row = {id(ex): i for i, ex in enumerate(examples)}
     n = len(tasks[0].examples)
     index = np.array([[row[id(ex)] for ex in t.examples] for t in tasks], dtype=np.intp)
-    padded = not real_table.all()
     slices = [slice(i * width, (i + BATCH_SIZE) * width) for i in range(0, n, BATCH_SIZE)]
     starts = [rows.start for rows in slices]
-    # Only a last batch of one example can hold a single token row.
-    lone_batch = len(slices) - 1 if n % BATCH_SIZE == 1 else None
+    sizes = np.diff([*starts, n * width])
+    # Only a last batch of one example can hold a single token row, and at
+    # width 1 that batch is a one-row matrix already, as in the plain loop.
+    lone_batch = len(slices) - 1 if n % BATCH_SIZE == 1 and width > 1 else None
 
     def window(active: np.ndarray, orders: np.ndarray) -> list:
         # orders[w, a]: the shuffle order of active model a in epoch w.
@@ -412,25 +409,21 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
         shape = (*orders.shape[:2], -1)
         x = np.take(x_table, picked, axis=0).reshape(*shape, spec.input_dim)
         gold = np.take(gold_table, picked, axis=0).reshape(*shape, spec.class_count)
-        if not padded:
-            return [
-                [(xw[:, rows], gw[:, rows], None, None) for rows in slices]
-                for xw, gw in zip(x, gold)
-            ]
         real = np.take(real_table, picked, axis=0).reshape(shape)
         # Each model's token rows per batch of each epoch, counted at once.
         tokens = np.add.reduceat(real, starts, axis=-1)
+        denom = np.where(real, np.repeat(tokens, sizes, axis=-1), np.inf)
         return [
             [
                 (
                     xw[:, rows],
                     gw[:, rows],
-                    (rw[:, rows], tw[:, b]),
+                    dw[:, rows],
                     np.flatnonzero(tw[:, b] == 1) if b == lone_batch else None,
                 )
                 for b, rows in enumerate(slices)
             ]
-            for xw, gw, rw, tw in zip(x, gold, real, tokens)
+            for xw, gw, dw, tw in zip(x, gold, denom, tokens)
         ]
 
     return n * width * (spec.input_dim + 1), window
@@ -630,9 +623,11 @@ def fit_stacked(
     widest example, so every product a model takes has the shape of its
     fit alone. One BLAS dependence remains: a padded fit equals the plain
     per-token loop only while a product's row bits ignore its row count,
-    which on OpenBLAS 0.3.31 holds for inner dimensions below 32. Padded
-    rows add exact zeros, and a padded batch of one token row is stepped
-    on that row alone, as numpy multiplies a one-row matrix through gemv.
+    which on OpenBLAS 0.3.31 holds for inner dimensions below 32. Every
+    batch takes one form: each row's term is divided by its model's token
+    count, or by ``inf`` on a padding row, which makes it an exact zero.
+    A padded batch of one token row is stepped on that row alone, as
+    numpy multiplies a one-row matrix through gemv.
     """
     if len({len(t.examples) for t in tasks}) != 1:
         raise SpecMismatchError("fit_stacked needs training lists of one length")
@@ -685,9 +680,10 @@ def loss(model: ModelState, examples: Sequence[Example]) -> float:
 
 
 def gradient(model: ModelState, examples: Sequence[Example]) -> np.ndarray:
-    """Analytic gradient of ``loss`` at the model's parameters."""
+    """Analytic gradient of ``loss`` at the model's parameters: the
+    workspace gradient with the row count as every row's divisor."""
     if len(examples) == 0:
         raise EmptyEvalError("gradient needs at least one example")
     rows = token_rows(model.spec, examples)
     work = _Workspace(model.spec, model.parameters)
-    return work.gradient(rows.x, _one_hot(model.spec, rows.y), None)
+    return work.gradient(rows.x, _one_hot(model.spec, rows.y), np.full(len(rows.y), len(rows.y)))

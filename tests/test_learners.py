@@ -943,32 +943,37 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
     width = 3
 
     def batch(count, examples):
+        # Rows, gold rows, the reference's mask of token rows (None when
+        # there is no padding) and each row's divisor: its model's count
+        # of token rows, or inf on padding.
         rows = examples * width
         x = rng.normal(size=(count, rows, spec.input_dim))
         y = rng.integers(0, spec.class_count, size=(count, rows))
         real = None
+        denom = np.full((count, rows), rows)
         if padded:
             real = rng.random((count, rows)) < 0.6
             real[:, 0] = True
             x[~real], y[~real] = 0.0, -1
-        return x, y[..., None] == np.arange(spec.class_count), real
+            denom = np.where(real, np.count_nonzero(real, axis=-1)[:, None], np.inf)
+        return x, y[..., None] == np.arange(spec.class_count), real, denom
 
     stack = rng.normal(size=(models, parameter_count(spec)))
     work = _Workspace(spec, stack.copy())
     # A full batch, then the short last batch of an epoch.
     for examples in (BATCH_SIZE, 2):
-        x, gold, real = batch(models, examples)
+        x, gold, real, denom = batch(models, examples)
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
-        work.step(x, gold, None if real is None else (real, np.count_nonzero(real, axis=-1)))
+        work.step(x, gold, denom)
         assert work.params.tobytes() == stack.tobytes()
     # After models leave, the kept models step on in a workspace of their
     # gathered rows.
     kept = [0, 2, 5, 6] if models == 7 else [0]
     work, stack = _Workspace(spec, work.params[kept]), stack[kept]
     for _ in range(2):
-        x, gold, real = batch(len(kept), BATCH_SIZE)
+        x, gold, real, denom = batch(len(kept), BATCH_SIZE)
         stack = stack - spec.learning_rate * reference_gradient(spec, stack, x, gold, real)
-        work.step(x, gold, None if real is None else (real, np.count_nonzero(real, axis=-1)))
+        work.step(x, gold, denom)
         assert work.params.tobytes() == stack.tobytes()
     # The public gradient is the one-model case of the same code.
     if not padded:
@@ -976,3 +981,46 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
         whole = Example(id=0, features=x[0], labels=gold[0].argmax(axis=-1), sequence=True)
         expected = reference_gradient(spec, stack[0], x[0], gold[0])
         assert gradient(model, [whole]).tobytes() == expected.tobytes()
+
+    # Saturated models on a fit's own batches, each row divided by the
+    # divisor the window gives it. Parameters near 1e150 overflow the
+    # first batch's products with features near 1e160, so its deltas hold
+    # NaN: the linear logits reach inf, and the mlp's +inf hidden inputs
+    # meet a -inf hidden bias. An inf output bias on every other model of
+    # a stack of 7 gives its padding rows NaN too. The short last batch
+    # holds ordinary features, so its padding rows' terms are finite until
+    # divided.
+    n = BATCH_SIZE + 2
+    lengths = rng.integers(1, width + 1, size=(models, n)) if padded else np.full((models, n), width)
+    lengths[0, 0] = width
+    if padded:
+        lengths[:, -1] = 1
+    lists = [
+        [
+            Example(
+                id=i,
+                features=rng.normal(size=(w, spec.input_dim)) * (1e160 if i < BATCH_SIZE else 1.0),
+                labels=rng.integers(0, spec.class_count, size=w),
+                sequence=True,
+            )
+            for i, w in enumerate(row)
+        ]
+        for row in lengths.tolist()
+    ]
+    empty = token_rows(spec, [])
+    _, window = learners._stacked_batches(spec, [FitTask(None, e, empty, 0) for e in lists])
+    (batches,) = window(np.arange(models), np.broadcast_to(np.arange(n), (1, models, n)))
+    stack = 1e150 * rng.normal(size=(models, parameter_count(spec)))
+    if spec.family is LearnerFamily.MLP:
+        stack[:, spec.hidden_dim * spec.input_dim] = -np.inf
+    stack[1::2, -1] = np.inf
+    work = _Workspace(spec, stack.copy())
+    nan = []
+    for x, gold, denom, lone in batches:
+        assert lone is None
+        real = gold.any(axis=-1) if padded else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_gradient(spec, stack, x, gold, real)
+            assert work.gradient(x, gold, denom).tobytes() == expected.tobytes()
+        nan.append(np.isnan(expected).any(axis=-1).tolist())
+    assert nan == [[True] * models, [k % 2 == 1 for k in range(models)]]
