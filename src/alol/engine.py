@@ -3,10 +3,11 @@
 Each iteration samples K candidate sets, lets the configured policy choose
 one, commits it to the labeled pool, and periodically trains a fresh
 checkpoint model on the current labeled set to measure a report metric on
-the held-out report partition. The run is a pure function of
-(config, dataset): every stochastic call draws from a stream derived off
-the master seed with the iteration/candidate/run coordinates, so the
-number of runs fit side by side cannot change a byte of the output.
+the held-out report partition; the checkpoints of all runs due are fit
+as one stack and scored in one ``score_stack`` call. The run is a pure
+function of (config, dataset): every stochastic call draws from a stream
+derived off the master seed with the iteration/candidate/run coordinates,
+so the number of runs fit side by side cannot change a byte of the output.
 
 Seed scoping used by the driver (ops mix in their purpose tags themselves):
 
@@ -37,11 +38,11 @@ from .learners import (
     LearnerSpec,
     ModelState,
     TokenRows,
-    evaluate,
     fit_stacked,
+    score_stack,
     token_rows,
 )
-from .learners import train  # noqa: F401  (bench/tracing.py wraps this name)
+from .learners import evaluate, train  # noqa: F401  (bench/tracing.py wraps these names)
 from .metrics import MetricKind
 from .policies import (
     PolicyName,
@@ -59,7 +60,6 @@ from .policies import (
 from .pool import (
     CandidateSet,
     Dataset,
-    Example,
     PoolState,
     commit_selection,
     sample_candidates,
@@ -136,13 +136,13 @@ class RunLog:
 
 @dataclass(eq=False)
 class _Run:
-    """One run's state while the lockstep loop advances it. Every fit of
-    the run stops on ``eval_rows``, its eval partition pooled once."""
+    """One run's state while the lockstep loop advances it. Its fits stop on
+    ``eval_rows`` and its checkpoints score ``report_rows``, each pooled once."""
 
     master: int
     pool: PoolState
     eval_rows: TokenRows
-    report_examples: list[Example]
+    report_rows: TokenRows
     initial_labeled_ids: tuple[int, ...]
     initial_checkpoint: float = 0.0
     final_fingerprint: str = ""
@@ -165,17 +165,11 @@ class _Step:
     scores: tuple[tuple[float, ...], ...] | None = None
 
 
-def _train_all(spec: LearnerSpec, tasks: list[FitTask], metric: MetricKind) -> list[ModelState]:
-    """The model of each base-less task, fit as one stack; none for no tasks."""
-    if not tasks:
-        return []
-    fit = fit_stacked(spec, tasks, metric=metric)
-    return [fit.model(k) for k in range(len(tasks))]
-
-
 def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Run, int]]):
     """Train each due run's checkpoint model on its labeled set and score it
-    on its report partition; returns (value, fingerprint) per entry."""
+    on its report rows, all in one stack; returns (value, fingerprint) per entry."""
+    if not due:
+        return []
     tasks = [
         FitTask(
             None,
@@ -185,11 +179,10 @@ def _checkpoints(config: SimulationConfig, dataset: Dataset, due: list[tuple[_Ru
         )
         for run, i in due
     ]
-    models = _train_all(config.learner, tasks, config.report_metric)
-    return [
-        (evaluate(model, run.report_examples, config.report_metric), model.fingerprint())
-        for (run, _), model in zip(due, models)
-    ]
+    fit = fit_stacked(config.learner, tasks, metric=config.report_metric)
+    rows = [run.report_rows for run, _ in due]
+    values = score_stack(config.learner, fit.parameters, rows, config.report_metric)
+    return [(value, fit.model(k).fingerprint()) for k, value in enumerate(values)]
 
 
 def _preset(
@@ -213,15 +206,15 @@ _ORACLE_BRANCH = {PolicyName.EPSILON_GREEDY: "exploit", PolicyName.ORACLE_SWITCH
 
 
 def _start(config: SimulationConfig, dataset: Dataset, master: int) -> _Run:
-    """A run's split of ``dataset`` at ``master``, before its first
-    iteration, with its eval rows pooled and checked against the learner."""
+    """A run's split of ``dataset`` at ``master`` before its first iteration,
+    its eval and report rows pooled and checked against the learner."""
     if config.learner.input_dim != dataset.feature_dim:
         raise SpecMismatchError(
             f"learner expects dim {config.learner.input_dim}, dataset has {dataset.feature_dim}"
         )
     pool = split_dataset(dataset, config.partition_sizes, master)
-    eval_rows = token_rows(config.learner, dataset.subset(pool.eval))
-    return _Run(master, pool, eval_rows, dataset.subset(pool.report), pool.labeled)
+    rows = [token_rows(config.learner, dataset.subset(ids)) for ids in (pool.eval, pool.report)]
+    return _Run(master, pool, *rows, pool.labeled)
 
 
 def _sample(config: SimulationConfig, dataset: Dataset, i: int, live: list[_Run]) -> list[_Step]:
@@ -262,10 +255,11 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
     ]
     # Each fitting step's labeled examples, the dataset's own objects, once.
     labeled = {s: dataset.subset(s.run.pool.labeled) for s in [*needs_base, *scored]}
-    base_tasks = [FitTask(None, labeled[s], s.run.eval_rows, s.fit_scopes[0]) for s in needs_base]
-    bases = _train_all(config.learner, base_tasks, config.selection_metric)
-    for s, model in zip(needs_base, bases):
-        s.base = model
+    if needs_base:
+        tasks = [FitTask(None, labeled[s], s.run.eval_rows, s.fit_scopes[0]) for s in needs_base]
+        fit = fit_stacked(config.learner, tasks, metric=config.selection_metric)
+        for k, s in enumerate(needs_base):
+            s.base = fit.model(k)
     tasks = [
         task
         for s in scored

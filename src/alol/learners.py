@@ -159,8 +159,8 @@ class TokenRows:
 
 def token_rows(spec: LearnerSpec, examples: Sequence[Example]) -> TokenRows:
     """``examples`` pooled and checked against ``spec``: what a fit stops
-    on, and what ``evaluate``, ``loss`` and ``gradient`` take their rows
-    from. A run pools its eval list once for all its fits."""
+    on or ``score_stack`` scores, and what ``gradient`` takes its rows
+    from. A run pools its eval and report lists once for all its fits."""
     if any(ex.features.shape[1] != spec.input_dim for ex in examples):
         # Rows of several dims cannot be pooled: name the first off-dim one.
         _check_examples(spec, examples)
@@ -285,20 +285,24 @@ def _one_hot(spec: LearnerSpec, y: np.ndarray) -> np.ndarray:
     return y[..., None] == np.arange(spec.class_count)
 
 
-def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind) -> list[list[float]]:
-    """Each model's ``metric`` on its eval tokens, scored from its argmax
-    predictions, for every snapshot of a ``(W, K, P)`` stack: W copies of
-    the K models, one per epoch of a window, as W lists of K scores.
-    ``evals`` holds, per eval token total m, its models' index in the
-    stack, their shared ``(m, dim)`` or per-model ``(A, m, dim)`` rows,
-    ``(A, m)`` labels and example starts. No row is padded, so each score
-    is that of one model alone. Every metric is scored in array passes over
-    all the snapshots, from the counts that ``metrics.score`` takes."""
+def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind | None) -> list:
+    """Each model's ``metric`` on its ``_eval_stack`` rows, scored from its
+    argmax predictions, or for ``metric`` None its negated mean token loss,
+    for every snapshot of a ``(W, K, P)`` stack: W copies of the K models,
+    one per epoch of a window, as W lists of K scores. No row is padded,
+    so each score is that of one model alone. Every score is taken in array
+    passes over all the snapshots, a metric from the counts that
+    ``metrics.score`` takes."""
     scores = np.empty(params.shape[:2])
     groups = []
     for models, x, y, starts in evals:
         stack = np.take(params, models, axis=1)  # (W, A, P) order, where matmul is fastest
-        preds = _forward(_affine(_unpack(spec, stack)), x)[0].argmax(axis=-1)
+        logits = _forward(_affine(_unpack(spec, stack)), x)[0]
+        if metric is None:
+            gold = np.take_along_axis(_log_softmax(logits), y[None, ..., None], -1)
+            scores[:, models] = gold[..., 0].mean(axis=-1)
+            continue
+        preds = logits.argmax(axis=-1)
         if metric is MetricKind.ACCURACY:
             # Exact hit counts: the same floats as np.mean.
             scores[:, models] = np.count_nonzero(preds == y, axis=-1) / y.shape[-1]
@@ -320,11 +324,6 @@ def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind) ->
     if metric is MetricKind.MACRO_F1:
         return macro_f1_from_counts(counts, range(spec.class_count)).tolist()
     return token_f1_from_counts(counts).tolist()
-
-
-def _mean_loss(spec: LearnerSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    logp = _log_softmax(_forward(_affine(_unpack(spec, params)), x)[0])
-    return float(-logp[np.arange(x.shape[0]), y].mean())
 
 
 def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
@@ -429,17 +428,22 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     return n * width * (spec.input_dim + 1), window
 
 
-def _eval_stack(tasks: Sequence[FitTask], active: list[int]) -> list:
-    """The ``_scores`` evals of the ``active`` tasks: per token total of
-    their eval rows, the positions in ``active`` of the tasks with rows of
-    that total, and those rows as they are, shared when they are one list
-    and else stacked."""
+def _eval_stack(rows: Sequence[TokenRows]) -> list:
+    """The ``_scores`` evals of models scored on ``rows``, one per model: per
+    token total, the positions of the models with rows of that total, their
+    rows, shared when one object and else stacked, labels and starts."""
     evals = []
-    for positions in _groups([len(tasks[k].eval_rows.y) for k in active]):
-        pooled = [tasks[active[r]].eval_rows for r in positions]
+    for positions in _groups([len(r.y) for r in rows]):
+        pooled = [rows[r] for r in positions]
         x = pooled[0].x if len(_distinct(pooled)) == 1 else np.stack([p.x for p in pooled])
         evals.append((positions, x, np.stack([p.y for p in pooled]), [p.starts for p in pooled]))
     return evals
+
+
+def score_stack(spec: LearnerSpec, params: np.ndarray, rows, metric: MetricKind | None) -> list:
+    """Model k of the ``(K, P)`` stack ``params`` scored on ``rows[k]`` by
+    ``_scores``, which takes every score of a fitted model, each as alone."""
+    return _scores(spec, params[None], _eval_stack(rows), metric)[0]
 
 
 # Floats a window may hold in each of its arrays: the activations and
@@ -505,7 +509,7 @@ def _sgd(
         return snapshots
 
     active = list(range(len(tasks)))
-    evals = _eval_stack(tasks, active)
+    evals = _eval_stack([tasks[k].eval_rows for k in active])
     best = _scores(spec, work.params[None], evals, metric)[0]
     last = list(best)
     epochs = [0] * len(tasks)
@@ -535,7 +539,7 @@ def _sgd(
             work = _Workspace(spec, work.params[kept])
             if not active:
                 break
-            evals = _eval_stack(tasks, active)
+            evals = _eval_stack([tasks[k].eval_rows for k in active])
     params[active] = work.params
     lineages = [row[:count] for row, count in zip(shuffle_seeds.tolist(), epochs)]
     return lineages, last
@@ -609,12 +613,12 @@ def fit_stacked(
     derives.
 
     Every fit of the lab goes through here; ``train`` and ``fine_tune`` are
-    the one-task case. Model k's score is its last epoch's eval score,
-    which ``evaluate`` would give, or with ``loss_based`` its negated eval
-    loss. Each distinct training example of a stack is checked against
-    ``spec`` once, as is each distinct eval rows object, as arrays. The
-    tasks need one training length; at length 0 every model is its init or
-    base, unchanged.
+    the one-task case. Model k's score is its last epoch's eval score, or
+    with ``loss_based`` its negated eval loss, which one ``score_stack``
+    call takes for the stack. Each distinct training example of a stack is
+    checked against ``spec`` once, as is each distinct eval rows object, as
+    arrays. The tasks need one training length; at length 0 every model is
+    its init or base, unchanged.
 
     Models are stacked by operand shape: one ``_sgd`` run per widest
     example of the training lists, which pads each distinct example of its
@@ -647,7 +651,7 @@ def fit_stacked(
         for k, run, value in zip(group, *fits):
             runs[k], scores[k] = run, value
     if loss_based:
-        scores = [-_mean_loss(spec, p, t.eval_rows.x, t.eval_rows.y) for p, t in zip(params, tasks)]
+        scores = score_stack(spec, params, [t.eval_rows for t in tasks], None)
     lineages = [[*base.seed_lineage, *run] for base, run in zip(bases, runs)]
     return StackedFit(spec, params, lineages, scores)
 
@@ -659,24 +663,21 @@ def predict_distribution(model: ModelState, example: Example) -> np.ndarray:
     return np.exp(_log_softmax(z), out=z)
 
 
-def evaluate(
-    model: ModelState, examples: Sequence[Example], metric: MetricKind
-) -> float:
+def evaluate(model: ModelState, examples: Sequence[Example], metric: MetricKind) -> float:
     """Score argmax predictions on ``examples`` with the named metric: the
-    one-model case of the scores that stop every fit."""
+    one-model case of ``score_stack``, which scores every fit."""
     if len(examples) == 0:
         raise EmptyEvalError("evaluate needs at least one example")
     rows = token_rows(model.spec, examples)
-    evals = [([0], rows.x, rows.y[None], [rows.starts])]
-    return _scores(model.spec, model.parameters[None, None], evals, metric)[0][0]
+    return score_stack(model.spec, model.parameters[None], [rows], metric)[0]
 
 
 def loss(model: ModelState, examples: Sequence[Example]) -> float:
-    """Mean token cross-entropy of the gold labels."""
+    """Mean token cross-entropy of the gold labels: minus ``score_stack``'s loss score."""
     if len(examples) == 0:
         raise EmptyEvalError("loss needs at least one example")
     rows = token_rows(model.spec, examples)
-    return _mean_loss(model.spec, model.parameters, rows.x, rows.y)
+    return -score_stack(model.spec, model.parameters[None], [rows], None)[0]
 
 
 def gradient(model: ModelState, examples: Sequence[Example]) -> np.ndarray:

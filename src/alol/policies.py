@@ -25,7 +25,7 @@ from .errors import NanScoreError, SpecMismatchError, StaleCandidateError
 from .learners import FitTask, ModelState, TokenRows, predict_distribution
 from .learners import evaluate, fine_tune, train  # noqa: F401  (bench/tracing.py wraps these names)
 from .metrics import mean_entropy
-from .pool import CandidateSet, Dataset, Example, PoolState
+from .pool import CandidateSet, Dataset, Example, PoolState, stale_id
 from .rng import PURPOSE_POLICY, SplitMix64, derive_seed
 
 
@@ -145,13 +145,12 @@ def oracle_candidate_scores(
 ) -> tuple[float, ...]:
     """Each candidate set's ``scorer`` value, for stubbed oracle tests; the
     sets must still be unlabeled."""
-    unlabeled = set(pool.unlabeled)
     for c in candidates:
-        for i in c.ids:
-            if i not in unlabeled:
-                raise StaleCandidateError(
-                    f"candidate {c.candidate_index} references id {i} outside the unlabeled pool"
-                )
+        i = stale_id(pool, c.ids)
+        if i is not None:
+            raise StaleCandidateError(
+                f"candidate {c.candidate_index} references id {i} outside the unlabeled pool"
+            )
     return tuple(float(scorer(c)) for c in candidates)
 
 

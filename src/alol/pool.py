@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -237,16 +238,20 @@ def sample_candidates(
     return sets
 
 
+def stale_id(pool: PoolState, ids: Iterable[int]) -> int | None:
+    """The first of ``ids`` not in the sorted unlabeled ids, by bisection, or None."""
+    universe = pool.unlabeled
+    return next((i for i in ids if universe[(k := bisect_left(universe, i)) : k + 1] != (i,)), None)
+
+
 def commit_selection(pool: PoolState, chosen: CandidateSet) -> PoolState:
     """Move the chosen ids from unlabeled to labeled; eval/report untouched."""
-    unlabeled = set(pool.unlabeled)
-    for i in chosen.ids:
-        if i not in unlabeled:
-            raise StaleCandidateError(f"id {i} is not in the unlabeled pool")
-    unlabeled.difference_update(chosen.ids)
+    stale = stale_id(pool, chosen.ids)
+    if stale is not None:
+        raise StaleCandidateError(f"id {stale} is not in the unlabeled pool")
     return PoolState(
-        labeled=tuple(sorted(set(pool.labeled) | set(chosen.ids))),
-        unlabeled=tuple(sorted(unlabeled)),
+        labeled=tuple(sorted((*pool.labeled, *chosen.ids))),
+        unlabeled=tuple(itertools.filterfalse(set(chosen.ids).__contains__, pool.unlabeled)),
         eval=pool.eval,
         report=pool.report,
     )

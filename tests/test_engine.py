@@ -25,7 +25,14 @@ from alol.errors import (
     SpecMismatchError,
     UndefinedPointError,
 )
-from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, token_rows, train
+from alol.learners import (
+    LearnerFamily,
+    LearnerSpec,
+    fit_stacked,
+    predict_distribution,
+    token_rows,
+    train,
+)
 from alol.metrics import MetricKind
 from alol.policies import (
     PolicyName,
@@ -36,7 +43,7 @@ from alol.policies import (
     select_random,
 )
 from alol.pool import commit_selection, sample_candidates, split_dataset
-from alol.rng import derive_seed, repeat_seed
+from alol.rng import RUN_CHECKPOINT, derive_seed, repeat_seed
 from alol.schema import to_json
 
 
@@ -118,16 +125,39 @@ def test_master_seed_changes_run():
 
 
 def test_oracle_run_matches_manual_replay():
+    # At this size and noise the three checkpoints read three values.
     config = make_config(
-        PolicySpec(name=PolicyName.ORACLE), iterations=4, candidate_count=3
+        PolicySpec(name=PolicyName.ORACLE),
+        iterations=4,
+        candidate_count=3,
+        checkpoint_every=2,
+        partition_sizes=(3, 40, 7, 30),
     )
-    dataset = small_dataset()
+    dataset = small_dataset(n=80, noise=0.3)
     log = run_simulation(config, dataset)
 
     pool = split_dataset(dataset, config.partition_sizes, config.master_seed)
     assert log.initial_labeled_ids == pool.labeled
     eval_examples = dataset.subset(pool.eval)
     eval_rows = token_rows(config.learner, eval_examples)
+    report = dataset.subset(pool.report)
+
+    def checkpoint(i):
+        # The report accuracy of the checkpoint model on the labeled set,
+        # counted by hand from each token's argmax.
+        model = train(
+            config.learner, dataset.subset(pool.labeled), eval_examples,
+            derive_seed(config.master_seed, iteration=i, run=RUN_CHECKPOINT),
+            metric=config.report_metric,
+        )
+        hits = sum(
+            int(np.count_nonzero(predict_distribution(model, ex).argmax(axis=-1) == ex.labels))
+            for ex in report
+        )
+        return hits / sum(ex.token_count for ex in report), model.fingerprint()
+
+    assert log.initial_checkpoint == checkpoint(0)[0]
+    assert [r.iteration for r in log.records if r.checkpoint is not None] == [2, 4]
     for record in log.records:
         scope = derive_seed(config.master_seed, iteration=record.iteration)
         candidates = sample_candidates(pool, 3, 1, scope)
@@ -145,6 +175,10 @@ def test_oracle_run_matches_manual_replay():
         assert record.scores == tuple(scores)
         assert record.chosen_index == lowest_argmax(scores)
         pool = commit_selection(pool, candidates[record.chosen_index])
+        if record.checkpoint is not None:
+            value, fingerprint = checkpoint(record.iteration)
+            assert record.checkpoint == value
+    assert log.final_model_fingerprint == fingerprint
 
 
 def test_step_scores_one_row_per_fit_scope(monkeypatch):

@@ -881,6 +881,56 @@ def test_one_token_eval_list_padded_in_a_stack_scores_as_alone():
         assert fit.scores == [evaluate(model, one, metric), evaluate(model, longer, metric)]
 
 
+def mean_loss_alone(model, examples):
+    """One model's mean token cross-entropy over its pooled rows, from its
+    own log-softmax: the loss formula before the stacked scorer took it."""
+    rows = token_rows(model.spec, examples)
+    affine = learners._affine(learners._unpack(model.spec, model.parameters))
+    logp = learners._log_softmax(learners._forward(affine, rows.x)[0])
+    return float(-logp[np.arange(len(rows.y)), rows.y].mean())
+
+
+@pytest.mark.parametrize("family", ["linear", "mlp"])
+@pytest.mark.parametrize("dim", [2, 10, 32, 48])
+@pytest.mark.parametrize("layout", ["shared", "one-total", "several-totals"])
+def test_score_stack_equals_each_model_scored_alone(family, dim, layout):
+    # Seven models scored side by side: on one shared list, on their own
+    # lists of one token total cut into other examples, or on lists of
+    # three totals. Each score must be the model's score alone bit for bit.
+    rng = np.random.default_rng(dim)
+    spec = LearnerSpec(
+        family=LearnerFamily.LINEAR_SOFTMAX if family == "linear" else LearnerFamily.MLP,
+        input_dim=dim,
+        class_count=3,
+        hidden_dim=0 if family == "linear" else 6,
+    )
+    ids = iter(range(10**6))
+
+    def eval_list(widths):
+        return [tokens(next(ids), rng, w, dim=dim, classes=3) for w in widths]
+
+    if layout == "shared":
+        shared = token_rows(spec, eval_list([1, 3, 2, 4, 1, 2]))
+        rows = [shared] * 7
+    elif layout == "one-total":
+        cuts = [[12], [6, 6], [1, 11], [4, 4, 4], [2, 3, 7], [1] * 12, [5, 1, 2, 4]]
+        rows = [token_rows(spec, eval_list(c)) for c in cuts]
+    else:
+        rows = [token_rows(spec, eval_list([1 + k % 3] * (2 + k % 3))) for k in range(7)]
+    params = rng.normal(size=(7, parameter_count(spec)))
+    models = [ModelState(spec=spec, parameters=p, seed_lineage=()) for p in params]
+    for metric in [*MetricKind, None]:
+        stacked = learners.score_stack(spec, params, rows, metric)
+        alone = [
+            -mean_loss_alone(m, r.examples) if metric is None else evaluate(m, r.examples, metric)
+            for m, r in zip(models, rows)
+        ]
+        assert [v.hex() for v in stacked] == [v.hex() for v in alone]
+    assert [loss(m, r.examples) for m, r in zip(models, rows)] == [
+        mean_loss_alone(m, r.examples) for m, r in zip(models, rows)
+    ]
+
+
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
 def test_init_matches_the_scalar_stream(spec):
     rng = np.random.default_rng(305)

@@ -26,6 +26,7 @@ from alol.pool import (
     sample_candidates,
     save_dataset,
     split_dataset,
+    stale_id,
 )
 from alol.rng import PURPOSE_SPLIT, derive_seed
 
@@ -277,6 +278,25 @@ def test_commit_rejects_stale_candidate():
         commit_selection(pool, CandidateSet(ids=(9,), candidate_index=0))
     with pytest.raises(StaleCandidateError):
         commit_selection(pool, CandidateSet(ids=(1,), candidate_index=0))
+
+
+def test_commit_and_stale_id_match_set_arithmetic():
+    # Pools of random ids with random chosen sets, the partition's first
+    # and last ids and runs of neighbours among them: the bisection and the
+    # kept runs between the chosen ids must give what sets and sorting give.
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        ids = rng.permutation(30).tolist()
+        cut = int(rng.integers(1, 30))
+        pool = PoolState(labeled=tuple(ids[cut:]), unlabeled=tuple(ids[:cut]), eval=(), report=())
+        chosen = rng.permutation(ids[:cut])[: rng.integers(1, cut + 1)].tolist()
+        after = commit_selection(pool, CandidateSet(ids=chosen, candidate_index=0))
+        assert after.unlabeled == tuple(sorted(set(pool.unlabeled) - set(chosen)))
+        assert after.labeled == tuple(sorted(set(pool.labeled) | set(chosen)))
+        probes = rng.integers(-1, 31, size=int(rng.integers(0, 4))).tolist()
+        expected = next((i for i in probes if i not in pool.unlabeled), None)
+        assert stale_id(pool, probes) == expected
+    assert stale_id(PoolState(labeled=(), unlabeled=(), eval=(), report=()), [0]) == 0
 
 
 def test_commit_conserves_mass_over_many_iterations():
