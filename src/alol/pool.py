@@ -154,19 +154,15 @@ class PoolState:
     report: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = [self.labeled, self.unlabeled, self.eval, self.report]
-        names = ["labeled", "unlabeled", "eval", "report"]
-        canon = [tuple(sorted(p)) for p in parts]
+        names = ("labeled", "unlabeled", "eval", "report")
+        canon = [tuple(sorted(getattr(self, name))) for name in names]
         for name, p in zip(names, canon):
-            if len(set(p)) != len(p):
-                raise AlolError(f"duplicate ids inside the {name} partition")
             object.__setattr__(self, name, p)
-        union: set[int] = set()
-        total = 0
-        for p in canon:
-            union.update(p)
-            total += len(p)
-        if len(union) != total:
+        # One set of all ids; only when it comes up short, name the cause.
+        if len(set().union(*canon)) != sum(map(len, canon)):
+            for name, p in zip(names, canon):
+                if len(set(p)) != len(p):
+                    raise AlolError(f"duplicate ids inside the {name} partition")
             raise AlolError("partitions overlap")
 
 
@@ -250,7 +246,7 @@ def commit_selection(pool: PoolState, chosen: CandidateSet) -> PoolState:
     if stale is not None:
         raise StaleCandidateError(f"id {stale} is not in the unlabeled pool")
     return PoolState(
-        labeled=tuple(sorted((*pool.labeled, *chosen.ids))),
+        labeled=(*pool.labeled, *chosen.ids),
         unlabeled=tuple(itertools.filterfalse(set(chosen.ids).__contains__, pool.unlabeled)),
         eval=pool.eval,
         report=pool.report,

@@ -42,18 +42,29 @@ class MrrConfig:
     training_mode: TrainingMode = TrainingMode.FINE_TUNE_UNION
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.candidate_count < 1 or self.set_size < 1:
-            raise SpecMismatchError("iterations, candidate_count, set_size must be >= 1")
         if self.window < 1:
             raise SpecMismatchError(f"window={self.window} must be >= 1")
         pair = tuple(int(s) for s in self.seed_pair)
         if len(pair) != 2:
             raise SpecMismatchError(f"seed_pair needs exactly 2 seeds, got {pair}")
         object.__setattr__(self, "seed_pair", pair)
-        sizes = tuple(int(s) for s in self.partition_sizes)
-        if len(sizes) != 4 or any(s < 0 for s in sizes):
-            raise SpecMismatchError(f"partition_sizes must be 4 non-negative counts, got {sizes}")
-        object.__setattr__(self, "partition_sizes", sizes)
+        # The oracle config checks the loop sizes and the partition sizes.
+        object.__setattr__(self, "partition_sizes", self.oracle().partition_sizes)
+
+    def oracle(self) -> SimulationConfig:
+        """The oracle ``simulate`` config at ``seed_pair[0]`` whose iteration
+        step is the probe's reference pass."""
+        return SimulationConfig(
+            iterations=self.iterations,
+            candidate_count=self.candidate_count,
+            set_size=self.set_size,
+            policy=PolicySpec(PolicyName.ORACLE, training_mode=self.training_mode),
+            learner=self.learner,
+            selection_metric=self.selection_metric,
+            report_metric=self.selection_metric,
+            master_seed=self.seed_pair[0],
+            partition_sizes=self.partition_sizes,
+        )
 
 
 @dataclass(frozen=True)
@@ -111,17 +122,7 @@ def run_mrr_probe(
     if jobs < 1:
         raise SpecMismatchError(f"jobs={jobs} must be >= 1")
     seed_ref, seed_alt = config.seed_pair
-    oracle = SimulationConfig(
-        iterations=config.iterations,
-        candidate_count=config.candidate_count,
-        set_size=config.set_size,
-        policy=PolicySpec(PolicyName.ORACLE, training_mode=config.training_mode),
-        learner=config.learner,
-        selection_metric=config.selection_metric,
-        report_metric=config.selection_metric,
-        master_seed=seed_ref,
-        partition_sizes=config.partition_sizes,
-    )
+    oracle = config.oracle()
     run = _start(oracle, dataset, seed_ref)
     if not run.pool.eval:
         raise SpecMismatchError("eval partition must be non-empty")

@@ -650,6 +650,29 @@ def test_report_names_the_file_line_of_a_bad_row_after_a_blank_line(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("simulate", {"repeats": 0}, "repeats=0"),
+        ("simulate", {"partition_sizes": [6, 44, -1, 6]}, "partition_sizes"),
+        ("probe-mrr", {"partition_sizes": [6, 44, -1, 6]}, "partition_sizes"),
+    ],
+)
+def test_refused_counts_exit_2_writing_nothing(tmp_path, capsys, command, overrides, key):
+    make = sim_config if command == "simulate" else probe_config
+    config, out = make(tmp_path, **overrides), tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_probe_empty_eval_partition_exits_1(tmp_path, capsys):
+    config, out = probe_config(tmp_path, partition_sizes=[6, 44, 0, 6]), tmp_path / "o"
+    assert main(["probe-mrr", "--config", str(config), "--out", str(out)]) == 1
+    assert "eval partition must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_non_integer_repeats_exits_2(tmp_path):
     config = sim_config(tmp_path, repeats="x")
     out = tmp_path / "o"

@@ -415,6 +415,11 @@ def test_config_validation():
         )
     with pytest.raises(SpecMismatchError):
         make_config(PolicySpec(name=PolicyName.RANDOM), checkpoint_every=0)
+    with pytest.raises(SpecMismatchError, match="non-negative"):
+        make_config(PolicySpec(name=PolicyName.RANDOM), partition_sizes=(6, -1, 8, 6))
+    config = make_config(PolicySpec(name=PolicyName.RANDOM))
+    with pytest.raises(SpecMismatchError, match="jobs=0"):
+        run_simulation(config, small_dataset(), jobs=0)
 
 
 def test_run_rejects_mismatched_learner_and_empty_partitions():

@@ -268,6 +268,8 @@ def test_evaluate_and_loss_reject_empty():
         evaluate(model, [], MetricKind.ACCURACY)
     with pytest.raises(EmptyEvalError):
         loss(model, [])
+    with pytest.raises(EmptyEvalError):
+        gradient(model, [])
 
 
 def test_loss_uniform_is_log2_and_perfect_is_tiny():

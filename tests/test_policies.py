@@ -309,6 +309,12 @@ def test_epsilon_one_never_invokes_thunk():
         assert abs(c / 20000 - 0.25) < 0.02
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+def test_epsilon_outside_the_unit_interval_is_refused(epsilon):
+    with pytest.raises(SpecMismatchError, match="outside"):
+        epsilon_explore(epsilon, 3, 0)
+
+
 def test_epsilon_explore_fraction():
     trials = 100000
     explored = sum(epsilon_explore(0.3, 5, seed) is not None for seed in range(trials))

@@ -169,6 +169,72 @@ def test_pool_state_rejects_overlap():
         PoolState(labeled=(1, 1), unlabeled=(), eval=(), report=())
 
 
+def two_pass_partitions(parts):
+    """The partition check in two passes: each partition's own set first,
+    naming the first partition that repeats an id, then their union. The
+    message it refuses with, or the partitions sorted."""
+    names = ("labeled", "unlabeled", "eval", "report")
+    canon = [tuple(sorted(p)) for p in parts]
+    for name, p in zip(names, canon):
+        if len(set(p)) != len(p):
+            return f"duplicate ids inside the {name} partition"
+    union = set()
+    for p in canon:
+        union.update(p)
+    return "partitions overlap" if len(union) != sum(map(len, canon)) else canon
+
+
+@st.composite
+def partition_lists(draw):
+    """Four disjoint lists of distinct ids in [-2**63, 2**64), then up to
+    three of those ids inserted again at random places: each a repeat
+    inside one list or an overlap of two."""
+    ids = draw(st.lists(st.integers(-(2**63), 2**64 - 1), unique=True, max_size=12))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ids)), min_size=3, max_size=3)))
+    parts = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+    for _ in range(draw(st.integers(0, 3)) if ids else 0):
+        target = parts[draw(st.integers(0, 3))]
+        target.insert(draw(st.integers(0, len(target))), draw(st.sampled_from(ids)))
+    return parts
+
+
+@PROPERTY
+@given(parts=partition_lists())
+@example(parts=[[1], [1], [2, 2], []])
+@example(parts=[[5], [], [], [3, 5, 3]])
+def test_pool_state_checks_partitions_as_two_passes_do(parts):
+    # A repeat inside a partition is named before any overlap is.
+    expected = two_pass_partitions(parts)
+    try:
+        pool = PoolState(*parts)
+    except AlolError as exc:
+        assert str(exc) == expected
+    else:
+        assert [pool.labeled, pool.unlabeled, pool.eval, pool.report] == expected
+
+
+def toy_pool():
+    return PoolState(labeled=(), unlabeled=(1, 2, 3), eval=(), report=())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(examples=()), "dataset is empty"),
+        (lambda: toy_dataset(3).get(7), "unknown example id 7"),
+        (lambda: CandidateSet(ids=(4, 4), candidate_index=2), r"candidate 2: duplicate ids"),
+        (lambda: CandidateSet(ids=(), candidate_index=0), "candidate 0: empty id list"),
+        (lambda: sample_candidates(toy_pool(), 0, 1, 0), "need K >= 1 and L >= 1"),
+        (lambda: sample_candidates(toy_pool(), 1, 0, 0), "need K >= 1 and L >= 1"),
+    ],
+    ids=["empty-dataset", "unknown-id", "repeated-candidate", "empty-candidate", "k0", "l0"],
+)
+def test_pool_refusals_raise_the_base_error(call, message):
+    with pytest.raises(AlolError, match=message) as caught:
+        call()
+    assert caught.type is AlolError
+
+
 def test_split_covers_requested_sizes_disjointly():
     dataset = toy_dataset(10)
     pool = split_dataset(dataset, (2, 6, 1, 1), 7)

@@ -4,10 +4,10 @@ import pytest
 
 from alol.datagen import GenKind, GenSpec, generate
 from alol.errors import NanScoreError, PoolExhaustedError, SpecMismatchError
-from alol import engine, learners
+from alol import engine, learners, probe
 from alol.learners import LearnerFamily, LearnerSpec, fit_stacked, token_rows, train
 from alol.metrics import MetricKind
-from alol.policies import TrainingMode, candidate_fits, lowest_argmax
+from alol.policies import PolicyName, PolicySpec, TrainingMode, candidate_fits, lowest_argmax
 from alol.pool import commit_selection, sample_candidates, split_dataset
 from alol.probe import (
     MrrConfig,
@@ -224,6 +224,8 @@ def test_config_validation_and_json():
         make_config(window=0)
     with pytest.raises(SpecMismatchError):
         make_config(seed_pair=(1, 2, 3))
+    with pytest.raises(SpecMismatchError):
+        make_config(partition_sizes=(6, 44, -1, 6))
     data = to_json(make_config())
     assert data["seed_pair"] == [31, 32]
     assert data["training_mode"] == "fine_tune_union"
@@ -293,3 +295,45 @@ def test_probe_fits_one_base_and_one_candidate_stack_per_iteration(monkeypatch, 
     assert len(report.ranks) == 3
     per_iteration = [8] if mode is TrainingMode.INDEPENDENT_FROM_SCRATCH else [1, 8]
     assert sizes == stacks == per_iteration * 3
+
+
+def test_probe_refuses_zero_jobs_and_an_empty_eval_partition():
+    dataset = cluster_dataset()
+    with pytest.raises(SpecMismatchError, match="jobs=0"):
+        run_mrr_probe(make_config(), dataset, jobs=0)
+    with pytest.raises(SpecMismatchError, match="eval partition"):
+        run_mrr_probe(make_config(partition_sizes=(6, 44, 0, 6)), dataset)
+
+
+@pytest.mark.parametrize("mode", list(TrainingMode))
+def test_reference_pass_is_the_oracle_simulate_step(monkeypatch, mode):
+    # The reference pass is the step that an oracle simulate run takes at
+    # seed_pair[0]: the same candidates, reference scores and choices.
+    seen = []
+    commit = probe._commit
+
+    def recording(oracle, dataset, steps):
+        commit(oracle, dataset, steps)
+        seen.extend(
+            (tuple(c.ids for c in s.candidates), s.outcome.chosen_index, s.scores[0])
+            for s in steps
+        )
+
+    monkeypatch.setattr(probe, "_commit", recording)
+    config = make_config(iterations=6, training_mode=mode)
+    dataset = cluster_dataset()
+    run_mrr_probe(config, dataset)
+
+    assert config.oracle() == engine.SimulationConfig(
+        iterations=6,
+        candidate_count=4,
+        set_size=1,
+        policy=PolicySpec(PolicyName.ORACLE, training_mode=mode),
+        learner=config.learner,
+        selection_metric=MetricKind.ACCURACY,
+        report_metric=MetricKind.ACCURACY,
+        master_seed=31,
+        partition_sizes=(6, 44, 8, 6),
+    )
+    log = engine.run_simulation(config.oracle(), dataset)
+    assert seen == [(r.candidate_ids, r.chosen_index, r.scores) for r in log.records]
