@@ -333,8 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser's objects refer to each other, so each one built
+# per call would be left as cyclic garbage.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2

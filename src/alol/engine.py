@@ -270,9 +270,12 @@ def _score(config: SimulationConfig, dataset: Dataset, steps: list[_Step]) -> No
     ]
     if not tasks:
         return
-    loss_based = name is PolicyName.LOSS_ORACLE
-    fit = fit_stacked(config.learner, tasks, metric=config.selection_metric, loss_based=loss_based)
-    values = iter(fit.scores)
+    fit = fit_stacked(config.learner, tasks, metric=config.selection_metric)
+    values = iter(
+        score_stack(config.learner, fit.parameters, [t.eval_rows for t in tasks], None)
+        if name is PolicyName.LOSS_ORACLE
+        else fit.scores
+    )
     for s in scored:
         s.scores = tuple(tuple(next(values) for _ in s.candidates) for _ in s.fit_scopes)
 

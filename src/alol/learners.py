@@ -374,7 +374,7 @@ def _padded(spec: LearnerSpec, examples: Sequence[Example], width: int):
 
 
 def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
-    """Batch source for ``_sgd`` over tasks of one training length and
+    """The window steps of ``_sgd`` over tasks of one training length and
     widest token count.
 
     Every distinct ``Example`` of the tasks, by identity, is padded once
@@ -382,12 +382,14 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     the table row of each of model k's examples. A window gathers the
     active models' shuffled rows of all its epochs from the table at once,
     laid out ``(W, A, n * width, dim)`` so that each epoch's block is
-    contiguous, and yields each epoch's batches ``(x, gold, denom, lone)``.
-    ``denom`` is each row's divisor for ``_Workspace.gradient``: the
-    batch's count of its model's token rows on a token row, counted once
-    per window, and ``inf`` on a padding row. ``lone`` indexes the models
-    whose padded batch holds a single token row, or is None. Returns the
-    floats that one model's epoch gathers, and the window source.
+    contiguous, and steps a workspace through each epoch's batches
+    ``(x, gold, denom, lone)``. ``denom`` is each row's divisor for
+    ``_Workspace.gradient``: the batch's count of its model's token rows on
+    a token row, counted once per window, and ``inf`` on a padding row.
+    ``lone`` indexes the models whose padded batch holds a single token
+    row, or is None. Returns the floats that one model's epoch gathers, and
+    the window ``steps(work, active, orders)``: it returns the parameters
+    of ``work`` after each epoch, as ``(W, A, P)`` snapshots.
     """
     examples = _distinct(ex for t in tasks for ex in t.examples)
     width = max((ex.token_count for ex in examples), default=0)
@@ -402,7 +404,7 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
     # width 1 that batch is a one-row matrix already, as in the plain loop.
     lone_batch = len(slices) - 1 if n % BATCH_SIZE == 1 and width > 1 else None
 
-    def window(active: np.ndarray, orders: np.ndarray) -> list:
+    def steps(work: _Workspace, active: np.ndarray, orders: np.ndarray) -> np.ndarray:
         # orders[w, a]: the shuffle order of active model a in epoch w.
         picked = index[active[:, None], orders]
         shape = (*orders.shape[:2], -1)
@@ -412,20 +414,15 @@ def _stacked_batches(spec: LearnerSpec, tasks: Sequence[FitTask]):
         # Each model's token rows per batch of each epoch, counted at once.
         tokens = np.add.reduceat(real, starts, axis=-1)
         denom = np.where(real, np.repeat(tokens, sizes, axis=-1), np.inf)
-        return [
-            [
-                (
-                    xw[:, rows],
-                    gw[:, rows],
-                    dw[:, rows],
-                    np.flatnonzero(tw[:, b] == 1) if b == lone_batch else None,
-                )
-                for b, rows in enumerate(slices)
-            ]
-            for xw, gw, dw, tw in zip(x, gold, denom, tokens)
-        ]
+        snapshots = np.empty((*orders.shape[:2], work.params.shape[-1]))
+        for snapshot, xw, gw, dw, tw in zip(snapshots, x, gold, denom, tokens):
+            for b, rows in enumerate(slices):
+                lone = np.flatnonzero(tw[:, b] == 1) if b == lone_batch else None
+                work.step(xw[:, rows], gw[:, rows], dw[:, rows], lone)
+            snapshot[...] = work.params
+        return snapshots
 
-    return n * width * (spec.input_dim + 1), window
+    return n * width * (spec.input_dim + 1), steps
 
 
 def _eval_stack(rows: Sequence[TokenRows]) -> list:
@@ -484,7 +481,7 @@ def _sgd(
     """
     if any(not t.eval_rows.examples for t in tasks):
         raise EmptyEvalError("early stopping needs a non-empty eval set")
-    train_floats, window_batches = _stacked_batches(spec, tasks)
+    train_floats, steps = _stacked_batches(spec, tasks)
     n = len(tasks[0].examples)
     shuffle_seeds = derive_seeds(
         np.array([t.seed & MASK64 for t in tasks], dtype=np.uint64)[:, None],
@@ -497,17 +494,6 @@ def _sgd(
     eval_floats = eval_tokens * (spec.hidden_dim + spec.class_count + 1)
     room = max(1, WINDOW_FLOATS // max(train_floats, eval_floats))
     work = _Workspace(spec, params)
-
-    def train(orders: np.ndarray) -> np.ndarray:
-        # Steps the window's epochs; returns their (W, A, P) snapshots,
-        # once its gathered rows are freed.
-        snapshots = np.empty((*orders.shape[:2], params.shape[1]))
-        for snapshot, batches in zip(snapshots, window_batches(np.array(active), orders)):
-            for batch in batches:
-                work.step(*batch)
-            snapshot[...] = work.params
-        return snapshots
-
     active = list(range(len(tasks)))
     evals = _eval_stack([tasks[k].eval_rows for k in active])
     best = _scores(spec, work.params[None], evals, metric)[0]
@@ -520,7 +506,8 @@ def _sgd(
         window = max(1, min(spec.patience - max(plateau), end - epoch, room // len(active)))
         seeds = shuffle_seeds[active, epoch : epoch + window].T.ravel()
         orders = shuffled_ranges(seeds, n).reshape(window, len(active), n)
-        scored = _scores(spec, train(orders), evals, metric)
+        # The window's gathered rows are freed before its scoring pass.
+        scored = _scores(spec, steps(work, np.array(active), orders), evals, metric)
         for row in scored:
             for r, current in enumerate(row):
                 # Significant improvement means beating the best score so
@@ -607,18 +594,16 @@ def fit_stacked(
     tasks: Sequence[FitTask],
     *,
     metric: MetricKind = MetricKind.ACCURACY,
-    loss_based: bool = False,
 ) -> StackedFit:
     """Fit one model per task: from its base, or from the init its seed
     derives.
 
     Every fit of the lab goes through here; ``train`` and ``fine_tune`` are
-    the one-task case. Model k's score is its last epoch's eval score, or
-    with ``loss_based`` its negated eval loss, which one ``score_stack``
-    call takes for the stack. Each distinct training example of a stack is
-    checked against ``spec`` once, as is each distinct eval rows object, as
-    arrays. The tasks need one training length; at length 0 every model is
-    its init or base, unchanged.
+    the one-task case. Model k's score is its last epoch's eval score.
+    Each distinct training example of a stack is checked against ``spec``
+    once, as is each distinct eval rows object, as arrays. The tasks need
+    one training length; at length 0 every model is its init or base,
+    unchanged.
 
     Models are stacked by operand shape: one ``_sgd`` run per widest
     example of the training lists, which pads each distinct example of its
@@ -650,8 +635,6 @@ def fit_stacked(
         params[group] = stack
         for k, run, value in zip(group, *fits):
             runs[k], scores[k] = run, value
-    if loss_based:
-        scores = score_stack(spec, params, [t.eval_rows for t in tasks], None)
     lineages = [[*base.seed_lineage, *run] for base, run in zip(bases, runs)]
     return StackedFit(spec, params, lineages, scores)
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -538,6 +539,35 @@ def test_report_crash_leaves_no_file(tmp_path, monkeypatch):
     assert list(out.parent.iterdir()) == []
 
 
+def cyclic_garbage(argv):
+    """The objects a successful ``main(argv)`` leaves that only a cycle
+    collection frees."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_cli_calls_leave_no_parser_garbage(tmp_path):
+    # The parser is built once per process. What a simulate call leaves
+    # is the pure-Python JSON encoder's closures, which its indented
+    # output needs; a report call leaves nothing.
+    baseline, policy = tmp_path / "random.csv", tmp_path / "oracle.csv"
+    curve_csv(baseline, [(100, 48.3), (200, 50.0)], policy="random")
+    curve_csv(policy, [(100, 52.9), (200, 55.0)], policy="oracle")
+    report = ["report", str(policy), "--baseline", str(baseline), "--out"]
+    assert cyclic_garbage([*report, str(tmp_path / "report.csv")]) == []
+    simulate = ["simulate", "--config", str(sim_config(tmp_path)), "--out", str(tmp_path / "o")]
+    assert [o for o in cyclic_garbage(simulate) if type(o).__module__ == "argparse"] == []
+
+
 def test_report_suffixes_duplicate_labels(tmp_path):
     baseline = tmp_path / "random.csv"
     curve_csv(baseline, [(100, 50.0)], policy="random")
@@ -670,6 +700,17 @@ def test_probe_empty_eval_partition_exits_1(tmp_path, capsys):
     config, out = probe_config(tmp_path, partition_sizes=[6, 44, 0, 6]), tmp_path / "o"
     assert main(["probe-mrr", "--config", str(config), "--out", str(out)]) == 1
     assert "eval partition must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "probe-mrr"])
+def test_dataset_of_blank_lines_exits_1(tmp_path, capsys, command):
+    make = sim_config if command == "simulate" else probe_config
+    config, out = make(tmp_path), tmp_path / "o"
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n\n  \n", encoding="utf-8")
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert f"{dataset}: no examples" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -29,6 +29,7 @@ from alol.learners import (
     LearnerFamily,
     LearnerSpec,
     fit_stacked,
+    loss,
     predict_distribution,
     token_rows,
     train,
@@ -209,24 +210,23 @@ def test_step_scores_one_row_per_fit_scope(monkeypatch):
     engine._commit(config, dataset, [step])
     assert sizes == [1, 9]
 
-    base = train(
-        config.learner, labeled, dataset.subset(run.pool.eval), scopes[0],
-        metric=config.selection_metric,
-    )
+    eval_set = dataset.subset(run.pool.eval)
+    base = train(config.learner, labeled, eval_set, scopes[0], metric=config.selection_metric)
     assert step.base == base
-    rows = tuple(
-        tuple(
-            fit_stacked(
-                config.learner,
-                candidate_fits(
-                    base, step.candidates, dataset, labeled, run.eval_rows,
-                    TrainingMode.FINE_TUNE_UNION, scope,
-                ),
-                metric=config.selection_metric,
-                loss_based=True,
-            ).scores
+    fits = [
+        fit_stacked(
+            config.learner,
+            candidate_fits(
+                base, step.candidates, dataset, labeled, run.eval_rows,
+                TrainingMode.FINE_TUNE_UNION, scope,
+            ),
+            metric=config.selection_metric,
         )
         for scope in scopes
+    ]
+    rows = tuple(
+        tuple(-loss(fit.model(k), eval_set) for k in range(len(step.candidates)))
+        for fit in fits
     )
     assert step.scores == rows
     assert lowest_argmax(rows[0]) != lowest_argmax(rows[1])

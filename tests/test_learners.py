@@ -24,6 +24,7 @@ from alol.learners import (
     loss,
     parameter_count,
     predict_distribution,
+    score_stack,
     token_rows,
     train,
 )
@@ -398,6 +399,14 @@ def fit_alone(spec, base, examples, eval_set, seed, metric, loss_based):
     return model, value
 
 
+def stacked_scores(spec, fit, tasks, loss_based):
+    """The stack's eval scores, or its negated eval losses from one
+    ``score_stack`` call, as the loss oracle takes them."""
+    if loss_based:
+        return score_stack(spec, fit.parameters, [t.eval_rows for t in tasks], None)
+    return fit.scores
+
+
 @pytest.mark.parametrize("family", ["linear", "mlp"])
 @pytest.mark.parametrize("mode", ["union", "candidate_only", "from_scratch"])
 @pytest.mark.parametrize(
@@ -468,9 +477,10 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length, dim):
             for k in range(6)
         ]
         for metric in MetricKind:
+            fit = fit_stacked(spec, tasks, metric=metric)
             for loss_based in (False, True):
-                fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
-                for k, (task, value) in enumerate(zip(tasks, fit.scores)):
+                values = stacked_scores(spec, fit, tasks, loss_based)
+                for k, (task, value) in enumerate(zip(tasks, values)):
                     model = fit.model(k)
                     alone, alone_value = fit_alone(
                         spec,
@@ -484,7 +494,7 @@ def test_stacked_fit_matches_each_model_fit_alone(family, mode, length, dim):
                     assert model.parameters.tobytes() == alone.parameters.tobytes()
                     assert model.seed_lineage == alone.seed_lineage
                     assert value == alone_value
-                stops[metric] = {len(lineage) for lineage in fit.lineages}
+            stops[metric] = {len(lineage) for lineage in fit.lineages}
         # The stack loses models at different epochs along the way.
         assert len(stops[MetricKind.MACRO_F1]) > 1
 
@@ -661,14 +671,15 @@ def test_windowed_fits_equal_the_plain_loop(data):
     ]
     floats = data.draw(st.sampled_from([1, 200, 2000, learners.WINDOW_FLOATS]))
     with mock.patch.object(learners, "WINDOW_FLOATS", floats):
-        fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
+        fit = fit_stacked(spec, tasks, metric=metric)
+    scores = stacked_scores(spec, fit, tasks, loss_based)
     for k, task in enumerate(tasks):
         eval_set = task.eval_rows.examples
         plain = reference_train(spec, task.examples, eval_set, task.seed, metric)
         value = -loss(plain, eval_set) if loss_based else evaluate(plain, eval_set, metric)
         assert fit.model(k).parameters.tobytes() == plain.parameters.tobytes()
         assert fit.lineages[k] == list(plain.seed_lineage)
-        assert fit.scores[k] == value
+        assert scores[k] == value
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
@@ -774,7 +785,8 @@ def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
         eval_set = evals[data.draw(st.integers(0, 2))]
         examples = [*labeled[split], *(candidate() for _ in range(n - split))]
         tasks.append(FitTask(base, examples, eval_set, k))
-    fit = fit_stacked(spec, tasks, metric=metric, loss_based=loss_based)
+    fit = fit_stacked(spec, tasks, metric=metric)
+    scores = stacked_scores(spec, fit, tasks, loss_based)
     for k, task in enumerate(tasks):
         alone, value = fit_alone(
             spec,
@@ -787,7 +799,7 @@ def test_stacked_fit_matches_one_at_a_time_fits_for_any_task_mix(data):
         )
         assert fit.model(k).parameters.tobytes() == alone.parameters.tobytes()
         assert fit.lineages[k] == list(alone.seed_lineage)
-        assert fit.scores[k] == value
+        assert scores[k] == value
 
 
 @pytest.mark.parametrize("dim, classes", [(10, 3), (10, 16), (16, 3)])
@@ -1060,8 +1072,21 @@ def test_workspace_step_matches_the_plain_step(spec, models, padded):
         for row in lengths.tolist()
     ]
     empty = token_rows(spec, [])
-    _, window = learners._stacked_batches(spec, [FitTask(None, e, empty, 0) for e in lists])
-    (batches,) = window(np.arange(models), np.broadcast_to(np.arange(n), (1, models, n)))
+    _, steps = learners._stacked_batches(spec, [FitTask(None, e, empty, 0) for e in lists])
+
+    class Recorder:
+        # Stands in for the workspace: keeps each batch it is stepped on.
+        params = np.zeros((models, 1))
+
+        def __init__(self):
+            self.batches = []
+
+        def step(self, *batch):
+            self.batches.append(batch)
+
+    recorder = Recorder()
+    steps(recorder, np.arange(models), np.broadcast_to(np.arange(n), (1, models, n)))
+    batches = recorder.batches
     stack = 1e150 * rng.normal(size=(models, parameter_count(spec)))
     if spec.family is LearnerFamily.MLP:
         stack[:, spec.hidden_dim * spec.input_dim] = -np.inf

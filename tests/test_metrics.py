@@ -195,6 +195,12 @@ def test_length_mismatch_raises_alignment_error():
         score([], [], MetricKind.ACCURACY)
 
 
+def test_unknown_metric_kind_raises_value_error():
+    # A kind name is not a MetricKind.
+    with pytest.raises(ValueError, match="unknown metric kind: 'accuracy'"):
+        score([[1, 0]], [[1, 1]], "accuracy")
+
+
 def test_mean_entropy_binary_values():
     assert mean_entropy([(0.5, 0.5)]) == pytest.approx(math.log(2))
     assert mean_entropy([(1.0, 0.0)]) == 0.0

@@ -28,7 +28,7 @@ from alol.policies import (
 from alol.pool import CandidateSet, Dataset, Example, PoolState, sample_candidates
 from alol.rng import SplitMix64, derive_seed
 
-from test_learners import fit_alone
+from test_learners import fit_alone, stacked_scores
 
 
 def seq_example(example_id, length, label=0, dim=2):
@@ -394,8 +394,8 @@ def test_stacked_scoring_matches_one_candidate_at_a_time(mode, loss_based):
     labeled, eval_set = dataset.subset(pool.labeled), dataset.subset(pool.eval)
     rows = token_rows(linear_spec(), eval_set)
     tasks = candidate_fits(base, candidates, dataset, labeled, rows, mode, 13)
-    stacked = fit_stacked(linear_spec(), tasks, metric=MetricKind.ACCURACY, loss_based=loss_based)
-    assert tuple(stacked.scores) == one_at_a_time(
+    stacked = fit_stacked(linear_spec(), tasks, metric=MetricKind.ACCURACY)
+    assert tuple(stacked_scores(linear_spec(), stacked, tasks, loss_based)) == one_at_a_time(
         linear_spec(), tasks, MetricKind.ACCURACY, loss_based
     )
 

@@ -411,6 +411,13 @@ def test_loader_rejects_mixed_payload_kinds(tmp_path):
         load_dataset(path)
 
 
+def test_loader_refuses_a_file_of_blank_lines(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n\t\n", encoding="utf-8")
+    with pytest.raises(AlolError, match=re.escape(f"{path}: no examples")):
+        load_dataset(path)
+
+
 def test_loader_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id":0,"features"\n')
