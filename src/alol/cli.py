@@ -13,7 +13,8 @@ unknown keys rejected):
 Exit codes are stable contracts: 0 ok, 1 runtime failure (running out of
 memory too), 2 schema violation, 3 refusing to overwrite without --force,
 4 curve misalignment.
-All CSVs use LF line endings and 9 significant digits.
+Every file is written through ``alol.schema``: UTF-8 with LF line endings,
+and 9 significant digits for a CSV's floats.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import datagen, engine, probe
 from .errors import AlignmentError, AlolError, MissingScoresError, SchemaError
 from .pool import load_dataset, save_dataset
 from .rng import repeat_seed
-from .schema import _decode, from_json, read_json, text_lines, to_json
+from .schema import _decode, csv_row, from_json, read_json, text_lines, to_json, write_lines
 
 SEED_OVERRIDE_ENV = "ALOL_SEED_OVERRIDE"
 
@@ -62,10 +63,6 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _parse(path: str, command: str, cls, own=None) -> tuple:
     """The config file at ``path`` decoded as ``cls``, plus its keys that
     the CLI reads itself decoded as ``own``. Every violation exits 2."""
@@ -83,57 +80,45 @@ def _parse(path: str, command: str, cls, own=None) -> tuple:
         raise _CliFailure(2, f"{path}: {exc}") from None
 
 
-def _refuse_overwrite(paths: list[Path], force: bool) -> None:
-    if force:
-        return
-    existing = [str(p) for p in paths if p.exists()]
-    if existing:
-        raise _CliFailure(3, f"refusing to overwrite {existing}; pass --force")
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _write_json(path: Path, data: dict) -> None:
-    _write_text(path, json.dumps(data, indent=2) + "\n")
+    write_lines(path, [json.dumps(data, indent=2)])
 
 
 @contextlib.contextmanager
-def _staged_writes(stale=()):
-    """Yields ``stage``, which maps an output path to a temporary name
-    beside it for the caller to write. When the block ends without error,
-    every staged path and every path in ``stale`` is removed, and then each
-    temporary that was written is moved into place with ``os.replace``, in
-    the order staged; on any exit every temporary is removed. A failing
-    write thus leaves no file, final or temporary; a failing move leaves
-    no earlier output beside the new ones; and the last path staged is in
-    place only when all the others are."""
-    staged = []
+def _staged_writes(paths: list[Path], force: bool, stale=()):
+    """Exits 3 if any output path in ``paths`` exists, unless ``force``.
+    Otherwise yields ``stage``, which takes one of ``paths``, makes its
+    directory and returns a temporary name beside it for the caller to
+    write. When the block ends without error, every path in ``paths`` and
+    ``stale`` is removed, and then each temporary that was written is moved
+    into place with ``os.replace``, in the order of ``paths``; on any exit
+    every temporary is removed. A failing write thus leaves no file, final or
+    temporary; a failing move leaves no earlier output beside the new ones;
+    and the last of ``paths`` is in place only when all the others are."""
+    existing = [str(p) for p in paths if p.exists()]
+    if existing and not force:
+        raise _CliFailure(3, f"refusing to overwrite {existing}; pass --force")
+    temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths}
 
     def stage(path: Path) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
-        staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
-        return staged[-1][0]
+        return temporaries[path]
 
     try:
         yield stage
-        for path in [*(path for _, path in staged), *stale]:
+        for path in [*paths, *stale]:
             path.unlink(missing_ok=True)
-        for temporary, path in staged:
+        for path, temporary in temporaries.items():
             if temporary.exists():
                 os.replace(temporary, path)
     finally:
-        for temporary, _ in staged:
+        for temporary in temporaries.values():
             temporary.unlink(missing_ok=True)
 
 
-def _curve_csv(curve, policy_label: str, seed: int) -> str:
-    lines = ["labeled_size,metric,policy,seed"]
-    for size, value in curve:
-        lines.append(f"{size},{_fmt(value)},{policy_label},{seed}")
-    return "\n".join(lines) + "\n"
+def _curve_csv(curve, policy_label: str, seed: int) -> list[str]:
+    header = "labeled_size,metric,policy,seed"
+    return [header, *(csv_row(size, value, policy_label, seed) for size, value in curve)]
 
 
 def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
@@ -178,10 +163,9 @@ def cmd_gen_data(args) -> int:
     spec, _ = _parse(args.config, "gen-data", datagen.GenSpec)
     out = Path(args.out)
     sidecar = Path(str(out).removesuffix(".jsonl") + ".provenance.jsonl")
-    _refuse_overwrite([out, sidecar], args.force)
-    dataset, informative = datagen.generate(spec)
     # The sidecar moves into place first: no dataset without its sidecar.
-    with _staged_writes() as stage:
+    with _staged_writes([sidecar, out], args.force) as stage:
+        dataset, informative = datagen.generate(spec)
         datagen.save_provenance(informative, stage(sidecar))
         save_dataset(dataset, stage(out))
     return 0
@@ -199,35 +183,35 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(config, log_oracle_scores=True)
     repeats = keys.repeats
     out_dir = Path(args.out)
-    outputs = [out_dir / "mean_curve.csv", out_dir / "summary.json"]
     dump_policy = config.policy.name in engine.ORACLE_FAMILY
+    outputs = []
     for r in range(repeats):
         outputs += [out_dir / f"run_{r}.json", out_dir / f"curve_{r}.csv"]
         if dump_policy:
             outputs.append(out_dir / f"policy_examples_{r}.jsonl")
-    _refuse_overwrite(outputs, args.force)
-    dataset = load_dataset(Path(args.config).parent / keys.dataset)
-    seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
-    logs = engine.run_simulations(config, dataset, seeds)
-    curves = [engine.learning_curve(log) for log in logs]
-    # The mean curve is checked before any file is written, so misaligned
-    # repeats leave no partial output behind.
-    common = min(len(c) for c in curves)
-    mean_curve = []
-    for k in range(common):
-        sizes = {c[k][0] for c in curves}
-        if len(sizes) != 1:
-            raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
-        mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
-    label = config.policy.name.value
+    # summary.json moves into place last: it marks a complete directory.
+    outputs += [out_dir / "mean_curve.csv", out_dir / "summary.json"]
     # Under --force the earlier run's files go too, so none of its repeats
     # is left beside a new run with fewer.
     stale = [p for p in out_dir.glob("*") if _RUN_FILE.fullmatch(p.name)] if args.force else []
-    # summary.json moves into place last: it marks a complete directory.
-    with _staged_writes(stale) as stage:
+    with _staged_writes(outputs, args.force, stale) as stage:
+        dataset = load_dataset(Path(args.config).parent / keys.dataset)
+        seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
+        logs = engine.run_simulations(config, dataset, seeds)
+        curves = [engine.learning_curve(log) for log in logs]
+        # The mean curve is checked before any file is written, so misaligned
+        # repeats leave no output directory behind.
+        common = min(len(c) for c in curves)
+        mean_curve = []
+        for k in range(common):
+            sizes = {c[k][0] for c in curves}
+            if len(sizes) != 1:
+                raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
+            mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
+        label = config.policy.name.value
         for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
             _write_json(stage(out_dir / f"run_{r}.json"), to_json(log))
-            _write_text(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
+            write_lines(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
             if dump_policy:
                 try:
                     path = stage(out_dir / f"policy_examples_{r}.jsonl")
@@ -235,7 +219,7 @@ def cmd_simulate(args) -> int:
                 except MissingScoresError:
                     pass
         mean_csv = _curve_csv(mean_curve, label, config.master_seed)
-        _write_text(stage(out_dir / "mean_curve.csv"), mean_csv)
+        write_lines(stage(out_dir / "mean_curve.csv"), mean_csv)
         _write_json(
             stage(out_dir / "summary.json"),
             {
@@ -252,17 +236,16 @@ def cmd_simulate(args) -> int:
 def cmd_probe_mrr(args) -> int:
     config, keys = _parse(args.config, "probe-mrr", probe.MrrConfig, _ProbeKeys)
     out_dir = Path(args.out)
-    _refuse_overwrite([out_dir / "mrr.csv", out_dir / "mrr_summary.json"], args.force)
-    dataset = load_dataset(Path(args.config).parent / keys.dataset)
-    report = probe.run_mrr_probe(config, dataset, jobs=args.jobs)
-    lines = ["window_start,window_end,mrr,baseline"]
-    for w in report.windows:
-        lines.append(f"{w.start},{w.end},{_fmt(w.mrr)},{_fmt(report.baseline)}")
+    mrr_csv, summary = out_dir / "mrr.csv", out_dir / "mrr_summary.json"
     # mrr_summary.json moves into place last: it marks a complete directory.
-    with _staged_writes() as stage:
-        _write_text(stage(out_dir / "mrr.csv"), "\n".join(lines) + "\n")
+    with _staged_writes([mrr_csv, summary], args.force) as stage:
+        dataset = load_dataset(Path(args.config).parent / keys.dataset)
+        report = probe.run_mrr_probe(config, dataset, jobs=args.jobs)
+        lines = ["window_start,window_end,mrr,baseline"]
+        lines += [csv_row(w.start, w.end, w.mrr, report.baseline) for w in report.windows]
+        write_lines(stage(mrr_csv), lines)
         _write_json(
-            stage(out_dir / "mrr_summary.json"),
+            stage(summary),
             {
                 "config": to_json(config),
                 "overall_mrr": report.overall_mrr,
@@ -276,23 +259,21 @@ def cmd_probe_mrr(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    _refuse_overwrite([out], args.force)
-    _, baseline_curve = _read_curve_csv(args.baseline)
-    labels: list[str] = []
-    columns: list[list[tuple[int, float]]] = []
-    seen: dict[str, int] = {}
-    for path in args.curves:
-        label, curve = _read_curve_csv(path)
-        count = seen.get(label, 0)
-        seen[label] = count + 1
-        labels.append(label if count == 0 else f"{label}_{count + 1}")
-        columns.append(engine.relative_improvement(curve, baseline_curve))
-    lines = ["labeled_size," + ",".join(labels)]
-    for k, (size, _) in enumerate(baseline_curve):
-        cells = [str(size)] + [_fmt(col[k][1]) for col in columns]
-        lines.append(",".join(cells))
-    with _staged_writes() as stage:
-        _write_text(stage(out), "\n".join(lines) + "\n")
+    with _staged_writes([out], args.force) as stage:
+        _, baseline_curve = _read_curve_csv(args.baseline)
+        labels: list[str] = []
+        columns: list[list[tuple[int, float]]] = []
+        seen: dict[str, int] = {}
+        for path in args.curves:
+            label, curve = _read_curve_csv(path)
+            count = seen.get(label, 0)
+            seen[label] = count + 1
+            labels.append(label if count == 0 else f"{label}_{count + 1}")
+            columns.append(engine.relative_improvement(curve, baseline_curve))
+        lines = [csv_row("labeled_size", *labels)]
+        for k, (size, _) in enumerate(baseline_curve):
+            lines.append(csv_row(size, *(col[k][1] for col in columns)))
+        write_lines(stage(out), lines)
     return 0
 
 

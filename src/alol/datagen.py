@@ -35,7 +35,6 @@ pairs, then turns the block's pairs into normals in one array pass.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,7 +44,7 @@ import numpy as np
 from .errors import AlolError, GenerationError, SchemaError
 from .pool import Dataset, Example
 from .rng import PURPOSE_SAMPLE, SplitMix64, derive_seed, stream_draws
-from .schema import MAX_FLOATS, from_json, json_lines
+from .schema import MAX_FLOATS, from_json, json_line, json_lines, write_lines
 
 
 class GenKind(enum.Enum):
@@ -240,10 +239,9 @@ def generate(spec: GenSpec) -> tuple[Dataset, dict[int, bool]]:
 
 def save_provenance(informative: dict[int, bool], path) -> None:
     """Write the sidecar: one {"id", "informative"} JSON object per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for example_id in sorted(informative):
-            line = {"id": example_id, "informative": informative[example_id]}
-            handle.write(json.dumps(line, separators=(",", ":")) + "\n")
+    write_lines(
+        path, (json_line({"id": i, "informative": informative[i]}) for i in sorted(informative))
+    )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ Seed scoping used by the driver (ops mix in their purpose tags themselves):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -66,6 +65,7 @@ from .pool import (
     split_dataset,
 )
 from .rng import RUN_CHECKPOINT, derive_seed
+from .schema import json_line, write_lines
 
 ORACLE_FAMILY = frozenset(
     {
@@ -418,16 +418,17 @@ def emit_policy_training_examples(log: RunLog, path) -> int:
     for record in log.records:
         committed[record.iteration] = sorted(labeled)
         labeled.update(record.candidate_ids[record.chosen_index])
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in scored:
-            line = {
-                "iteration": record.iteration,
-                "labeled_ids": committed[record.iteration],
-                "candidate_ids": [list(ids) for ids in record.candidate_ids],
-                "base_model_fingerprint": record.base_model_fingerprint,
-                "scores": list(record.scores),
-                "chosen_index": record.chosen_index,
-                "branch": record.branch,
-            }
-            handle.write(json.dumps(line, separators=(",", ":")) + "\n")
+    examples = (
+        {
+            "iteration": record.iteration,
+            "labeled_ids": committed[record.iteration],
+            "candidate_ids": [list(ids) for ids in record.candidate_ids],
+            "base_model_fingerprint": record.base_model_fingerprint,
+            "scores": list(record.scores),
+            "chosen_index": record.chosen_index,
+            "branch": record.branch,
+        }
+        for record in scored
+    )
+    write_lines(path, map(json_line, examples))
     return len(scored)

@@ -66,8 +66,8 @@ class LearnerSpec:
             raise SpecMismatchError(
                 f"input_dim={self.input_dim}, class_count={self.class_count} must be >= 1"
             )
-        if self.family is LearnerFamily.MLP and self.hidden_dim < 1:
-            raise SpecMismatchError("mlp needs hidden_dim >= 1")
+        if self.hidden_dim < 0 or (self.family is LearnerFamily.MLP) != (self.hidden_dim > 0):
+            raise SpecMismatchError(f"hidden_dim={self.hidden_dim}: mlp needs >= 1, linear 0")
         if self.learning_rate <= 0 or self.init_scale <= 0 or self.stop_epsilon <= 0:
             raise SpecMismatchError("learning_rate, init_scale, stop_epsilon must be > 0")
         if self.max_epochs < 1 or self.patience < 1:

@@ -13,7 +13,6 @@ PoolState is an immutable value; every operation returns a new state.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,7 +26,7 @@ from .errors import (
     StaleCandidateError,
 )
 from .rng import PURPOSE_SAMPLE, PURPOSE_SPLIT, SplitMix64, derive_seed, shuffled_ranges
-from .schema import json_lines
+from .schema import json_line, json_lines, write_lines
 
 
 def _holds_bool(values, rows: bool = False) -> bool:
@@ -245,9 +244,12 @@ def commit_selection(pool: PoolState, chosen: CandidateSet) -> PoolState:
     stale = stale_id(pool, chosen.ids)
     if stale is not None:
         raise StaleCandidateError(f"id {stale} is not in the unlabeled pool")
+    unlabeled = list(pool.unlabeled)
+    for i in chosen.ids:
+        del unlabeled[bisect_left(unlabeled, i)]
     return PoolState(
         labeled=(*pool.labeled, *chosen.ids),
-        unlabeled=tuple(itertools.filterfalse(set(chosen.ids).__contains__, pool.unlabeled)),
+        unlabeled=tuple(unlabeled),
         eval=pool.eval,
         report=pool.report,
     )
@@ -290,18 +292,11 @@ def load_dataset(path) -> Dataset:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset back to JSON-lines, preserving the payload kind."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for ex in dataset.examples:
-            if ex.sequence:
-                record = {
-                    "id": ex.id,
-                    "tokens": ex.features.tolist(),
-                    "label": ex.labels.tolist(),
-                }
-            else:
-                record = {
-                    "id": ex.id,
-                    "features": ex.features[0].tolist(),
-                    "label": int(ex.labels[0]),
-                }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    write_lines(path, (json_line(_record(ex)) for ex in dataset.examples))
+
+
+def _record(ex: Example) -> dict:
+    """The JSON object of ``ex``'s dataset line."""
+    if ex.sequence:
+        return {"id": ex.id, "tokens": ex.features.tolist(), "label": ex.labels.tolist()}
+    return {"id": ex.id, "features": ex.features[0].tolist(), "label": int(ex.labels[0])}

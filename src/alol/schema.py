@@ -1,4 +1,4 @@
-"""The JSON form of the config and run-log dataclasses, and the input readers.
+"""The JSON form of the config and run-log dataclasses, and every file's encoding.
 
 ``to_json`` writes a dataclass as plain JSON data: fields in declaration
 order, enums as their values, tuples as lists. ``from_json`` reads it back
@@ -20,6 +20,10 @@ Every input file is read here too, by ``text_lines``, ``json_lines`` and
 ``read_json``: bytes that are not UTF-8, malformed JSON, nesting past the
 recursion limit and integers past Python's 4300-digit limit raise
 ``AlolError`` naming ``path:line``, or ``path`` for a whole file's JSON.
+
+Every output file is written here too, by ``write_lines`` as UTF-8 with LF
+endings: a JSON-lines file one compact ``json_line`` per line, a CSV one
+``csv_row`` per line, with each float to 9 significant digits.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ _EXPECTED = {
 }
 # The most floats one numpy array can hold: its byte count must be an intp.
 MAX_FLOATS = sys.maxsize // 8
+# ``json.dumps`` with ``separators`` builds a new encoder on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def to_json(obj):
@@ -161,3 +167,20 @@ def json_lines(path):
 def read_json(path):
     """The JSON value that the whole file at ``path`` holds."""
     return _loads("".join(line for _, line in _lines(path)), str(path))
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a ``\\n`` after it to the file at
+    ``path``, as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def json_line(value) -> str:
+    """``value`` as one line of compact JSON."""
+    return _COMPACT(value)
+
+
+def csv_row(*cells) -> str:
+    """``cells`` joined by commas: floats to 9 significant digits, the rest by ``str``."""
+    return ",".join(f"{cell:.9g}" if isinstance(cell, float) else str(cell) for cell in cells)

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import alol
-from alol import cli, datagen
+from alol import cli, datagen, engine, probe
 from alol.cli import main
 from alol.datagen import GenKind, GenSpec, generate, load_provenance
+from alol.errors import AlolError
 from alol.pool import load_dataset, save_dataset
 
 
@@ -264,15 +265,15 @@ def test_simulate_writes_expected_outputs(tmp_path):
 def test_simulate_crash_leaves_no_file(tmp_path, monkeypatch):
     # The second repeat's run log fails half way, after the first repeat's
     # files are written: no file, final or temporary, may be left behind.
-    write_text = cli._write_text
+    write_lines = cli.write_lines
 
-    def failing(path, text):
+    def failing(path, lines):
         if "run_1" in path.name:
-            path.write_text(text[:10], encoding="utf-8")
+            path.write_text("".join(lines)[:10], encoding="utf-8")
             raise OSError("disk full")
-        write_text(path, text)
+        write_lines(path, lines)
 
-    monkeypatch.setattr(cli, "_write_text", failing)
+    monkeypatch.setattr(cli, "write_lines", failing)
     config = sim_config(tmp_path, repeats=2)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
@@ -501,6 +502,52 @@ def test_probe_rejects_wrong_command(tmp_path):
     assert main(["probe-mrr", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, module, step",
+    [
+        ("gen-data", datagen, "generate"),
+        ("simulate", engine, "run_simulations"),
+        ("probe-mrr", probe, "run_mrr_probe"),
+        ("report", engine, "relative_improvement"),
+    ],
+)
+def test_refusal_and_failure_make_no_output_directory(
+    tmp_path, capsys, monkeypatch, command, module, step
+):
+    # The compute step raises when called. With no earlier output each
+    # command exits 1 and makes no output directory. With one earlier output
+    # it exits 3 before it reads its inputs (deleted here) or calls the step,
+    # and leaves the directory as it was.
+    def failing(*args, **kwargs):
+        raise AlolError(f"{step} called")
+
+    monkeypatch.setattr(module, step, failing)
+    out = tmp_path / "out" / "nested"
+    if command == "gen-data":
+        argv = ["--config", str(gen_config(tmp_path)), "--out", str(out / "data.jsonl")]
+        earlier, inputs = out / "data.provenance.jsonl", []
+    elif command == "report":
+        curve = tmp_path / "curve.csv"
+        curve_csv(curve, [(100, 50.0)])
+        argv = [str(curve), "--baseline", str(curve), "--out", str(out / "report.csv")]
+        earlier, inputs = out / "report.csv", [curve]
+    else:
+        make = sim_config if command == "simulate" else probe_config
+        argv = ["--config", str(make(tmp_path)), "--out", str(out)]
+        earlier = out / ("curve_0.csv" if command == "simulate" else "mrr.csv")
+        inputs = [tmp_path / "dataset.jsonl"]
+    assert main([command, *argv]) == 1
+    assert f"{step} called" in capsys.readouterr().err
+    assert not out.parent.exists()
+    out.mkdir(parents=True)
+    earlier.write_text("earlier\n", encoding="utf-8")
+    for path in inputs:
+        path.unlink()
+    assert main([command, *argv]) == 3
+    assert list(out.iterdir()) == [earlier]
+    assert earlier.read_text(encoding="utf-8") == "earlier\n"
+
+
 def test_report_computes_percent_columns(tmp_path):
     baseline = tmp_path / "random.csv"
     policy = tmp_path / "oracle.csv"
@@ -522,11 +569,11 @@ def test_report_computes_percent_columns(tmp_path):
 def test_report_crash_leaves_no_file(tmp_path, monkeypatch):
     # The report write fails half way: no file, final or temporary, may be
     # left behind.
-    def failing(path, text):
-        path.write_text(text[:10], encoding="utf-8")
+    def failing(path, lines):
+        path.write_text("".join(lines)[:10], encoding="utf-8")
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "_write_text", failing)
+    monkeypatch.setattr(cli, "write_lines", failing)
     baseline = tmp_path / "curves" / "random.csv"
     policy = tmp_path / "curves" / "oracle.csv"
     baseline.parent.mkdir()
@@ -834,10 +881,11 @@ def with_learner(**changes):
 
 
 # Each of these configs was accepted or misreported before every key was
-# decoded by its field type: most exited 0, "log_oracle_scores": "no" read
-# as true, a cluster_separation of NaN wrote a dataset that then failed to
-# load, and "partition_sizes": 7 exited 2 without naming the key. A JSON
-# literal 1e999 parses to the same infinity as the one written here.
+# decoded by its field type (a linear learner's hidden_dim, before it had to
+# be 0): most exited 0, "log_oracle_scores": "no" read as true, a
+# cluster_separation of NaN wrote a dataset that then failed to load, and
+# "partition_sizes": 7 exited 2 without naming the key. A JSON literal
+# 1e999 parses to the same infinity as the one written here.
 @pytest.mark.parametrize(
     "command, overrides, key",
     [
@@ -854,6 +902,7 @@ def with_learner(**changes):
         ("gen-data", {"cluster_separation": float("nan")}, "cluster_separation"),
         ("gen-data", {"input_dim": 10**30}, "input_dim"),
         ("simulate", with_learner(input_dim=10**30), "learner.input_dim"),
+        ("simulate", with_learner(hidden_dim=3), "learner: hidden_dim"),
     ],
 )
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides, key):

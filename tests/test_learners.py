@@ -84,6 +84,13 @@ def test_spec_validation():
         LearnerSpec(family=LearnerFamily.LINEAR_SOFTMAX, input_dim=0, class_count=2)
     with pytest.raises(SpecMismatchError):
         LearnerSpec(family=LearnerFamily.LINEAR_SOFTMAX, input_dim=2, class_count=2, patience=0)
+    # parameter_count never reads a linear spec's hidden_dim, so any other
+    # than 0 would only tell two equal models apart.
+    for hidden in (4, -1):
+        with pytest.raises(SpecMismatchError, match="hidden_dim"):
+            LearnerSpec(
+                family=LearnerFamily.LINEAR_SOFTMAX, input_dim=2, class_count=2, hidden_dim=hidden
+            )
 
 
 def test_model_state_checks_parameter_length():

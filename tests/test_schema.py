@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,3 +283,17 @@ def test_any_json_value_decodes_or_raises_alol_error(valid, value):
         except AlolError:
             continue
         assert isinstance(obj, type(valid))
+
+
+def test_only_schema_opens_files():
+    # Every file's encoding is decided in one module: no other calls open,
+    # as a name (the builtin) or as an attribute (io.open, os.open, Path.open).
+    callers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "alol").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "open":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert [c for c in callers if not c.startswith("schema.py:")] == []
+    assert callers, "schema.py reads and writes through open"
