@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands driven by JSON experiment files (validated strictly,
-unknown keys rejected):
+unknown keys rejected), which hold every value a run reads:
 
 * ``gen-data``   writes a synthetic dataset plus its provenance sidecar
 * ``simulate``   runs the selection loop for every repeat side by side,
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import os
 import re
@@ -33,9 +32,7 @@ from . import datagen, engine, probe
 from .errors import AlignmentError, AlolError, MissingScoresError, SchemaError
 from .pool import load_dataset, save_dataset
 from .rng import repeat_seed
-from .schema import _decode, csv_row, from_json, read_json, text_lines, to_json, write_lines
-
-SEED_OVERRIDE_ENV = "ALOL_SEED_OVERRIDE"
+from .schema import csv_row, from_json, json_text, read_json, text_lines, to_json, write_lines
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,10 +75,6 @@ def _parse(path: str, command: str, cls, own=None) -> tuple:
         return from_json(cls, data), None if own is None else from_json(own, mine)
     except AlolError as exc:
         raise _CliFailure(2, f"{path}: {exc}") from None
-
-
-def _write_json(path: Path, data: dict) -> None:
-    write_lines(path, [json.dumps(data, indent=2)])
 
 
 @contextlib.contextmanager
@@ -128,7 +121,6 @@ def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
         raise _CliFailure(2, str(exc)) from None
     if not lines or lines[0][1] != "labeled_size,metric,policy,seed":
         raise _CliFailure(2, f"{path}: expected header 'labeled_size,metric,policy,seed'")
-    label = Path(path).stem
     curve: list[tuple[int, float]] = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
@@ -145,18 +137,6 @@ def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
     if not curve:
         raise _CliFailure(2, f"{path}: no data rows")
     return label, curve
-
-
-def _seed_override() -> int | None:
-    raw = os.environ.get(SEED_OVERRIDE_ENV)
-    if raw is None:
-        return None
-    try:
-        return _decode(int, int(raw, 0), SEED_OVERRIDE_ENV)
-    except (ValueError, SchemaError):
-        raise _CliFailure(
-            2, f"{SEED_OVERRIDE_ENV}={raw!r} is not an integer in [-2**63, 2**64)"
-        ) from None
 
 
 def cmd_gen_data(args) -> int:
@@ -176,11 +156,6 @@ _RUN_FILE = re.compile(r"(run_\d+\.json|curve_\d+\.csv|policy_examples_\d+\.json
 
 def cmd_simulate(args) -> int:
     config, keys = _parse(args.config, "simulate", engine.SimulationConfig, _SimulateKeys)
-    override = _seed_override()
-    if override is not None:
-        config = dataclasses.replace(config, master_seed=override)
-    if args.log_oracle_scores:
-        config = dataclasses.replace(config, log_oracle_scores=True)
     repeats = keys.repeats
     out_dir = Path(args.out)
     dump_policy = config.policy.name in engine.ORACLE_FAMILY
@@ -210,7 +185,7 @@ def cmd_simulate(args) -> int:
             mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
         label = config.policy.name.value
         for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
-            _write_json(stage(out_dir / f"run_{r}.json"), to_json(log))
+            write_lines(stage(out_dir / f"run_{r}.json"), [json_text(to_json(log))])
             write_lines(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
             if dump_policy:
                 try:
@@ -220,16 +195,14 @@ def cmd_simulate(args) -> int:
                     pass
         mean_csv = _curve_csv(mean_curve, label, config.master_seed)
         write_lines(stage(out_dir / "mean_curve.csv"), mean_csv)
-        _write_json(
-            stage(out_dir / "summary.json"),
-            {
-                "config": to_json(config),
-                "repeats": repeats,
-                "seeds": seeds,
-                "truncated": [log.truncated for log in logs],
-                "checkpoints_in_mean_curve": common,
-            },
-        )
+        summary = {
+            "config": to_json(config),
+            "repeats": repeats,
+            "seeds": seeds,
+            "truncated": [log.truncated for log in logs],
+            "checkpoints_in_mean_curve": common,
+        }
+        write_lines(stage(out_dir / "summary.json"), [json_text(summary)])
     return 0
 
 
@@ -244,16 +217,14 @@ def cmd_probe_mrr(args) -> int:
         lines = ["window_start,window_end,mrr,baseline"]
         lines += [csv_row(w.start, w.end, w.mrr, report.baseline) for w in report.windows]
         write_lines(stage(mrr_csv), lines)
-        _write_json(
-            stage(summary),
-            {
-                "config": to_json(config),
-                "overall_mrr": report.overall_mrr,
-                "baseline": report.baseline,
-                "ranks": list(report.ranks),
-                "truncated": report.truncated,
-            },
-        )
+        record = {
+            "config": to_json(config),
+            "overall_mrr": report.overall_mrr,
+            "baseline": report.baseline,
+            "ranks": list(report.ranks),
+            "truncated": report.truncated,
+        }
+        write_lines(stage(summary), [json_text(record)])
     return 0
 
 
@@ -263,12 +234,14 @@ def cmd_report(args) -> int:
         _, baseline_curve = _read_curve_csv(args.baseline)
         labels: list[str] = []
         columns: list[list[tuple[int, float]]] = []
-        seen: dict[str, int] = {}
         for path in args.curves:
             label, curve = _read_curve_csv(path)
-            count = seen.get(label, 0)
-            seen[label] = count + 1
-            labels.append(label if count == 0 else f"{label}_{count + 1}")
+            # A label already taken gets the smallest free suffix _k, k >= 2.
+            name, k = label, 1
+            while name in labels:
+                k += 1
+                name = f"{label}_{k}"
+            labels.append(name)
             columns.append(engine.relative_improvement(curve, baseline_curve))
         lines = [csv_row("labeled_size", *labels)]
         for k, (size, _) in enumerate(baseline_curve):
@@ -295,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--force", action="store_true")
-    sim.add_argument("--log-oracle-scores", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 
     prb = sub.add_parser("probe-mrr", help="run the two-seed consistency probe")

@@ -22,8 +22,9 @@ recursion limit and integers past Python's 4300-digit limit raise
 ``AlolError`` naming ``path:line``, or ``path`` for a whole file's JSON.
 
 Every output file is written here too, by ``write_lines`` as UTF-8 with LF
-endings: a JSON-lines file one compact ``json_line`` per line, a CSV one
-``csv_row`` per line, with each float to 9 significant digits.
+endings: a JSON file as one indented ``json_text``, a JSON-lines file one
+compact ``json_line`` per line, a CSV one ``csv_row`` per line, with each
+float to 9 significant digits.
 """
 
 from __future__ import annotations
@@ -179,6 +180,11 @@ def write_lines(path, lines) -> None:
 def json_line(value) -> str:
     """``value`` as one line of compact JSON."""
     return _COMPACT(value)
+
+
+def json_text(value) -> str:
+    """``value`` as JSON indented by two spaces, for a whole ``.json`` file."""
+    return json.dumps(value, indent=2)
 
 
 def csv_row(*cells) -> str:

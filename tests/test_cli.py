@@ -318,22 +318,22 @@ def test_simulate_random_policy_skips_policy_examples(tmp_path):
     assert not (out / "policy_examples_0.jsonl").exists()
 
 
-def test_simulate_log_oracle_scores_flag_fills_records(tmp_path):
-    config = sim_config(tmp_path, policy={"name": "random"})
+def test_simulate_log_oracle_scores_key_fills_records(tmp_path):
+    config = sim_config(tmp_path, policy={"name": "random"}, log_oracle_scores=True)
     out = tmp_path / "out"
-    code = main(
-        [
-            "simulate",
-            "--config",
-            str(config),
-            "--out",
-            str(out),
-            "--log-oracle-scores",
-        ]
-    )
-    assert code == 0
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     log = json.loads((out / "run_0.json").read_text())
     assert all(record["scores"] is not None for record in log["records"])
+
+
+def test_simulate_has_no_log_oracle_scores_flag(tmp_path):
+    # The config key is the one way to ask for counterfactual scores.
+    config = sim_config(tmp_path, policy={"name": "random"})
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--log-oracle-scores"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_repeats_average_into_mean_curve(tmp_path):
@@ -442,33 +442,18 @@ def test_jobs_must_be_positive(tmp_path):
     assert code == 2
 
 
-def test_seed_override_applies_to_simulate_only(tmp_path, monkeypatch):
+def test_simulate_ignores_the_environment(tmp_path, monkeypatch):
+    # A run's files depend only on its config file and its dataset: the
+    # variable that once replaced master_seed now changes nothing.
     config = sim_config(tmp_path)
-    out = tmp_path / "out"
+    plain, with_env = tmp_path / "plain", tmp_path / "with_env"
+    assert main(["simulate", "--config", str(config), "--out", str(plain)]) == 0
     monkeypatch.setenv("ALOL_SEED_OVERRIDE", "0x2A")
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["master_seed"] == 42
-
-    gen = gen_config(tmp_path)
-    with_env = tmp_path / "with_env.jsonl"
-    assert main(["gen-data", "--config", str(gen), "--out", str(with_env)]) == 0
-    monkeypatch.delenv("ALOL_SEED_OVERRIDE")
-    without_env = tmp_path / "without_env.jsonl"
-    assert main(["gen-data", "--config", str(gen), "--out", str(without_env)]) == 0
-    assert with_env.read_bytes() == without_env.read_bytes()
-
-
-def test_seed_override_must_be_integer(tmp_path, monkeypatch, capsys):
-    # A seed outside the schema's integer range exits 2 as a config file
-    # holding it would, and writes no summary.json that the schema refuses.
-    config = sim_config(tmp_path)
-    out = tmp_path / "o"
-    for raw in ["not-a-number", "46116860184273879040000", str(2**64), str(-(2**63) - 1)]:
-        monkeypatch.setenv("ALOL_SEED_OVERRIDE", raw)
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-        assert "ALOL_SEED_OVERRIDE" in capsys.readouterr().err
-        assert not out.exists()
+    assert main(["simulate", "--config", str(config), "--out", str(with_env)]) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in with_env.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (with_env / name).read_bytes()
 
 
 def test_probe_mrr_outputs(tmp_path):
@@ -636,6 +621,27 @@ def test_report_suffixes_duplicate_labels(tmp_path):
     )
     assert code == 0
     assert out.read_text().splitlines()[0] == "labeled_size,oracle,oracle_2"
+
+
+@pytest.mark.parametrize(
+    "policies, header",
+    [
+        (["a", "a", "a"], "labeled_size,a,a_2,a_3"),
+        (["a", "a", "a_2"], "labeled_size,a,a_2,a_2_2"),
+        (["a_2", "a", "a"], "labeled_size,a_2,a,a_3"),
+    ],
+)
+def test_report_gives_every_column_a_distinct_label(tmp_path, policies, header):
+    baseline = tmp_path / "random.csv"
+    curve_csv(baseline, [(100, 50.0)], policy="random")
+    curves = []
+    for k, policy in enumerate(policies):
+        curves.append(tmp_path / f"curve_{k}.csv")
+        curve_csv(curves[-1], [(100, 55.0 + k)], policy=policy)
+    out = tmp_path / "report.csv"
+    argv = ["report", *map(str, curves), "--baseline", str(baseline), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == header
 
 
 def test_report_misaligned_curves_exit_4(tmp_path):

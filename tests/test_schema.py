@@ -285,15 +285,55 @@ def test_any_json_value_decodes_or_raises_alol_error(valid, value):
         assert isinstance(obj, type(valid))
 
 
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "alol").glob("*.py"))
+
+
+def nodes(path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def test_only_schema_opens_files():
     # Every file's encoding is decided in one module: no other calls open,
     # as a name (the builtin) or as an attribute (io.open, os.open, Path.open).
     callers = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "alol").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path in SOURCES:
+        for node in nodes(path):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if name == "open":
                     callers.append(f"{path.name}:{node.lineno}")
     assert [c for c in callers if not c.startswith("schema.py:")] == []
     assert callers, "schema.py reads and writes through open"
+
+
+def test_only_schema_imports_json():
+    # Every JSON file and line is encoded and decoded in one module.
+    importers = []
+    for path in SOURCES:
+        for node in nodes(path):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "json" or m.startswith("json.") for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert [i for i in importers if not i.startswith("schema.py:")] == []
+    assert importers, "schema.py encodes through json"
+
+
+def test_no_module_reads_the_environment():
+    # A run's files depend only on its config file and its dataset.
+    readers = []
+    for path in SOURCES:
+        for node in nodes(path):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"environ", "environb", "getenv", "getenvb"} & set(names):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
