@@ -29,7 +29,13 @@ import sys
 from pathlib import Path
 
 from . import datagen, engine, probe
-from .errors import AlignmentError, AlolError, MissingScoresError, SchemaError
+from .errors import (
+    AlignmentError,
+    AlolError,
+    MissingScoresError,
+    OverwriteRefusedError,
+    SchemaError,
+)
 from .pool import load_dataset, save_dataset
 from .rng import repeat_seed
 from .schema import csv_row, from_json, json_text, read_json, text_lines, to_json, write_lines
@@ -54,32 +60,26 @@ class _ProbeKeys:
     dataset: str
 
 
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _parse(path: str, command: str, cls, own=None) -> tuple:
     """The config file at ``path`` decoded as ``cls``, plus its keys that
-    the CLI reads itself decoded as ``own``. Every violation exits 2."""
+    the CLI reads itself decoded as ``own``. Each violation is a ``SchemaError``."""
     try:
         data = read_json(path)
     except AlolError as exc:
-        raise _CliFailure(2, str(exc)) from None
+        raise SchemaError(str(exc)) from None
     if not isinstance(data, dict) or data.pop("command", None) != command:
-        raise _CliFailure(2, f"{path}: expected a JSON object whose command is '{command}'")
+        raise SchemaError(f"{path}: expected a JSON object whose command is '{command}'")
     keys = {f.name for f in dataclasses.fields(own)} if own else set()
     mine = {k: data.pop(k) for k in keys & data.keys()}
     try:
         return from_json(cls, data), None if own is None else from_json(own, mine)
     except AlolError as exc:
-        raise _CliFailure(2, f"{path}: {exc}") from None
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
 def _staged_writes(paths: list[Path], force: bool, stale=()):
-    """Exits 3 if any output path in ``paths`` exists, unless ``force``.
+    """Raises ``OverwriteRefusedError`` if any of ``paths`` exists, unless ``force``.
     Otherwise yields ``stage``, which takes one of ``paths``, makes its
     directory and returns a temporary name beside it for the caller to
     write. When the block ends without error, every path in ``paths`` and
@@ -90,7 +90,7 @@ def _staged_writes(paths: list[Path], force: bool, stale=()):
     and the last of ``paths`` is in place only when all the others are."""
     existing = [str(p) for p in paths if p.exists()]
     if existing and not force:
-        raise _CliFailure(3, f"refusing to overwrite {existing}; pass --force")
+        raise OverwriteRefusedError(f"refusing to overwrite {existing}; pass --force")
     temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths}
 
     def stage(path: Path) -> Path:
@@ -118,24 +118,24 @@ def _read_curve_csv(path: str) -> tuple[str, list[tuple[int, float]]]:
     try:
         lines = list(text_lines(path))
     except AlolError as exc:
-        raise _CliFailure(2, str(exc)) from None
+        raise SchemaError(str(exc)) from None
     if not lines or lines[0][1] != "labeled_size,metric,policy,seed":
-        raise _CliFailure(2, f"{path}: expected header 'labeled_size,metric,policy,seed'")
+        raise SchemaError(f"{path}: expected header 'labeled_size,metric,policy,seed'")
     curve: list[tuple[int, float]] = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 4:
-            raise _CliFailure(2, f"{path}:{lineno}: expected 4 columns")
+            raise SchemaError(f"{path}:{lineno}: expected 4 columns")
         try:
             size, value = int(cells[0]), float(cells[1])
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise _CliFailure(2, f"{path}:{lineno}: expected an integer size and a finite metric")
+            raise SchemaError(f"{path}:{lineno}: expected an integer size and a finite metric")
         curve.append((size, value))
         label = cells[2]
     if not curve:
-        raise _CliFailure(2, f"{path}: no data rows")
+        raise SchemaError(f"{path}: no data rows")
     return label, curve
 
 
@@ -156,14 +156,10 @@ _RUN_FILE = re.compile(r"(run_\d+\.json|curve_\d+\.csv|policy_examples_\d+\.json
 
 def cmd_simulate(args) -> int:
     config, keys = _parse(args.config, "simulate", engine.SimulationConfig, _SimulateKeys)
-    repeats = keys.repeats
     out_dir = Path(args.out)
     dump_policy = config.policy.name in engine.ORACLE_FAMILY
-    outputs = []
-    for r in range(repeats):
-        outputs += [out_dir / f"run_{r}.json", out_dir / f"curve_{r}.csv"]
-        if dump_policy:
-            outputs.append(out_dir / f"policy_examples_{r}.jsonl")
+    names = ["run_{}.json", "curve_{}.csv"] + (["policy_examples_{}.jsonl"] if dump_policy else [])
+    outputs = [out_dir / name.format(r) for r in range(keys.repeats) for name in names]
     # summary.json moves into place last: it marks a complete directory.
     outputs += [out_dir / "mean_curve.csv", out_dir / "summary.json"]
     # Under --force the earlier run's files go too, so none of its repeats
@@ -171,36 +167,27 @@ def cmd_simulate(args) -> int:
     stale = [p for p in out_dir.glob("*") if _RUN_FILE.fullmatch(p.name)] if args.force else []
     with _staged_writes(outputs, args.force, stale) as stage:
         dataset = load_dataset(Path(args.config).parent / keys.dataset)
-        seeds = [repeat_seed(config.master_seed, r) for r in range(repeats)]
+        seeds = [repeat_seed(config.master_seed, r) for r in range(keys.repeats)]
         logs = engine.run_simulations(config, dataset, seeds)
         curves = [engine.learning_curve(log) for log in logs]
-        # The mean curve is checked before any file is written, so misaligned
-        # repeats leave no output directory behind.
-        common = min(len(c) for c in curves)
-        mean_curve = []
-        for k in range(common):
-            sizes = {c[k][0] for c in curves}
-            if len(sizes) != 1:
-                raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sorted(sizes)}")
-            mean_curve.append((curves[0][k][0], sum(c[k][1] for c in curves) / len(curves)))
+        # Taken before any file is written: misaligned repeats write nothing.
+        mean_curve = engine.mean_curve(curves)
         label = config.policy.name.value
         for r, (seed_r, log, curve) in enumerate(zip(seeds, logs, curves)):
             write_lines(stage(out_dir / f"run_{r}.json"), [json_text(to_json(log))])
             write_lines(stage(out_dir / f"curve_{r}.csv"), _curve_csv(curve, label, seed_r))
             if dump_policy:
-                try:
+                with contextlib.suppress(MissingScoresError):
                     path = stage(out_dir / f"policy_examples_{r}.jsonl")
                     engine.emit_policy_training_examples(log, path)
-                except MissingScoresError:
-                    pass
         mean_csv = _curve_csv(mean_curve, label, config.master_seed)
         write_lines(stage(out_dir / "mean_curve.csv"), mean_csv)
         summary = {
             "config": to_json(config),
-            "repeats": repeats,
+            "repeats": keys.repeats,
             "seeds": seeds,
             "truncated": [log.truncated for log in logs],
-            "checkpoints_in_mean_curve": common,
+            "checkpoints_in_mean_curve": len(mean_curve),
         }
         write_lines(stage(out_dir / "summary.json"), [json_text(summary)])
     return 0
@@ -289,20 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
 # Built once: a parser's objects refer to each other, so each one built
 # per call would be left as cyclic garbage.
 _PARSER = build_parser()
+# The exit code of each error kind; every other one exits 1.
+_EXIT_CODES = {SchemaError: 2, OverwriteRefusedError: 3, AlignmentError: 4}
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise SchemaError("--jobs must be >= 1")
         return args.func(args)
-    except (_CliFailure, AlolError, OSError, MemoryError) as exc:
+    except (AlolError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        if isinstance(exc, _CliFailure):
-            return exc.code
-        return 4 if isinstance(exc, AlignmentError) else 1
+        return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), 1)
 
 
 if __name__ == "__main__":

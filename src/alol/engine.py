@@ -380,6 +380,15 @@ def learning_curve(log: RunLog) -> list[tuple[int, float]]:
     return curve
 
 
+def mean_curve(curves: Sequence[Sequence[tuple[int, float]]]) -> list[tuple[int, float]]:
+    """The mean of repeat curves at each checkpoint that all of them reach."""
+    for k, points in enumerate(zip(*curves)):
+        sizes = sorted({size for size, _ in points})
+        if len(sizes) != 1:
+            raise AlignmentError(f"repeat curves disagree on checkpoint {k}: {sizes}")
+    return [(points[0][0], sum(v for _, v in points) / len(points)) for points in zip(*curves)]
+
+
 def relative_improvement(
     policy_curve: Sequence[tuple[int, float]],
     random_curve: Sequence[tuple[int, float]],

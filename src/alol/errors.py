@@ -40,6 +40,10 @@ class EmptyEvalError(AlolError):
     """Evaluation was requested with an empty example list."""
 
 
+class OverwriteRefusedError(AlolError):
+    """An output already exists and overwriting it was not forced."""
+
+
 class AlignmentError(AlolError):
     """Two learning curves do not share the same labeled-size grid."""
 

@@ -292,7 +292,8 @@ def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind | N
     one per epoch of a window, as W lists of K scores. No row is padded,
     so each score is that of one model alone. Every score is taken in array
     passes over all the snapshots, a metric from the counts that
-    ``metrics.score`` takes."""
+    ``metrics.score`` takes. A snapshot whose parameters are not all finite
+    scores NaN: its argmax predictions mean nothing."""
     scores = np.empty(params.shape[:2])
     groups = []
     for models, x, y, starts in evals:
@@ -317,13 +318,15 @@ def _scores(spec: LearnerSpec, params: np.ndarray, evals, metric: MetricKind | N
             # One confusion table per snapshot and model.
             tables = np.arange(scores.size).reshape(scores.shape)[:, models, None]
             groups.append((tables, preds, y))
-    if not groups:
-        return scores.tolist()
-    # One count and F1 pass over the tokens of every eval total.
-    counts = confusion_counts(groups, scores.shape, spec.class_count)
-    if metric is MetricKind.MACRO_F1:
-        return macro_f1_from_counts(counts, range(spec.class_count)).tolist()
-    return token_f1_from_counts(counts).tolist()
+    if groups:
+        # One count and F1 pass over the tokens of every eval total.
+        counts = confusion_counts(groups, scores.shape, spec.class_count)
+        if metric is MetricKind.MACRO_F1:
+            scores = macro_f1_from_counts(counts, range(spec.class_count))
+        else:
+            scores = token_f1_from_counts(counts)
+    scores[~np.isfinite(params).all(axis=-1)] = np.nan
+    return scores.tolist()
 
 
 def _init_params(spec: LearnerSpec, init_seed: int) -> np.ndarray:
@@ -528,7 +531,7 @@ def _sgd(
                 break
             evals = _eval_stack([tasks[k].eval_rows for k in active])
     params[active] = work.params
-    lineages = [row[:count] for row, count in zip(shuffle_seeds.tolist(), epochs)]
+    lineages = [row[:count].tolist() for row, count in zip(shuffle_seeds, epochs)]
     return lineages, last
 
 

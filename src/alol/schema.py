@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
 import re
@@ -52,6 +53,8 @@ _EXPECTED = {
 MAX_FLOATS = sys.maxsize // 8
 # ``json.dumps`` with ``separators`` builds a new encoder on every call.
 _COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+# A class's field annotations, their strings compiled once per class.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def to_json(obj):
@@ -83,7 +86,7 @@ def from_json(cls, data, key: str = ""):
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in data]
     if missing:
         raise SchemaError(f"{where}missing keys {missing}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     prefix = f"{key}." if key else ""
     values = {name: _decode(hints[name], v, prefix + name) for name, v in data.items()}
     try:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import alol
-from alol import cli, datagen, engine, probe
+from alol import cli, datagen, engine, errors, probe
 from alol.cli import main
 from alol.datagen import GenKind, GenSpec, generate, load_provenance
 from alol.errors import AlolError
@@ -442,6 +442,28 @@ def test_jobs_must_be_positive(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.SchemaError("bad key"), 2),
+        (errors.OverwriteRefusedError("exists"), 3),
+        (errors.AlignmentError("grids differ"), 4),
+        (errors.NanScoreError("a NaN"), 1),
+        (OSError("disk full"), 1),
+        (MemoryError(), 1),
+    ],
+)
+def test_exit_code_is_the_error_kinds(tmp_path, capsys, monkeypatch, error, code):
+    # Raised from inside the run, where no call site picks a code.
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(engine, "run_simulations", failing)
+    config = sim_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"error: {str(error) or type(error).__name__}\n"
+
+
 def test_simulate_ignores_the_environment(tmp_path, monkeypatch):
     # A run's files depend only on its config file and its dataset: the
     # variable that once replaced master_seed now changes nothing.
@@ -854,6 +876,22 @@ def test_nan_scores_exit_1(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "fit_stacked", nan_scores(engine.fit_stacked))
     config = sim_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_simulate_exits_1_naming_the_nan_score(tmp_path, capsys):
+    # A step of 1e308 on clusters 10000 apart overflows the parameters in
+    # the first epoch. The diverged candidates once all scored the share of
+    # label 0, slot 0 was picked, and the run exited 0.
+    learner = with_learner(class_count=3, learning_rate=1e308, patience=5)
+    config = sim_config(tmp_path, **learner, partition_sizes=[5, 60, 30, 25], iterations=4)
+    gen = gen_config(tmp_path, n=120, class_count=3, cluster_separation=10000.0)
+    dataset = str(tmp_path / "dataset.jsonl")
+    assert main(["gen-data", "--config", str(gen), "--out", dataset, "--force"]) == 0
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "hold a NaN" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_misaligned_repeat_curves_exit_4_and_write_nothing(tmp_path, monkeypatch):

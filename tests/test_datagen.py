@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from alol import datagen
+from alol import datagen, schema
 from alol.datagen import (
     BLOCK,
     GenKind,
@@ -186,6 +186,16 @@ def test_provenance_round_trip(tmp_path):
     path = tmp_path / "prov.jsonl"
     save_provenance(informative, path)
     assert load_provenance(path) == informative
+
+
+def test_provenance_decoding_reads_type_hints_once(tmp_path):
+    # Each of the 600 lines once compiled the record's annotations again.
+    schema._type_hints.cache_clear()
+    path = tmp_path / "prov.jsonl"
+    save_provenance({i: i % 3 == 0 for i in range(600)}, path)
+    assert len(load_provenance(path)) == 600
+    info = schema._type_hints.cache_info()
+    assert (info.misses, info.hits) == (1, 599)
 
 
 def test_provenance_bytes_stable(tmp_path):

@@ -14,6 +14,7 @@ from alol.engine import (
     SimulationConfig,
     emit_policy_training_examples,
     learning_curve,
+    mean_curve,
     relative_improvement,
     run_simulation,
     run_simulations,
@@ -363,6 +364,14 @@ def test_relative_improvement_alignment_checks():
         relative_improvement([(10, 0.5)], [(11, 0.5)])
     with pytest.raises(UndefinedPointError):
         relative_improvement([(10, 0.5)], [(10, 0.0)])
+
+
+def test_mean_curve_over_the_checkpoints_all_repeats_reach():
+    curves = [[(10, 0.5), (20, 0.75), (30, 1.0)], [(10, 0.25), (20, 0.5)]]
+    assert mean_curve(curves) == [(10, 0.375), (20, 0.625)]
+    assert mean_curve(curves[:1]) == curves[0]
+    with pytest.raises(AlignmentError, match=r"checkpoint 1: \[20, 21\]"):
+        mean_curve([[(10, 0.5), (20, 0.5)], [(10, 0.5), (21, 0.5)]])
 
 
 def test_emit_policy_training_examples(tmp_path):

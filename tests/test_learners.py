@@ -270,6 +270,23 @@ def test_evaluate_token_f1_harmonic_mean():
     assert evaluate(model, data, MetricKind.TOKEN_F1) == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+@pytest.mark.parametrize("bad", ["all_nan", "one_inf"])
+def test_non_finite_model_scores_nan(spec, bad):
+    # argmax over a row of NaN logits is 0, so a diverged model used to
+    # score as if it predicted label 0 everywhere.
+    params = np.full(parameter_count(spec), np.nan)
+    if bad == "one_inf":
+        params = np.zeros(parameter_count(spec))
+        params[0] = np.inf
+    model = ModelState(spec=spec, parameters=params, seed_lineage=())
+    data = blobs(6, 3.0, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for metric in MetricKind:
+            assert math.isnan(evaluate(model, data, metric)), metric
+        assert math.isnan(loss(model, data))
+
+
 def test_evaluate_and_loss_reject_empty():
     model = initialize(LINEAR, 0)
     with pytest.raises(EmptyEvalError):
